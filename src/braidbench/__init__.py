@@ -26,9 +26,9 @@ from .braidlike_tm import (
     apply_action,
     format_btm,
     parse_btm,
-    run_det,
     start_configuration,
     successors,
+    write_tape,
 )
 from .oracle_sim import (
     OracleVerdict,
@@ -43,7 +43,6 @@ from .tour_guide import (
     LOOP_FOREVER,
     NTourGuide,
     REJECT,
-    ReachResult,
     ReturnInState,
     TourGuide,
     compute_guide,

@@ -101,6 +101,17 @@ def symbol_at(tape: tuple, cell: int) -> int:
     return tape[cell] if cell < len(tape) else BLANK
 
 
+def write_tape(tape: tuple, head: int, symbol: int) -> tuple:
+    """The erase-right write rule: keep cells 0..head-1 (blanks materialize
+    if the head is past the end), place the symbol at the head, and erase
+    everything to its right. Returns the canonical tape."""
+    if symbol == BLANK:
+        return canonical_tape(tape[:head])
+    if head > len(tape):
+        return tape + (BLANK,) * (head - len(tape)) + (symbol,)
+    return tape[:head] + (symbol,)
+
+
 def apply_action(c: Configuration, action, next_state: int):
     """Apply one action. Returns the successor Configuration, or None if the
     move is stuck (MoveLeft at the left endpoint)."""
@@ -110,13 +121,7 @@ def apply_action(c: Configuration, action, next_state: int):
         return Configuration(next_state, c.head - 1, c.tape, c.steps + 1)
     if isinstance(action, MoveRight):
         return Configuration(next_state, c.head + 1, c.tape, c.steps + 1)
-    # Write: keep cells 0..head-1 (blanks materialize if the head is past the
-    # end), place the symbol, erase everything to the right.
-    prefix = c.tape[: c.head]
-    if len(prefix) < c.head:
-        prefix = prefix + (BLANK,) * (c.head - len(prefix))
-    tape = canonical_tape(prefix + (action.symbol,))
-    return Configuration(next_state, c.head, tape, c.steps + 1)
+    return Configuration(next_state, c.head, write_tape(c.tape, c.head, action.symbol), c.steps + 1)
 
 
 def successors(spec: MachineSpec, c: Configuration) -> list:
@@ -132,33 +137,6 @@ def successors(spec: MachineSpec, c: Configuration) -> list:
             seen.add(key)
             out.append(succ)
     return out
-
-
-@dataclass(frozen=True)
-class DetOutcome:
-    kind: str  # "accept" | "reject" | "budget"
-    config: Configuration
-
-
-def run_det(spec: MachineSpec, max_steps: int, max_cells: int) -> DetOutcome:
-    """Drive a deterministic machine from the blank tape.
-
-    Accept on entering an accept state; Reject on a dead configuration or a
-    stuck left move; Budget once steps exceed max_steps or the head exceeds
-    max_cells.
-    """
-    if not spec.deterministic:
-        raise ValueError("run_det requires a deterministic machine")
-    c = start_configuration(spec)
-    while True:
-        if c.state in spec.accept_states:
-            return DetOutcome("accept", c)
-        if c.steps > max_steps or c.head > max_cells:
-            return DetOutcome("budget", c)
-        succs = successors(spec, c)
-        if not succs:
-            return DetOutcome("reject", c)
-        c = succs[0]
 
 
 def parse_btm(text: str) -> MachineSpec:
@@ -181,11 +159,11 @@ def parse_btm(text: str) -> MachineSpec:
         words = line.lower().split()
         key = words[0]
         if key in ("states", "symbols", "start", "target"):
-            if len(words) != 2 or not words[1].isdigit():
+            if len(words) != 2 or not words[1].isdecimal():
                 raise BTMParseError(lineno, f"expected `{key} <n>`")
             header[key] = int(words[1])
         elif key == "accept":
-            if not all(w.isdigit() for w in words[1:]):
+            if not all(w.isdecimal() for w in words[1:]):
                 raise BTMParseError(lineno, "accept states must be integers")
             accept.extend(int(w) for w in words[1:])
         elif key == "deterministic":
@@ -196,22 +174,23 @@ def parse_btm(text: str) -> MachineSpec:
         elif key == "trans":
             if len(words) < 4:
                 raise BTMParseError(lineno, "truncated transition")
-            try:
-                q, a = int(words[1]), int(words[2])
-            except ValueError:
-                raise BTMParseError(lineno, "transition state/symbol must be integers")
             kind = words[3]
             if kind == "write":
                 if len(words) != 6:
                     raise BTMParseError(lineno, "expected `trans <q> <a> write <b> <q'>`")
-                action, nxt = Write(int(words[4])), int(words[5])
             elif kind in ("left", "right"):
                 if len(words) != 5:
                     raise BTMParseError(lineno, f"expected `trans <q> <a> {kind} <q'>`")
-                action = MOVE_LEFT if kind == "left" else MOVE_RIGHT
-                nxt = int(words[4])
             else:
                 raise BTMParseError(lineno, f"unknown action {kind!r}")
+            try:
+                q, a, *rest = (int(w) for w in words[1:3] + words[4:])
+            except ValueError:
+                raise BTMParseError(lineno, "transition states and symbols must be integers")
+            if kind == "write":
+                action, nxt = Write(rest[0]), rest[1]
+            else:
+                action, nxt = (MOVE_LEFT if kind == "left" else MOVE_RIGHT), rest[0]
             transitions.setdefault((q, a), []).append((action, nxt))
         else:
             raise BTMParseError(lineno, f"unknown directive {key!r}")

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 a verdict was produced, 1 usage or parse error, 2 internal
+Exit codes: 0 a verdict was produced, 1 usage, parse or I/O error, 2 internal
 invariant violation.
 """
 
@@ -13,7 +13,7 @@ import sys
 from . import counter_machine as cm
 from . import gadget_compiler as gc
 from . import rewind_timeline as rt
-from .braidlike_tm import BTMParseError, format_btm, parse_btm
+from .braidlike_tm import format_btm, parse_btm
 from .oracle_sim import det_behavior_oracle, reach_bfs, read_only_oracle
 from .tour_guide import (
     GuideInvariantError,
@@ -61,8 +61,6 @@ def _build_parser():
                    help="input symbols (e.g. 0110) for the read-only decider")
     s = sub.add_parser("btm-reach", help="decide target-state reachability")
     s.add_argument("file")
-    s.add_argument("--prune", action="store_true",
-                   help="experimental guide-chain pruning accelerator")
     s = sub.add_parser("btm-oracle", help="brute-force behavior oracle")
     s.add_argument("file")
     s.add_argument("--input", default=None,
@@ -78,11 +76,8 @@ def _build_parser():
 
 
 def _read(path):
-    try:
-        with open(path) as f:
-            return f.read()
-    except OSError as e:
-        raise _UsageError(str(e))
+    with open(path) as f:
+        return f.read()
 
 
 def _emit(args, payload, text):
@@ -113,10 +108,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _dispatch(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (cm.CMParseError, BTMParseError, rt.GameParseError, gc.LevelFormatError) as e:
+    except (_UsageError, ValueError, OSError) as e:
+        # every parse error subclasses ValueError; OSError covers unreadable
+        # inputs and unwritable outputs
         print(f"error: {e}", file=sys.stderr)
         return 1
     except GuideInvariantError as e:
@@ -182,7 +176,7 @@ def _dispatch(args) -> int:
         if cap < default_cap:
             print(f"warning: cell cap {cap} is below the exact bound {default_cap}; "
                   "a not-reached verdict is only bounded", file=sys.stderr)
-        res = decide_reachability(spec, prune=args.prune, cell_cap=cap)
+        res = decide_reachability(spec, cell_cap=cap)
         payload = {
             "command": args.command,
             "verdict": res.kind,

@@ -128,7 +128,7 @@ def parse_counter_program(text: str) -> CounterProgram:
             continue
         words = line.lower().split()
         if words[0] == "counters":
-            if len(words) != 2 or not words[1].isdigit():
+            if len(words) != 2 or not words[1].isdecimal():
                 raise CMParseError(lineno, "expected `counters <k>`")
             num_counters = int(words[1])
             continue
@@ -139,7 +139,7 @@ def parse_counter_program(text: str) -> CounterProgram:
                 raise CMParseError(lineno, "init values must be integers")
             continue
         # instruction line: "<i>: op ..."
-        if not words[0].endswith(":") or not words[0][:-1].isdigit():
+        if not words[0].endswith(":") or not words[0][:-1].isdecimal():
             raise CMParseError(lineno, f"expected `<i>:` instruction label, got {words[0]!r}")
         idx = int(words[0][:-1])
         if idx != len(instructions):
@@ -147,11 +147,11 @@ def parse_counter_program(text: str) -> CounterProgram:
         op = words[1] if len(words) > 1 else ""
         args = words[2:]
         if op == "add":
-            if len(args) != 1 or not args[0].isdigit():
+            if len(args) != 1 or not args[0].isdecimal():
                 raise CMParseError(lineno, "expected `add <counter>`")
             instructions.append(Add(int(args[0])))
         elif op == "subb":
-            if len(args) != 2 or not all(a.isdigit() for a in args):
+            if len(args) != 2 or not all(a.isdecimal() for a in args):
                 raise CMParseError(lineno, "expected `subb <counter> <target>`")
             instructions.append(SubBranch(int(args[0]), int(args[1])))
         elif op == "halt":

@@ -69,6 +69,10 @@ class OpenDoor:
     branch: str
 
 
+# the exits level_step takes from each gadget kind the player can stand on
+_EXITS = {LeverPull: ("out",), Branch: ("monstar", "empty"), Junction: ("out",)}
+
+
 @dataclass(frozen=True)
 class Level:
     gadgets: dict  # id -> Gadget
@@ -81,13 +85,24 @@ class Level:
     # fall-through goal
     instruction_entries: tuple = ()
     crossover_count: int = 0
+    # occupancy per counter at the start; zeros if not given
+    init_counters: tuple = None
 
     def __post_init__(self):
+        init = (0,) * self.num_counters if self.init_counters is None else tuple(self.init_counters)
+        object.__setattr__(self, "init_counters", init)
+        if len(init) != self.num_counters or any(v < 0 for v in init):
+            raise LevelFormatError("init_counters must list one non-negative value per counter")
         if self.entry not in self.gadgets:
             raise LevelFormatError(f"entry gadget {self.entry!r} missing")
-        for g in self.gadgets.values():
+        for gid, g in self.gadgets.items():
             if isinstance(g, LeverPull) and g.signal not in self.signals:
                 raise LevelFormatError(f"lever signal {g.signal!r} undeclared")
+            if isinstance(g, CounterStation) and not (0 <= g.counter < self.num_counters):
+                raise LevelFormatError(f"counter station for counter {g.counter} out of range")
+            for label in _EXITS.get(type(g), ()):
+                if (gid, label) not in self.tim_edges:
+                    raise LevelFormatError(f"gadget {gid!r} has no {label!r} exit")
             if isinstance(g, TrapRouter):
                 for sig, _ in g.doors:
                     if sig not in self.signals:
@@ -98,6 +113,8 @@ class Level:
         for sig, eff in self.signals.items():
             if isinstance(eff, OpenDoor) and (eff.router not in self.gadgets or eff.branch not in self.gadgets):
                 raise LevelFormatError(f"signal {sig!r} routes through a missing gadget")
+            if isinstance(eff, (Add1, Remove1)) and not (0 <= eff.counter < self.num_counters):
+                raise LevelFormatError(f"signal {sig!r} names counter {eff.counter} out of range")
 
 
 SOLVED = "solved"
@@ -113,7 +130,7 @@ class LevelConfig:
 
 def initial_level_config(level: Level, counters=None) -> LevelConfig:
     if counters is None:
-        counters = (0,) * level.num_counters
+        counters = level.init_counters
     return LevelConfig(tim_at=level.entry, counters=tuple(counters), in_flight=(), ticks=0)
 
 
@@ -189,6 +206,7 @@ def compile(program: CounterProgram) -> Level:
         num_counters=program.num_counters,
         instruction_entries=tuple(entry_of[i] for i in range(n_ins + 1)),
         crossover_count=0,
+        init_counters=program.init_counters,
     )
     return replace(level, crossover_count=_count_crossings(level))
 
@@ -295,7 +313,7 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
     """
     level = compile(program)
     cm = initial_config(program)
-    lv = initial_level_config(level, program.init_counters)
+    lv = initial_level_config(level)
     entries = set(level.instruction_entries)
     boundaries = []
     solved = False
@@ -372,6 +390,7 @@ def level_to_json(level: Level) -> str:
         "signals": {sig: effect_obj(e) for sig, e in sorted(level.signals.items())},
         "instruction_entries": list(level.instruction_entries),
         "crossover_count": level.crossover_count,
+        "init_counters": list(level.init_counters),
     }
     return json.dumps(obj, indent=2, sort_keys=True)
 
@@ -381,6 +400,8 @@ def level_from_json(text: str) -> Level:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise LevelFormatError(str(e))
+    if not isinstance(obj, dict):
+        raise LevelFormatError("level JSON must be an object")
 
     def gadget(o):
         kind = o.get("kind")
@@ -418,9 +439,12 @@ def level_from_json(text: str) -> Level:
             num_counters=obj["num_counters"],
             instruction_entries=tuple(obj.get("instruction_entries", ())),
             crossover_count=obj.get("crossover_count", 0),
+            init_counters=obj.get("init_counters"),
         )
     except KeyError as e:
         raise LevelFormatError(f"missing field {e}")
+    except (AttributeError, TypeError) as e:
+        raise LevelFormatError(f"malformed level: {e}")
 
 
 def level_to_dot(level: Level) -> str:

@@ -14,8 +14,10 @@ from .braidlike_tm import (
     Configuration,
     MachineSpec,
     MoveLeft,
+    apply_action,
     start_configuration,
     successors,
+    symbol_at,
 )
 
 
@@ -42,6 +44,8 @@ def reach_bfs(spec: MachineSpec, cell_cap: int, max_explored: int = None) -> Ora
     which makes the search space finite. The "not-reached" verdict is exact
     only if the cap is at least the nondeterministic guide bound plus one;
     cap_hit reports whether any configuration was actually discarded.
+    Successors come from apply_action; the parents map, which also yields
+    the witness, is the visited set.
     """
     if spec.target_state is None:
         raise ValueError("reach_bfs needs a declared target state")
@@ -68,13 +72,17 @@ def reach_bfs(spec: MachineSpec, cell_cap: int, max_explored: int = None) -> Ora
             raise SearchBudgetExceeded(f"reach_bfs exceeded {max_explored} configurations")
         if c.state == spec.target_state:
             return OracleVerdict("reached", explored, trace(c), cap_hit)
-        for succ in successors(spec, c):
+        ckey = _config_key(c)
+        for action, nxt in spec.transitions.get((c.state, symbol_at(c.tape, c.head)), ()):
+            succ = apply_action(c, action, nxt)
+            if succ is None:
+                continue
             if succ.head > cell_cap or len(succ.tape) > cell_cap:
                 cap_hit = True
                 continue
             key = _config_key(succ)
             if key not in parents:
-                parents[key] = _config_key(c)
+                parents[key] = ckey
                 queue.append(succ)
     return OracleVerdict("not-reached", explored, None, cap_hit)
 
@@ -82,8 +90,9 @@ def reach_bfs(spec: MachineSpec, cell_cap: int, max_explored: int = None) -> Ora
 def det_behavior_oracle(spec: MachineSpec, max_steps: int, max_cells: int) -> OracleVerdict:
     """Direct deterministic simulation with exact repeat detection.
 
-    A repeated configuration proves an infinite loop; accept/reject follow
-    the run_det conventions; exceeding either budget gives "unresolved".
+    A repeated configuration proves an infinite loop. Entering an accept
+    state accepts; a dead configuration or a stuck left move rejects.
+    Exceeding either budget gives "unresolved".
     """
     if not spec.deterministic:
         raise ValueError("det_behavior_oracle requires a deterministic machine")

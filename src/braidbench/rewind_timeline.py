@@ -221,7 +221,7 @@ def parse_game(text: str) -> GameSpec:
                 raise GameParseError(lineno, "expected `start <immune> <timed>`")
             start = (words[1], words[2])
         elif key == "speed":
-            if len(words) != 2 or not words[1].isdigit():
+            if len(words) != 2 or not words[1].isdecimal():
                 raise GameParseError(lineno, "expected `speed <k>`")
             speed = int(words[1])
         elif key == "move":

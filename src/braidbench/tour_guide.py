@@ -11,57 +11,42 @@ the deciders below work.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from enum import Enum
 
 from .braidlike_tm import (
     BLANK,
-    Configuration,
     MachineSpec,
     MoveLeft,
     MoveRight,
     Write,
-    start_configuration,
     symbol_at,
+    write_tape,
 )
-from .oracle_sim import SearchBudgetExceeded
+from .oracle_sim import OracleVerdict, reach_bfs
 
 
 class GuideInvariantError(RuntimeError):
     """A runtime check on the guide machinery failed (internal error)."""
 
 
-# Responses. ACCEPT/REJECT/LOOP_FOREVER/DESTROY_ME are singletons;
-# ReturnInState carries the state of the next rightward crossing.
+class Response(Enum):
+    """A guide's answers other than ReturnInState, which carries the state
+    of the next rightward crossing. The values of ACCEPT, REJECT and
+    LOOP_FOREVER are the deciders' verdict strings."""
+
+    ACCEPT = "accept"
+    REJECT = "reject"
+    LOOP_FOREVER = "loop"
+    DESTROY_ME = "destroy-me"
+
+
+ACCEPT, REJECT, LOOP_FOREVER, DESTROY_ME = Response
+
+
 @dataclass(frozen=True)
 class ReturnInState:
     state: int
-
-
-@dataclass(frozen=True)
-class _Accept:
-    pass
-
-
-@dataclass(frozen=True)
-class _Reject:
-    pass
-
-
-@dataclass(frozen=True)
-class _LoopForever:
-    pass
-
-
-@dataclass(frozen=True)
-class _DestroyMe:
-    pass
-
-
-ACCEPT = _Accept()
-REJECT = _Reject()
-LOOP_FOREVER = _LoopForever()
-DESTROY_ME = _DestroyMe()
 
 
 @dataclass(frozen=True)
@@ -74,15 +59,6 @@ class TourGuide:
 class NTourGuide:
     answers: tuple  # indexed by state; each entry a frozenset of responses
     creation_state: int = None
-    destiny: object = None  # unused by the shipped pruner; kept for the record
-
-
-@dataclass(frozen=True)
-class ReachResult:
-    kind: str  # "reached" | "not-reached"
-    explored: int = 0
-    witness: tuple = None
-    cap_hit: bool = False
 
 
 def det_guide_bound(n_states: int) -> int:
@@ -188,13 +164,9 @@ def decide_read_only(spec: MachineSpec, input_symbols) -> str:
             left = guide
             cell += 1
             continue
-        if r is ACCEPT:
-            return "accept"
-        if r is REJECT:
-            return "reject"
-        if r is LOOP_FOREVER:
-            return "loop"
-        raise GuideInvariantError("DestroyMe answer from a read-only machine")
+        if r is DESTROY_ME:
+            raise GuideInvariantError("DestroyMe answer from a read-only machine")
+        return r.value
 
 
 def decide_det_braidlike(spec: MachineSpec) -> str:
@@ -205,12 +177,16 @@ def decide_det_braidlike(spec: MachineSpec) -> str:
     at the crossed boundary, dropping to concrete simulation only on a
     DestroyMe answer. A write at cell j truncates tape and chain at j.
     LoopForever is concluded on a freshly minted guide equal to an alive
-    one, on an exact repeat of (configuration, chain), or at the pigeonhole
-    head cap. Always terminates. Returns "accept" | "reject" | "loop".
+    one, or on an exact repeat of (configuration, chain).
+
+    Always terminates. Alive guides are distinct, so the chain holds at most
+    det_guide_bound guides; the head never passes the end of the chain
+    (head <= len(chain), checked every step), so head and tape stay within
+    det_guide_bound + 1 cells and the set of (configuration, chain) keys is
+    finite. Returns "accept" | "reject" | "loop".
     """
     if not spec.deterministic:
         raise ValueError("decide_det_braidlike requires a deterministic machine")
-    cap = det_guide_bound(spec.num_states) + 1
     state, head, tape = spec.start_state, 0, ()
     chain = []  # chain[k] guards boundary (k, k+1)
     alive = set()
@@ -218,8 +194,8 @@ def decide_det_braidlike(spec: MachineSpec) -> str:
     while True:
         if state in spec.accept_states:
             return "accept"
-        if head > cap:
-            return "loop"  # pigeonhole: duplicate guides are forced by now
+        if head > len(chain):
+            raise GuideInvariantError("head beyond the end of the guide chain")
         key = (state, head, tape, tuple(chain))
         if key in visited:
             return "loop"
@@ -232,19 +208,13 @@ def decide_det_braidlike(spec: MachineSpec) -> str:
         if isinstance(action, MoveLeft):
             if head == 0:
                 return "reject"  # stuck at the left endpoint
-            if head - 1 >= len(chain):
-                raise GuideInvariantError("leftward crossing with no guide at the boundary")
             r = chain[head - 1].answers[nxt]
             if isinstance(r, ReturnInState):
                 state = r.state  # summarized round trip; head stays put
-            elif r is ACCEPT:
-                return "accept"
-            elif r is REJECT:
-                return "reject"
-            elif r is LOOP_FOREVER:
-                return "loop"
-            else:  # DESTROY_ME: proceed as if the guide didn't exist
+            elif r is DESTROY_ME:  # proceed as if the guide didn't exist
                 state, head = nxt, head - 1
+            else:
+                return r.value
         elif isinstance(action, MoveRight):
             if head < len(chain):
                 # A guide promised destruction before this crossing.
@@ -256,16 +226,10 @@ def decide_det_braidlike(spec: MachineSpec) -> str:
             alive.add(guide)
             state, head = nxt, head + 1
         else:  # Write
-            prefix = tape[: head]
-            if len(prefix) < head:
-                prefix = prefix + (BLANK,) * (head - len(prefix))
-            tape = prefix + (action.symbol,)
-            while tape and tape[-1] == BLANK:
-                tape = tape[:-1]
-            if len(chain) > head:
-                for g in chain[head:]:
-                    alive.discard(g)
-                del chain[head:]
+            tape = write_tape(tape, head, action.symbol)
+            for g in chain[head:]:
+                alive.discard(g)
+            del chain[head:]
             state = nxt
 
 
@@ -324,81 +288,14 @@ def compute_nguide(left, cell_symbol: int, spec: MachineSpec, creation_state: in
     return NTourGuide(tuple(answers), creation_state)
 
 
-def decide_reachability(
-    spec: MachineSpec,
-    prune: bool = False,
-    cell_cap: int = None,
-    max_explored: int = None,
-) -> ReachResult:
+def decide_reachability(spec: MachineSpec, cell_cap: int = None, max_explored: int = None) -> OracleVerdict:
     """Decide whether the machine can reach its target state.
 
-    Explicit-state BFS over canonical configurations, capped by default at
-    the nondeterministic guide bound plus one cell, which makes the verdict
-    exact: a run reaching the target exists iff one exists whose head stays
-    under the guide-count cap. With prune enabled, successors whose guide
-    chain would contain two guides equal in (answers, creation_state) are
-    discarded; this is an experimental accelerator, off by default, and is
-    validated only empirically against the plain search.
+    Explicit-state BFS (reach_bfs) over canonical configurations, capped by
+    default at the nondeterministic guide bound plus one cell, which makes
+    the verdict exact: a run reaching the target exists iff one exists whose
+    head stays under the guide-count cap.
     """
-    if spec.target_state is None:
-        raise ValueError("decide_reachability needs a declared target state")
     if cell_cap is None:
         cell_cap = nondet_guide_bound(spec.num_states) + 1
-    if cell_cap < 1:
-        raise ValueError("cell_cap must be >= 1")
-    start = start_configuration(spec)
-    empty_chain = ()
-    start_key = (start.state, start.head, start.tape, empty_chain if prune else None)
-    parents = {start_key: None}
-    queue = deque([(start, empty_chain)])
-    explored = 0
-    cap_hit = False
-
-    def trace(key):
-        out = []
-        while key is not None:
-            state, head, tape, _ = key
-            out.append(Configuration(state, head, tape))
-            key = parents[key]
-        return tuple(reversed(out))
-
-    while queue:
-        c, chain = queue.popleft()
-        explored += 1
-        if max_explored is not None and explored > max_explored:
-            raise SearchBudgetExceeded(f"decide_reachability exceeded {max_explored} configurations")
-        ckey = (c.state, c.head, c.tape, chain if prune else None)
-        if c.state == spec.target_state:
-            return ReachResult("reached", explored, trace(ckey), cap_hit)
-        sym = symbol_at(c.tape, c.head)
-        for action, nxt in spec.transitions.get((c.state, sym), ()):
-            if isinstance(action, MoveLeft):
-                if c.head == 0:
-                    continue
-                succ = Configuration(nxt, c.head - 1, c.tape)
-                new_chain = chain
-            elif isinstance(action, MoveRight):
-                succ = Configuration(nxt, c.head + 1, c.tape)
-                new_chain = chain
-                if prune and c.head == len(chain):
-                    guide = compute_nguide(chain[-1] if chain else None, sym, spec, creation_state=nxt)
-                    if any(g.answers == guide.answers and g.creation_state == guide.creation_state for g in chain):
-                        continue  # prune: duplicate alive guide
-                    new_chain = chain + (guide,)
-            else:  # Write
-                prefix = c.tape[: c.head]
-                if len(prefix) < c.head:
-                    prefix = prefix + (BLANK,) * (c.head - len(prefix))
-                tape = prefix + (action.symbol,)
-                while tape and tape[-1] == BLANK:
-                    tape = tape[:-1]
-                succ = Configuration(nxt, c.head, tape)
-                new_chain = chain[: c.head] if prune else chain
-            if succ.head > cell_cap or len(succ.tape) > cell_cap:
-                cap_hit = True
-                continue
-            key = (succ.state, succ.head, succ.tape, new_chain if prune else None)
-            if key not in parents:
-                parents[key] = ckey
-                queue.append((succ, new_chain))
-    return ReachResult("not-reached", explored, None, cap_hit)
+    return reach_bfs(spec, cell_cap, max_explored=max_explored)

@@ -148,19 +148,14 @@ def verdict_at_cap(spec, runner, stated_cap):
 def test_criterion_2_reachability_agreement():
     rng = random.Random(20260824)
     specs = [random_reach_spec(rng) for _ in range(200)]
-    agree = prune_agree = 0
+    agree = 0
     for spec in specs:
         cap = nondet_guide_bound(spec.num_states) + 1
         v_bfs = verdict_at_cap(spec, lambda s, c: reach_bfs(s, c), cap)
         v_dec = verdict_at_cap(
             spec, lambda s, c: decide_reachability(s, cell_cap=c), cap)
-        v_pru = verdict_at_cap(
-            spec, lambda s, c: decide_reachability(s, prune=True, cell_cap=c), cap)
         agree += v_bfs == v_dec
-        prune_agree += v_bfs == v_pru
-    report("2 (reachability vs oracle, 200 specs)",
-           agree == 200 and prune_agree == 200,
-           f"(plain {agree}/200, prune {prune_agree}/200)")
+    report("2 (reachability vs oracle, 200 specs)", agree == 200, f"({agree}/200)")
 
 
 # --- 3: guide-bound values ---------------------------------------------------

@@ -14,7 +14,6 @@ from braidbench.braidlike_tm import (
     canonical_tape,
     format_btm,
     parse_btm,
-    run_det,
     start_configuration,
     successors,
     symbol_at,
@@ -165,36 +164,6 @@ def test_successors_are_canonical():
     spec = MachineSpec(1, 2, 0, frozenset(), {(0, 1): ((Write(0), 0),)})
     for succ in successors(spec, Configuration(0, 2, (1, 1, 1))):
         assert succ.tape == canonical_tape(succ.tape)
-
-
-# --- run_det ---------------------------------------------------------------
-
-def test_run_det_accepting_start():
-    spec = det_spec({}, accept=[0])
-    out = run_det(spec, 10, 10)
-    assert out.kind == "accept" and out.config.steps == 0
-
-
-def test_run_det_right_drifter_budget():
-    spec = det_spec({(0, 0): (MOVE_RIGHT, 0)}, n=1, s=1)
-    assert run_det(spec, 1000, 10).kind == "budget"
-
-
-def test_run_det_write_then_accept():
-    spec = det_spec({(0, 0): (Write(1), 1)}, accept=[1])
-    out = run_det(spec, 10, 10)
-    assert out.kind == "accept" and out.config.steps == 1
-
-
-def test_run_det_stuck_left_rejects():
-    spec = det_spec({(0, 0): (MOVE_LEFT, 0)}, n=1, s=1)
-    assert run_det(spec, 10, 10).kind == "reject"
-
-
-def test_run_det_requires_deterministic():
-    spec = MachineSpec(1, 1, 0, frozenset(), {})
-    with pytest.raises(ValueError):
-        run_det(spec, 1, 1)
 
 
 # --- erase-right property (small sample; the big one lives in acceptance) --

@@ -1,10 +1,16 @@
 import json
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from braidbench.braidlike_tm import Configuration, parse_btm, successors
 from braidbench.cli import main
+from braidbench.counter_machine import parse_counter_program
+from braidbench.gadget_compiler import compile, level_to_json
 
 ADDER = "counters 1\n0: add 0\n1: halt\n"
 TRIVIAL_REACH = "states 2\nsymbols 2\nstart 0\naccept\ntarget 0\ndeterministic false\n"
+DRIFTER = "states 1\nsymbols 1\nstart 0\naccept\ndeterministic true\ntrans 0 0 right 0\n"
 GAME = "timed t0 t1\nimmune m0\nstart m0 t0\nspeed 2\nmove m0 t0 m0 t1\ngoal m0 t1\n"
 
 
@@ -128,3 +134,98 @@ def test_bad_input_symbols_exit_one(tmp_path, capsys):
 
 def test_bounds_rejects_nonpositive(capsys):
     assert main(["bounds", "--states", "0"]) == 1
+
+
+def test_btm_reach_target_seen_mid_excursion(tmp_path, capsys):
+    # reached only through a target visited partway through a leftward
+    # excursion, which the removed --prune search reported as not-reached
+    path = write(tmp_path, "mid.btm", (
+        "states 3\nsymbols 2\nstart 0\naccept\ntarget 1\n"
+        "trans 0 0 right 0\ntrans 0 0 left 2\ntrans 0 1 write 0 0\n"
+        "trans 1 0 left 2\ntrans 1 1 write 0 2\n"
+        "trans 2 0 left 1\ntrans 2 1 write 0 0\ntrans 2 1 left 2\n"))
+    assert main(["--max-cells", "64", "btm-reach", path]) == 0
+    assert capsys.readouterr().out.startswith("reached")
+    assert main(["btm-reach", path, "--prune"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_compiled_level_starts_from_init(tmp_path, capsys):
+    # from zero counters the program loops at instruction 2; from init it halts
+    cm_path = write(tmp_path, "init.cm", "counters 2\ninit 1 0\n0: subb 0 2\n1: halt\n2: subb 1 2\n")
+    assert main(["--max-steps", "1000", "cm-run", cm_path]) == 0
+    assert capsys.readouterr().out.startswith("halted")
+    level_path = str(tmp_path / "init.json")
+    assert main(["cm-compile", cm_path, "-o", level_path]) == 0
+    assert main(["--max-steps", "1000", "level-sim", level_path]) == 0
+    assert capsys.readouterr().out.startswith("solved")
+
+
+def _adder_level(edit):
+    obj = json.loads(level_to_json(compile(parse_counter_program(ADDER))))
+    edit(obj)
+    return json.dumps(obj)
+
+
+# name -> (argv with {f} for the input file and {d} for its directory,
+#          input file name, input text, expected start of stderr)
+BAD_INPUTS = {
+    "non-integer-write": (["btm-decide", "{f}"], "m.btm",
+                          DRIFTER + "trans 0 0 write x 0\n", "error: line 7:"),
+    "decide-nondeterministic": (["btm-decide", "{f}"], "m.btm", TRIVIAL_REACH, "error:"),
+    "reach-without-target": (["btm-reach", "{f}"], "m.btm", DRIFTER, "error:"),
+    "level-not-an-object": (["level-sim", "{f}"], "l.json", "[]", "error:"),
+    "level-counter-out-of-range": (
+        ["level-sim", "{f}"], "l.json",
+        _adder_level(lambda o: o["signals"]["add0"].update(counter=5)), "error:"),
+    "level-missing-exit": (
+        ["level-sim", "{f}"], "l.json",
+        _adder_level(lambda o: o["tim_edges"].clear()), "error:"),
+    "unwritable-trace": (["--trace", "{d}/missing/t.json", "btm-reach", "{f}"], "m.btm",
+                         TRIVIAL_REACH, "error:"),
+    "unwritable-output": (["cm-compile", "{f}", "-o", "{d}/missing/l.json"], "p.cm", ADDER, "error:"),
+}
+
+
+@pytest.mark.parametrize("argv,name,text,err", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_one_with_error(tmp_path, capsys, argv, name, text, err):
+    path = write(tmp_path, name, text)
+    assert main([a.format(f=path, d=tmp_path) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith(err)
+
+
+# --- fuzzing: generated .btm and .cm text never escapes the exit-code contract
+
+NUM = st.one_of(st.integers(0, 3).map(str), st.sampled_from(["-1", "x", "\u00b2", ""]))
+GARBAGE = st.text(max_size=6)
+
+BTM_HEADER = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2)).map(
+    lambda t: f"states {t[0]}\nsymbols {t[1]}\nstart {t[2]}\ndeterministic true\n")
+BTM_LINE = st.one_of(
+    st.tuples(st.sampled_from(["states", "symbols", "start", "target", "accept"]), NUM).map(" ".join),
+    st.sampled_from(["deterministic true", "deterministic false", "deterministic maybe"]),
+    st.tuples(NUM, NUM, st.sampled_from(["write", "left", "right", "jump"]),
+              st.lists(NUM, max_size=2)).map(lambda t: " ".join(["trans", t[0], t[1], t[2], *t[3]])),
+    GARBAGE,
+)
+BTM_TEXT = st.tuples(st.one_of(BTM_HEADER, st.just("")), st.lists(BTM_LINE, max_size=10)).map(
+    lambda t: t[0] + "\n".join(t[1]))
+
+CM_HEADER = st.tuples(st.integers(1, 3), st.lists(NUM, max_size=3)).map(
+    lambda t: f"counters {t[0]}\ninit {' '.join(t[1])}\n")
+CM_BODY = st.one_of(
+    st.tuples(st.sampled_from(["add", "subb", "halt", "frob"]), st.lists(NUM, max_size=2)).map(
+        lambda t: " ".join([t[0], *t[1]])),
+    GARBAGE,
+)
+CM_TEXT = st.tuples(st.one_of(CM_HEADER, st.just("")), st.lists(CM_BODY, max_size=8)).map(
+    lambda t: t[0] + "\n".join(f"{i}: {b}" for i, b in enumerate(t[1])))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(btm=BTM_TEXT, cm=CM_TEXT)
+def test_cli_fuzz_exit_codes(tmp_path_factory, btm, cm):
+    d = tmp_path_factory.getbasetemp()
+    btm_path, cm_path = write(d, "fuzz.btm", btm), write(d, "fuzz.cm", cm)
+    assert main(["btm-decide", btm_path]) in (0, 1)
+    assert main(["--max-steps", "100", "cm-run", cm_path]) in (0, 1)

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -183,8 +184,13 @@ def test_ticks_tracked_against_steps():
 
 
 def test_json_round_trip():
-    level = compile(CounterProgram(2, (Add(1), SubBranch(1, 0), Halt())))
+    level = compile(CounterProgram(2, (Add(1), SubBranch(1, 0), Halt()), (3, 1)))
+    assert level.init_counters == (3, 1)
     assert level_from_json(level_to_json(level)) == level
+    # a level file without the field starts from zero counters
+    obj = json.loads(level_to_json(level))
+    del obj["init_counters"]
+    assert level_from_json(json.dumps(obj)).init_counters == (0, 0)
 
 
 def test_json_rejects_garbage():

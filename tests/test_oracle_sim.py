@@ -120,6 +120,17 @@ def test_oracle_dead_end_rejects():
     assert det_behavior_oracle(spec, 100, 10).kind == "reject"
 
 
+def test_oracle_write_then_accept():
+    spec = spec_of({(0, 0): ((Write(1), 1),)}, 2, 2, accept=[1], det=True)
+    res = det_behavior_oracle(spec, 10, 10)
+    assert res.kind == "accept" and res.explored == 1
+
+
+def test_oracle_stuck_left_rejects():
+    spec = spec_of({(0, 0): ((MOVE_LEFT, 0),)}, 1, 1, det=True)
+    assert det_behavior_oracle(spec, 10, 10).kind == "reject"
+
+
 def test_oracle_rejects_nondeterministic():
     spec = spec_of({}, 1, 1)
     with pytest.raises(ValueError):

@@ -259,8 +259,6 @@ def test_reachability_matches_bfs_random():
         spec = spec_of(trans, n, s, target=rng.randrange(n))
         plain = decide_reachability(spec, cell_cap=32)
         assert plain.kind == reach_bfs(spec, 32).kind
-        pruned = decide_reachability(spec, prune=True, cell_cap=32)
-        assert pruned.kind == plain.kind
 
 
 def test_reachability_witness_ends_at_target():
@@ -270,3 +268,20 @@ def test_reachability_witness_ends_at_target():
     res = decide_reachability(spec, cell_cap=8)
     assert res.kind == "reached"
     assert res.witness[-1].state == 2
+
+
+def test_reachability_target_seen_mid_excursion():
+    # The target is visited only partway through a leftward excursion; a
+    # guide-chain prune that compared guides without a "target reached"
+    # answer called this machine not-reached.
+    spec = spec_of({
+        (0, 0): ((MOVE_RIGHT, 0), (MOVE_LEFT, 2)),
+        (0, 1): ((Write(0), 0),),
+        (1, 0): ((MOVE_LEFT, 2),),
+        (1, 1): ((Write(0), 2),),
+        (2, 0): ((MOVE_LEFT, 1),),
+        (2, 1): ((Write(0), 0), (MOVE_LEFT, 2)),
+    }, 3, 2, target=1)
+    res = decide_reachability(spec)
+    assert res.kind == "reached"
+    assert res.witness[-1].state == 1
