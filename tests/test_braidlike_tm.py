@@ -18,6 +18,7 @@ from braidbench.braidlike_tm import (
     successors,
     symbol_at,
 )
+from braidbench.oracle_sim import det_behavior_oracle
 
 
 def det_spec(transitions, accept=(), n=2, s=2, start=0):
@@ -164,6 +165,25 @@ def test_successors_are_canonical():
     spec = MachineSpec(1, 2, 0, frozenset(), {(0, 1): ((Write(0), 0),)})
     for succ in successors(spec, Configuration(0, 2, (1, 1, 1))):
         assert succ.tape == canonical_tape(succ.tape)
+
+
+# --- deterministic runs (simulated by det_behavior_oracle) ----------------
+
+def test_run_det_accepting_start():
+    spec = det_spec({}, accept=[0])
+    out = det_behavior_oracle(spec, 10, 10)
+    assert out.kind == "accept" and out.explored == 0
+
+
+def test_run_det_right_drifter_budget():
+    spec = det_spec({(0, 0): (MOVE_RIGHT, 0)}, n=1, s=1)
+    assert det_behavior_oracle(spec, 1000, 10).kind == "unresolved"
+
+
+def test_run_det_requires_deterministic():
+    spec = MachineSpec(1, 1, 0, frozenset(), {})
+    with pytest.raises(ValueError):
+        det_behavior_oracle(spec, 1, 1)
 
 
 # --- erase-right property (small sample; the big one lives in acceptance) --
