@@ -9,7 +9,8 @@ as set membership in the search modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 BLANK = 0
 
@@ -77,12 +78,12 @@ class MachineSpec:
         )
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
+    """A plain tuple, so a configuration is its own key in a visited set."""
+
     state: int
     head: int  # may point past the end of the tape (blank region)
     tape: tuple  # canonical: no trailing blanks
-    steps: int = field(default=0, compare=False)
 
 
 def canonical_tape(cells) -> tuple:
@@ -118,23 +119,20 @@ def apply_action(c: Configuration, action, next_state: int):
     if isinstance(action, MoveLeft):
         if c.head == 0:
             return None
-        return Configuration(next_state, c.head - 1, c.tape, c.steps + 1)
+        return Configuration(next_state, c.head - 1, c.tape)
     if isinstance(action, MoveRight):
-        return Configuration(next_state, c.head + 1, c.tape, c.steps + 1)
-    return Configuration(next_state, c.head, write_tape(c.tape, c.head, action.symbol), c.steps + 1)
+        return Configuration(next_state, c.head + 1, c.tape)
+    return Configuration(next_state, c.head, write_tape(c.tape, c.head, action.symbol))
 
 
 def successors(spec: MachineSpec, c: Configuration) -> list:
-    """All distinct non-stuck successor configurations."""
+    """The step relation: one successor per enabled transition, in the
+    spec's order, with stuck moves dropped. Successors are not deduplicated;
+    every search's visited set already does that."""
     out = []
-    seen = set()
     for action, nxt in spec.transitions.get((c.state, symbol_at(c.tape, c.head)), ()):
         succ = apply_action(c, action, nxt)
-        if succ is None:
-            continue
-        key = (succ.state, succ.head, succ.tape)
-        if key not in seen:
-            seen.add(key)
+        if succ is not None:
             out.append(succ)
     return out
 
@@ -151,7 +149,6 @@ def parse_btm(text: str) -> MachineSpec:
     accept = []
     transitions = {}
     deterministic = False
-    saw_det = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -170,7 +167,6 @@ def parse_btm(text: str) -> MachineSpec:
             if len(words) != 2 or words[1] not in ("true", "false"):
                 raise BTMParseError(lineno, "expected `deterministic true|false`")
             deterministic = words[1] == "true"
-            saw_det = True
         elif key == "trans":
             if len(words) < 4:
                 raise BTMParseError(lineno, "truncated transition")
@@ -197,10 +193,6 @@ def parse_btm(text: str) -> MachineSpec:
     for field_name in ("states", "symbols", "start"):
         if field_name not in header:
             raise BTMParseError(0, f"missing `{field_name}` line")
-    if saw_det and deterministic:
-        for (q, a), succs in transitions.items():
-            if len(succs) > 1:
-                raise BTMParseError(0, f"declared deterministic but ({q}, {a}) has {len(succs)} transitions")
     try:
         return MachineSpec(
             num_states=header["states"],

@@ -113,6 +113,9 @@ def main(argv=None) -> int:
         # inputs and unwritable outputs
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except GuideInvariantError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ player's path long enough that he cannot beat the monstar to a gadget.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .counter_machine import Add, CounterProgram, Halt, SubBranch, cm_step, initial_config
 
@@ -47,11 +47,6 @@ class Goal:
     pass
 
 
-@dataclass(frozen=True)
-class Junction:
-    pass
-
-
 # Signal effects
 @dataclass(frozen=True)
 class Add1:
@@ -70,7 +65,7 @@ class OpenDoor:
 
 
 # the exits level_step takes from each gadget kind the player can stand on
-_EXITS = {LeverPull: ("out",), Branch: ("monstar", "empty"), Junction: ("out",)}
+_EXITS = {LeverPull: ("out",), Branch: ("monstar", "empty")}
 
 
 @dataclass(frozen=True)
@@ -84,7 +79,6 @@ class Level:
     # entry gadget per instruction index; index len(program) is the
     # fall-through goal
     instruction_entries: tuple = ()
-    crossover_count: int = 0
     # occupancy per counter at the start; zeros if not given
     init_counters: tuple = None
 
@@ -141,8 +135,7 @@ def compile(program: CounterProgram) -> Level:
     (c, t) becomes a remove lever, a trap-door lever that routes the freed
     monstar to this instruction's branch gadget, and the branch gadget
     itself: monstar present continues to pc+1, absent jumps to t. Halt and
-    the implicit end become goals. Crossings a planar embedding would need
-    are counted for the record; the graph model does not need them.
+    the implicit end become goals.
     """
     gadgets = {}
     tim_edges = {}
@@ -197,7 +190,7 @@ def compile(program: CounterProgram) -> Level:
             tim_edges[(f"B{i}", "monstar")] = entry_of[i + 1]
             tim_edges[(f"B{i}", "empty")] = entry_of[ins.target]
 
-    level = Level(
+    return Level(
         gadgets=gadgets,
         tim_edges=tim_edges,
         monstar_edges=tuple(monstar_edges),
@@ -205,29 +198,8 @@ def compile(program: CounterProgram) -> Level:
         entry=entry_of[0],
         num_counters=program.num_counters,
         instruction_entries=tuple(entry_of[i] for i in range(n_ins + 1)),
-        crossover_count=0,
         init_counters=program.init_counters,
     )
-    return replace(level, crossover_count=_count_crossings(level))
-
-
-def _count_crossings(level: Level) -> int:
-    """Crossings of a one-page book embedding with gadgets laid out in id
-    order — a stand-in for the crossover gadgets a planar build would need."""
-    order = {gid: i for i, gid in enumerate(level.gadgets)}
-    spans = []
-    for (src, _), dst in level.tim_edges.items():
-        spans.append(tuple(sorted((order[src], order[dst]))))
-    for src, dst in level.monstar_edges:
-        spans.append(tuple(sorted((order[src], order[dst]))))
-    crossings = 0
-    for i in range(len(spans)):
-        a1, b1 = spans[i]
-        for j in range(i + 1, len(spans)):
-            a2, b2 = spans[j]
-            if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
-                crossings += 1
-    return crossings
 
 
 def level_step(level: Level, c: LevelConfig):
@@ -258,8 +230,6 @@ def level_step(level: Level, c: LevelConfig):
             nxt = level.tim_edges[(c.tim_at, "monstar")]
         else:
             nxt = level.tim_edges[(c.tim_at, "empty")]
-    elif isinstance(g, Junction):
-        nxt = level.tim_edges[(c.tim_at, "out")]
     else:
         raise LevelFormatError(f"player cannot stand at {c.tim_at!r} ({type(g).__name__})")
     return LevelConfig(nxt, tuple(counters), tuple(sorted(in_flight)), c.ticks + 1)
@@ -370,9 +340,7 @@ def level_to_json(level: Level) -> str:
             return {"kind": "counter", "counter": g.counter}
         if isinstance(g, TrapRouter):
             return {"kind": "router", "doors": [list(d) for d in g.doors]}
-        if isinstance(g, Goal):
-            return {"kind": "goal"}
-        return {"kind": "junction"}
+        return {"kind": "goal"}
 
     def effect_obj(e):
         if isinstance(e, Add1):
@@ -389,7 +357,6 @@ def level_to_json(level: Level) -> str:
         "monstar_edges": [list(e) for e in level.monstar_edges],
         "signals": {sig: effect_obj(e) for sig, e in sorted(level.signals.items())},
         "instruction_entries": list(level.instruction_entries),
-        "crossover_count": level.crossover_count,
         "init_counters": list(level.init_counters),
     }
     return json.dumps(obj, indent=2, sort_keys=True)
@@ -415,8 +382,6 @@ def level_from_json(text: str) -> Level:
             return TrapRouter(tuple(tuple(d) for d in o["doors"]))
         if kind == "goal":
             return Goal()
-        if kind == "junction":
-            return Junction()
         raise LevelFormatError(f"unknown gadget kind {kind!r}")
 
     def effect(o):
@@ -438,7 +403,6 @@ def level_from_json(text: str) -> Level:
             entry=obj["entry"],
             num_counters=obj["num_counters"],
             instruction_entries=tuple(obj.get("instruction_entries", ())),
-            crossover_count=obj.get("crossover_count", 0),
             init_counters=obj.get("init_counters"),
         )
     except KeyError as e:
@@ -457,7 +421,6 @@ def level_to_dot(level: Level) -> str:
         CounterStation: "cylinder",
         TrapRouter: "trapezium",
         Goal: "doublecircle",
-        Junction: "point",
     }
     for gid, g in sorted(level.gadgets.items()):
         label = gid

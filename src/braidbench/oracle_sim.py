@@ -11,13 +11,10 @@ from dataclasses import dataclass
 
 from .braidlike_tm import (
     BLANK,
-    Configuration,
     MachineSpec,
     MoveLeft,
-    apply_action,
     start_configuration,
     successors,
-    symbol_at,
 )
 
 
@@ -33,10 +30,6 @@ class OracleVerdict:
     cap_hit: bool = False  # True if any successor was discarded at the cell cap
 
 
-def _config_key(c: Configuration):
-    return (c.state, c.head, c.tape)
-
-
 def reach_bfs(spec: MachineSpec, cell_cap: int, max_explored: int = None) -> OracleVerdict:
     """Breadth-first reachability of the target state from the blank tape.
 
@@ -44,25 +37,23 @@ def reach_bfs(spec: MachineSpec, cell_cap: int, max_explored: int = None) -> Ora
     which makes the search space finite. The "not-reached" verdict is exact
     only if the cap is at least the nondeterministic guide bound plus one;
     cap_hit reports whether any configuration was actually discarded.
-    Successors come from apply_action; the parents map, which also yields
-    the witness, is the visited set.
+    The parents map, which also yields the witness, is the visited set.
     """
     if spec.target_state is None:
         raise ValueError("reach_bfs needs a declared target state")
     if cell_cap < 1:
         raise ValueError("cell_cap must be >= 1")
     start = start_configuration(spec)
-    parents = {_config_key(start): None}
+    parents = {start: None}
     queue = deque([start])
     explored = 0
     cap_hit = False
 
     def trace(c):
         out = []
-        key = _config_key(c)
-        while key is not None:
-            out.append(Configuration(*key))
-            key = parents[key]
+        while c is not None:
+            out.append(c)
+            c = parents[c]
         return tuple(reversed(out))
 
     while queue:
@@ -72,17 +63,12 @@ def reach_bfs(spec: MachineSpec, cell_cap: int, max_explored: int = None) -> Ora
             raise SearchBudgetExceeded(f"reach_bfs exceeded {max_explored} configurations")
         if c.state == spec.target_state:
             return OracleVerdict("reached", explored, trace(c), cap_hit)
-        ckey = _config_key(c)
-        for action, nxt in spec.transitions.get((c.state, symbol_at(c.tape, c.head)), ()):
-            succ = apply_action(c, action, nxt)
-            if succ is None:
-                continue
+        for succ in successors(spec, c):
             if succ.head > cell_cap or len(succ.tape) > cell_cap:
                 cap_hit = True
                 continue
-            key = _config_key(succ)
-            if key not in parents:
-                parents[key] = ckey
+            if succ not in parents:
+                parents[succ] = c
                 queue.append(succ)
     return OracleVerdict("not-reached", explored, None, cap_hit)
 
@@ -92,7 +78,8 @@ def det_behavior_oracle(spec: MachineSpec, max_steps: int, max_cells: int) -> Or
 
     A repeated configuration proves an infinite loop. Entering an accept
     state accepts; a dead configuration or a stuck left move rejects.
-    Exceeding either budget gives "unresolved".
+    Exceeding either budget gives "unresolved". Every step adds one
+    configuration to the visited set, so its size is the step count plus one.
     """
     if not spec.deterministic:
         raise ValueError("det_behavior_oracle requires a deterministic machine")
@@ -101,11 +88,10 @@ def det_behavior_oracle(spec: MachineSpec, max_steps: int, max_cells: int) -> Or
     while True:
         if c.state in spec.accept_states:
             return OracleVerdict("accept", len(seen))
-        key = _config_key(c)
-        if key in seen:
+        if c in seen:
             return OracleVerdict("loop", len(seen))
-        seen.add(key)
-        if c.steps > max_steps or c.head > max_cells:
+        seen.add(c)
+        if len(seen) > max_steps + 1 or c.head > max_cells:
             return OracleVerdict("unresolved", len(seen))
         succs = successors(spec, c)
         if not succs:

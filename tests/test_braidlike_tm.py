@@ -108,7 +108,6 @@ def test_moves_shift_head():
     c = Configuration(0, 1, (1,))
     assert apply_action(c, MOVE_RIGHT, 1).head == 2
     assert apply_action(c, MOVE_LEFT, 1).head == 0
-    assert apply_action(c, MOVE_RIGHT, 1).steps == 1
 
 
 def test_canonical_tape():
@@ -199,10 +198,6 @@ def test_erase_right_property_sample():
         assert symbol_at(succ.tape, head) == b
         for i in range(head):
             assert symbol_at(succ.tape, i) == symbol_at(tape, i)
-
-
-def test_configuration_equality_ignores_steps():
-    assert Configuration(0, 1, (1,), steps=3) == Configuration(0, 1, (1,), steps=9)
 
 
 def test_spec_validation():

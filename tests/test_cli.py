@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidbench import cli
 from braidbench.braidlike_tm import Configuration, parse_btm, successors
 from braidbench.cli import main
 from braidbench.counter_machine import parse_counter_program
@@ -148,6 +149,15 @@ def test_btm_reach_target_seen_mid_excursion(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("reached")
     assert main(["btm-reach", path, "--prune"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.cm, "parse_counter_program", exhausted)
+    assert main(["cm-run", write(tmp_path, "adder.cm", ADDER)]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_compiled_level_starts_from_init(tmp_path, capsys):

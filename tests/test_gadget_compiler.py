@@ -208,6 +208,13 @@ def test_dot_export_shape():
     assert '"B0"' in dot
 
 
-def test_crossover_count_nonnegative():
-    for ins in ((Halt(),), (Add(0), SubBranch(0, 0), Halt())):
-        assert compile(CounterProgram(1, ins)).crossover_count >= 0
+def test_json_rejects_junction_and_ignores_crossover_count():
+    level = compile(CounterProgram(1, (Add(0), SubBranch(0, 0), Halt())))
+    obj = json.loads(level_to_json(level))
+    obj["crossover_count"] = 3
+    assert level_from_json(json.dumps(obj)) == level
+    # a well-wired junction, which loaded before the gadget was retired
+    obj["gadgets"]["J"] = {"kind": "junction"}
+    obj["tim_edges"].append({"from": "J", "exit": "out", "to": level.entry})
+    with pytest.raises(LevelFormatError):
+        level_from_json(json.dumps(obj))

@@ -131,6 +131,16 @@ def test_oracle_stuck_left_rejects():
     assert det_behavior_oracle(spec, 10, 10).kind == "reject"
 
 
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_oracle_step_budget_boundary(k):
+    # states 0..k-1 each move right into the next; state k accepts after k steps
+    spec = spec_of({(q, 0): ((MOVE_RIGHT, q + 1),) for q in range(k)}, k + 1, 1, accept=[k], det=True)
+    for max_steps in range(k + 2):
+        res = det_behavior_oracle(spec, max_steps, k + 1)
+        expected = ("accept", k) if k <= max_steps + 1 else ("unresolved", max_steps + 2)
+        assert (res.kind, res.explored) == expected, max_steps
+
+
 def test_oracle_rejects_nondeterministic():
     spec = spec_of({}, 1, 1)
     with pytest.raises(ValueError):
