@@ -113,6 +113,59 @@ def write_tape(tape: tuple, head: int, symbol: int) -> tuple:
     return tape[:head] + (symbol,)
 
 
+class TapeStore:
+    """Hash-consed cons lists of symbols, for searches that step a tape zipper.
+
+    A list is an int and 0 is the empty list; `cons` interns, so equal lists
+    are equal ints. A zipped configuration is a triple (state, left, right):
+    `left` holds the cells left of the head, nearest first, and `right` holds
+    the head cell onward with no trailing blanks. Each canonical
+    Configuration has exactly one triple, so triples serve as search keys,
+    and `apply` steps one in O(1) time and memory: an erase-right write keeps
+    `left` and replaces `right` by one cell. One store serves one search.
+    """
+
+    def __init__(self, num_symbols: int):
+        self.num_symbols = num_symbols
+        self.car = [BLANK]
+        self.cdr = [0]
+        self.size = [0]
+        self._ids = {}
+
+    def cons(self, symbol: int, rest: int) -> int:
+        key = rest * self.num_symbols + symbol
+        node = self._ids.get(key)
+        if node is None:
+            node = self._ids[key] = len(self.car)
+            self.car.append(symbol)
+            self.cdr.append(rest)
+            self.size.append(self.size[rest] + 1)
+        return node
+
+    def apply(self, z: tuple, action, next_state: int):
+        """apply_action on a zipped configuration; None if the move is stuck."""
+        _, left, right = z
+        if isinstance(action, MoveLeft):
+            if left == 0:
+                return None
+            cell = self.car[left]
+            if cell != BLANK or right != 0:
+                right = self.cons(cell, right)
+            return (next_state, self.cdr[left], right)
+        if isinstance(action, MoveRight):
+            return (next_state, self.cons(self.car[right], left), self.cdr[right])
+        return (next_state, left, self.cons(action.symbol, 0) if action.symbol != BLANK else 0)
+
+    def successors(self, spec: MachineSpec, z: tuple) -> list:
+        """`successors` on a zipped configuration, in the same order."""
+        out = []
+        for action, nxt in spec.transitions.get((z[0], self.car[z[2]]), ()):
+            succ = self.apply(z, action, nxt)
+            if succ is not None:
+                out.append(succ)
+        return out
+
+
 def apply_action(c: Configuration, action, next_state: int):
     """Apply one action. Returns the successor Configuration, or None if the
     move is stuck (MoveLeft at the left endpoint)."""

@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 from .braidlike_tm import (
     BLANK,
+    Configuration,
     MachineSpec,
     MoveLeft,
-    start_configuration,
-    successors,
+    TapeStore,
+    write_tape,
 )
 
 
@@ -37,40 +38,55 @@ def reach_bfs(spec: MachineSpec, cell_cap: int, max_explored: int = None) -> Ora
     which makes the search space finite. The "not-reached" verdict is exact
     only if the cap is at least the nondeterministic guide bound plus one;
     cap_hit reports whether any configuration was actually discarded.
-    The parents map, which also yields the witness, is the visited set.
+    The search keys and steps zipped configurations of a TapeStore, so each
+    explored configuration costs O(1) time and memory whatever the length of
+    its tape. The parents map, which also yields the witness, is the visited
+    set; the witness is decoded into Configurations.
     """
     if spec.target_state is None:
         raise ValueError("reach_bfs needs a declared target state")
     if cell_cap < 1:
         raise ValueError("cell_cap must be >= 1")
-    start = start_configuration(spec)
+    store = TapeStore(spec.num_symbols)
+    size = store.size
+    start = (spec.start_state, 0, 0)
     parents = {start: None}
     queue = deque([start])
     explored = 0
     cap_hit = False
-
-    def trace(c):
-        out = []
-        while c is not None:
-            out.append(c)
-            c = parents[c]
-        return tuple(reversed(out))
-
     while queue:
-        c = queue.popleft()
+        z = queue.popleft()
         explored += 1
         if max_explored is not None and explored > max_explored:
             raise SearchBudgetExceeded(f"reach_bfs exceeded {max_explored} configurations")
-        if c.state == spec.target_state:
-            return OracleVerdict("reached", explored, trace(c), cap_hit)
-        for succ in successors(spec, c):
-            if succ.head > cell_cap or len(succ.tape) > cell_cap:
+        if z[0] == spec.target_state:
+            return OracleVerdict("reached", explored, _witness(store, parents, z), cap_hit)
+        for succ in store.successors(spec, z):
+            # the head plus the cells from it onward is max(head, tape length)
+            if size[succ[1]] + size[succ[2]] > cell_cap:
                 cap_hit = True
                 continue
             if succ not in parents:
-                parents[succ] = c
+                parents[succ] = z
                 queue.append(succ)
     return OracleVerdict("not-reached", explored, None, cap_hit)
+
+
+def _witness(store: TapeStore, parents: dict, z: tuple) -> tuple:
+    """The path from the start to z, as Configurations. A step that keeps the
+    head is a write, which put car[right] at the head; a move keeps the tape."""
+    path = []
+    while z is not None:
+        path.append(z)
+        z = parents[z]
+    state, _, _ = path.pop()
+    out = [Configuration(state, 0, ())]
+    for state, left, right in reversed(path):
+        head, tape = out[-1].head, out[-1].tape
+        if store.size[left] == head:
+            tape = write_tape(tape, head, store.car[right])
+        out.append(Configuration(state, store.size[left], tape))
+    return tuple(out)
 
 
 def det_behavior_oracle(spec: MachineSpec, max_steps: int, max_cells: int) -> OracleVerdict:
@@ -80,23 +96,26 @@ def det_behavior_oracle(spec: MachineSpec, max_steps: int, max_cells: int) -> Or
     state accepts; a dead configuration or a stuck left move rejects.
     Exceeding either budget gives "unresolved". Every step adds one
     configuration to the visited set, so its size is the step count plus one.
+    The run keys and steps zipped configurations of a TapeStore, so a step
+    costs O(1) time and memory whatever the tape length.
     """
     if not spec.deterministic:
         raise ValueError("det_behavior_oracle requires a deterministic machine")
-    c = start_configuration(spec)
+    store = TapeStore(spec.num_symbols)
+    z = (spec.start_state, 0, 0)
     seen = set()
     while True:
-        if c.state in spec.accept_states:
+        if z[0] in spec.accept_states:
             return OracleVerdict("accept", len(seen))
-        if c in seen:
+        if z in seen:
             return OracleVerdict("loop", len(seen))
-        seen.add(c)
-        if len(seen) > max_steps + 1 or c.head > max_cells:
+        seen.add(z)
+        if len(seen) > max_steps + 1 or store.size[z[1]] > max_cells:
             return OracleVerdict("unresolved", len(seen))
-        succs = successors(spec, c)
+        succs = store.successors(spec, z)
         if not succs:
             return OracleVerdict("reject", len(seen))
-        c = succs[0]
+        z = succs[0]
 
 
 def read_only_oracle(spec: MachineSpec, input_symbols) -> OracleVerdict:

@@ -1,8 +1,9 @@
 """Acceptance suite: one test (and one printed pass/fail line) per criterion.
 
 Every verdict here is checked against an independent baseline: the
-brute-force oracles for the deciders, the counter-machine interpreter for
-the compiler, and the direct timeline search for the game adapter.
+brute-force oracles for the deciders, a BFS over tuple configurations for
+reachability, the counter-machine interpreter for the compiler, and the
+direct timeline search for the game adapter.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from braidbench.braidlike_tm import (
 )
 from braidbench.counter_machine import cm_run, initial_config, parse_counter_program
 from braidbench.gadget_compiler import bisimulate, compile, level_run
-from braidbench.oracle_sim import det_behavior_oracle, reach_bfs, read_only_oracle
+from braidbench.oracle_sim import det_behavior_oracle, read_only_oracle
 from braidbench.rewind_timeline import (
     GameSpec,
     Timeline,
@@ -37,6 +38,7 @@ from braidbench.tour_guide import (
     det_guide_bound,
     nondet_guide_bound,
 )
+from reference_bfs import tuple_reach_bfs
 
 
 def report(name, ok, detail=""):
@@ -132,17 +134,18 @@ def verdict_at_cap(spec, runner, stated_cap):
     only discards larger-head configurations). Exhaustion with no cap hit
     means the cap never mattered. Otherwise the tape-free over-approximation
     can prove the target globally unreachable. Only if all three fall
-    through is the search run at the stated cap itself.
+    through is the search run at the stated cap itself. Returns the
+    (kind, explored, cap_hit) of the search that settled the verdict; when
+    the over-approximation settled it, nothing was explored.
     """
     for cap in (64, 1024):
         res = runner(spec, cap)
-        if res.kind == "reached":
-            return "reached"
-        if not res.cap_hit:
-            return "not-reached"
+        if res.kind == "reached" or not res.cap_hit:
+            return res.kind, res.explored, res.cap_hit
     if spec.target_state not in overapprox_states(spec):
-        return "not-reached"
-    return runner(spec, stated_cap).kind
+        return "not-reached", None, None
+    res = runner(spec, stated_cap)
+    return res.kind, res.explored, res.cap_hit
 
 
 def test_criterion_2_reachability_agreement():
@@ -151,7 +154,7 @@ def test_criterion_2_reachability_agreement():
     agree = 0
     for spec in specs:
         cap = nondet_guide_bound(spec.num_states) + 1
-        v_bfs = verdict_at_cap(spec, lambda s, c: reach_bfs(s, c), cap)
+        v_bfs = verdict_at_cap(spec, tuple_reach_bfs, cap)
         v_dec = verdict_at_cap(
             spec, lambda s, c: decide_reachability(s, cell_cap=c), cap)
         agree += v_bfs == v_dec

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from braidbench.braidlike_tm import (
     BLANK,
@@ -9,6 +10,7 @@ from braidbench.braidlike_tm import (
     MachineSpec,
     MOVE_LEFT,
     MOVE_RIGHT,
+    TapeStore,
     Write,
     apply_action,
     canonical_tape,
@@ -198,6 +200,51 @@ def test_erase_right_property_sample():
         assert symbol_at(succ.tape, head) == b
         for i in range(head):
             assert symbol_at(succ.tape, i) == symbol_at(tape, i)
+
+
+# --- the tape zipper against apply_action ----------------------------------
+
+def unzip(store, z):
+    """The Configuration a zipped triple stands for."""
+    state, left, right = z
+    cells = []
+    while left:
+        cells.append(store.car[left])
+        left = store.cdr[left]
+    head = len(cells)
+    cells.reverse()
+    while right:
+        cells.append(store.car[right])
+        right = store.cdr[right]
+    return Configuration(state, head, canonical_tape(cells))
+
+
+ACTION_RUNS = st.integers(1, 3).flatmap(lambda s: st.tuples(
+    st.just(s),
+    st.lists(st.sampled_from([MOVE_LEFT, MOVE_RIGHT] + [Write(b) for b in range(s)]), max_size=60)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(run=ACTION_RUNS)
+# a left move at cell 0, a write past the tape end, a blank write inside the
+# tape, and left moves back over the blank cells it leaves
+@example(run=(2, [MOVE_LEFT, MOVE_RIGHT, MOVE_RIGHT, Write(1), MOVE_LEFT, Write(0), MOVE_RIGHT,
+                  MOVE_RIGHT, MOVE_LEFT, MOVE_LEFT, MOVE_LEFT, MOVE_LEFT]))
+def test_tape_store_lockstep_with_apply_action(run):
+    num_symbols, actions = run
+    store = TapeStore(num_symbols)
+    c, z = start_configuration(det_spec({})), (0, 0, 0)
+    triple_of = {c: z}
+    for step, action in enumerate(actions):
+        nxt = step % 3
+        c_next, z_next = apply_action(c, action, nxt), store.apply(z, action, nxt)
+        assert (c_next is None) == (z_next is None), (step, c, action)
+        if c_next is None:
+            continue
+        c, z = c_next, z_next
+        assert unzip(store, z) == c, (step, action)
+        # both visited sets rely on equal configurations having equal triples
+        assert triple_of.setdefault(c, z) == z, (step, c)
 
 
 def test_spec_validation():

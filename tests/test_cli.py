@@ -1,8 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import braidbench
 from braidbench import cli
 from braidbench.braidlike_tm import Configuration, parse_btm, successors
 from braidbench.cli import main
@@ -12,6 +18,7 @@ from braidbench.gadget_compiler import compile, level_to_json
 ADDER = "counters 1\n0: add 0\n1: halt\n"
 TRIVIAL_REACH = "states 2\nsymbols 2\nstart 0\naccept\ntarget 0\ndeterministic false\n"
 DRIFTER = "states 1\nsymbols 1\nstart 0\naccept\ndeterministic true\ntrans 0 0 right 0\n"
+RIGHT_WRITER = "states 2\nsymbols 2\nstart 0\naccept\ntarget 1\ntrans 0 0 write 1 0\ntrans 0 1 right 0\n"
 GAME = "timed t0 t1\nimmune m0\nstart m0 t0\nspeed 2\nmove m0 t0 m0 t1\ngoal m0 t1\n"
 
 
@@ -158,6 +165,39 @@ def test_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.cm, "parse_counter_program", exhausted)
     assert main(["cm-run", write(tmp_path, "adder.cm", ADDER)]) == 1
     assert capsys.readouterr().err == "error: out of memory\n"
+
+
+SUBPROCESS_MEMORY = 400 * 2 ** 20
+
+
+def run_limited(*args):
+    """Run `python *args` on this package with its address space capped, so a
+    search that outgrows the cap ends in MemoryError instead of taking the
+    machine's memory."""
+    def cap_memory():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (SUBPROCESS_MEMORY, hard))
+
+    src = str(Path(braidbench.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
+                          preexec_fn=cap_memory, env=env)
+
+
+def test_right_writer_at_exact_cap():
+    # The default cap is 24 577 cells. Copying the tape per configuration
+    # took about 2.4 GB on this search; the tape zipper takes O(1) memory
+    # per configuration.
+    code = ("from braidbench import decide_reachability, parse_btm\n"
+            f"r = decide_reachability(parse_btm({RIGHT_WRITER!r}))\n"
+            "print(r.kind, r.explored, r.cap_hit)")
+    out = run_limited("-c", code)
+    assert (out.returncode, out.stdout) == (0, "not-reached 49155 True\n"), out.stderr
+
+
+def test_btm_reach_right_writer_default_cap(tmp_path):
+    out = run_limited("-m", "braidbench.cli", "btm-reach", write(tmp_path, "rw.btm", RIGHT_WRITER))
+    assert (out.returncode, out.stdout) == (0, "not-reached (explored 49155 configurations)\n"), out.stderr
 
 
 def test_compiled_level_starts_from_init(tmp_path, capsys):

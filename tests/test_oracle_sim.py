@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -97,6 +98,20 @@ def test_reach_cap_hit_reporting():
     assert res.kind == "not-reached" and not res.cap_hit
 
 
+def test_reach_memory_per_configuration_is_flat():
+    # The right-writer explores 2 * cap + 1 configurations. A tape tuple per
+    # configuration cost 8 340 bytes each at this cap and grew with it.
+    spec = spec_of({(0, 0): ((Write(1), 0),), (0, 1): ((MOVE_RIGHT, 0),)}, 2, 2, target=1)
+    tracemalloc.start()
+    try:
+        res = reach_bfs(spec, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.explored == 8193
+    assert peak / res.explored < 1000, peak / res.explored
+
+
 # --- det_behavior_oracle ---------------------------------------------------
 
 def test_oracle_write_blank_loops():
@@ -111,8 +126,10 @@ def test_oracle_accepting_start():
 
 
 def test_oracle_drifter_unresolved():
+    # the cell budget stops the run at head 11, its twelfth configuration
     spec = spec_of({(0, 0): ((MOVE_RIGHT, 0),)}, 1, 1, det=True)
-    assert det_behavior_oracle(spec, 10 ** 6, 10).kind == "unresolved"
+    res = det_behavior_oracle(spec, 10 ** 6, 10)
+    assert (res.kind, res.explored) == ("unresolved", 12)
 
 
 def test_oracle_dead_end_rejects():

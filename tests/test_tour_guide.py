@@ -8,7 +8,7 @@ from braidbench.braidlike_tm import (
     MOVE_RIGHT,
     Write,
 )
-from braidbench.oracle_sim import det_behavior_oracle, reach_bfs, read_only_oracle
+from braidbench.oracle_sim import det_behavior_oracle, read_only_oracle
 from braidbench.tour_guide import (
     ACCEPT,
     DESTROY_ME,
@@ -24,6 +24,7 @@ from braidbench.tour_guide import (
     det_guide_bound,
     nondet_guide_bound,
 )
+from reference_bfs import tuple_reach_bfs
 
 
 def spec_of(transitions, n, s, accept=(), target=None, det=False, start=0):
@@ -257,8 +258,9 @@ def test_reachability_matches_bfs_random():
                 if succs:
                     trans[(q, a)] = succs
         spec = spec_of(trans, n, s, target=rng.randrange(n))
-        plain = decide_reachability(spec, cell_cap=32)
-        assert plain.kind == reach_bfs(spec, 32).kind
+        res, base = decide_reachability(spec, cell_cap=32), tuple_reach_bfs(spec, 32)
+        assert (res.kind, res.explored, res.cap_hit, res.witness) == \
+            (base.kind, base.explored, base.cap_hit, base.witness)
 
 
 def test_reachability_witness_ends_at_target():
