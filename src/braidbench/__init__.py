@@ -41,12 +41,10 @@ from .tour_guide import (
     ACCEPT,
     DESTROY_ME,
     LOOP_FOREVER,
-    NTourGuide,
     REJECT,
     ReturnInState,
     TourGuide,
     compute_guide,
-    compute_nguide,
     decide_det_braidlike,
     decide_reachability,
     decide_read_only,

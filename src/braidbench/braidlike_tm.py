@@ -94,6 +94,15 @@ def canonical_tape(cells) -> tuple:
     return cells[:end]
 
 
+def check_input(spec: MachineSpec, input_symbols) -> tuple:
+    """The input word as a tuple; ValueError if a symbol is out of range."""
+    input_symbols = tuple(input_symbols)
+    for a in input_symbols:
+        if not (0 <= a < spec.num_symbols):
+            raise ValueError(f"input symbol {a} out of range")
+    return input_symbols
+
+
 def start_configuration(spec: MachineSpec) -> Configuration:
     return Configuration(state=spec.start_state, head=0, tape=())
 

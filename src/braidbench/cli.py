@@ -20,6 +20,7 @@ from .tour_guide import (
     decide_det_braidlike,
     decide_read_only,
     decide_reachability,
+    default_cell_cap,
     det_guide_bound,
     nondet_guide_bound,
 )
@@ -80,6 +81,15 @@ def _read(path):
         return f.read()
 
 
+def _write_output(args, text):
+    """Write text to the -o file, or to stdout."""
+    if args.output:
+        with open(args.output, "w") as f:
+            f.write(text)
+    else:
+        print(text, end="")
+
+
 def _emit(args, payload, text):
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -137,12 +147,7 @@ def _dispatch(args) -> int:
 
     if args.command == "cm-compile":
         program = cm.parse_counter_program(_read(args.file))
-        out = gc.level_to_json(gc.compile(program))
-        if args.output:
-            with open(args.output, "w") as f:
-                f.write(out + "\n")
-        else:
-            print(out)
+        _write_output(args, gc.level_to_json(gc.compile(program)) + "\n")
         return 0
 
     if args.command == "level-sim":
@@ -154,12 +159,7 @@ def _dispatch(args) -> int:
 
     if args.command == "level-dot":
         level = gc.level_from_json(_read(args.file))
-        out = gc.level_to_dot(level)
-        if args.output:
-            with open(args.output, "w") as f:
-                f.write(out)
-        else:
-            print(out, end="")
+        _write_output(args, gc.level_to_dot(level))
         return 0
 
     if args.command == "btm-decide":
@@ -174,7 +174,7 @@ def _dispatch(args) -> int:
 
     if args.command == "btm-reach":
         spec = parse_btm(_read(args.file))
-        default_cap = nondet_guide_bound(spec.num_states) + 1
+        default_cap = default_cell_cap(spec)
         cap = args.max_cells if args.max_cells is not None else default_cap
         if cap < default_cap:
             print(f"warning: cell cap {cap} is below the exact bound {default_cap}; "
@@ -193,12 +193,12 @@ def _dispatch(args) -> int:
         spec = parse_btm(_read(args.file))
         if args.input is not None:
             res = read_only_oracle(spec, _parse_input(args.input))
-        elif spec.target_state is not None:
-            cap = args.max_cells if args.max_cells is not None else nondet_guide_bound(spec.num_states) + 1
-            res = reach_bfs(spec, cap)
         else:
-            cap = args.max_cells if args.max_cells is not None else det_guide_bound(spec.num_states) + 1
-            res = det_behavior_oracle(spec, args.max_steps, cap)
+            cap = args.max_cells if args.max_cells is not None else default_cell_cap(spec)
+            if spec.target_state is not None:
+                res = reach_bfs(spec, cap)
+            else:
+                res = det_behavior_oracle(spec, args.max_steps, cap)
         payload = {
             "command": args.command,
             "verdict": res.kind,
@@ -218,12 +218,7 @@ def _dispatch(args) -> int:
 
     if args.command == "game-to-btm":
         game = rt.parse_game(_read(args.file))
-        out = format_btm(rt.build_braidlike_from_game(game))
-        if args.output:
-            with open(args.output, "w") as f:
-                f.write(out)
-        else:
-            print(out, end="")
+        _write_output(args, format_btm(rt.build_braidlike_from_game(game)))
         return 0
 
     if args.command == "bisim":

@@ -281,6 +281,8 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
     the player's position and the station occupancies; at the end, halting
     must coincide with solving.
     """
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     level = compile(program)
     cm = initial_config(program)
     lv = initial_level_config(level)

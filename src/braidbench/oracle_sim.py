@@ -1,7 +1,9 @@
 """Brute-force baselines for the tour-guide deciders.
 
-These use only the plain step functions from braidlike_tm (no crossing
-summaries), so agreement with the deciders is a genuine cross-check.
+These compute no crossing summaries, so agreement with the deciders is a
+genuine cross-check. read_only_oracle steps `successors`, the step relation
+on tuple configurations; reach_bfs and det_behavior_oracle step TapeStore's
+mirror of it on zipped tapes, which a lockstep test pins to `successors`.
 """
 
 from __future__ import annotations
@@ -10,11 +12,12 @@ from collections import deque
 from dataclasses import dataclass
 
 from .braidlike_tm import (
-    BLANK,
     Configuration,
     MachineSpec,
-    MoveLeft,
     TapeStore,
+    canonical_tape,
+    check_input,
+    successors,
     write_tape,
 )
 
@@ -101,6 +104,8 @@ def det_behavior_oracle(spec: MachineSpec, max_steps: int, max_cells: int) -> Or
     """
     if not spec.deterministic:
         raise ValueError("det_behavior_oracle requires a deterministic machine")
+    if max_steps < 0 or max_cells < 0:
+        raise ValueError("max_steps and max_cells must be >= 0")
     store = TapeStore(spec.num_symbols)
     z = (spec.start_state, 0, 0)
     seen = set()
@@ -128,63 +133,37 @@ def read_only_oracle(spec: MachineSpec, input_symbols) -> OracleVerdict:
     head can never come back (the same cycle replays at equal-or-greater
     positions), so the machine loops; displacement < 0 means the head drifts
     back to the region boundary, so we simply keep stepping until it does.
-    Always terminates.
+    Always terminates. The run steps `successors` on tuple configurations;
+    the tape never changes, so a configuration stands for its (state, head).
     """
     if not spec.deterministic:
         raise ValueError("read_only_oracle requires a deterministic machine")
     if not spec.read_only:
         raise ValueError("read_only_oracle requires a read-only machine")
-    input_symbols = tuple(input_symbols)
-    for a in input_symbols:
-        if not (0 <= a < spec.num_symbols):
-            raise ValueError(f"input symbol {a} out of range")
+    input_symbols = check_input(spec, input_symbols)
     n = len(input_symbols)
-    state, head = spec.start_state, 0
+    c = Configuration(spec.start_state, 0, canonical_tape(input_symbols))
     seen = set()
     explored = 0
-
-    def step(state, head):
-        sym = input_symbols[head] if head < n else BLANK
-        succs = spec.transitions.get((state, sym), ())
-        if not succs:
-            return None
-        action, nxt = succs[0]
-        if isinstance(action, MoveLeft):
-            if head == 0:
-                return None  # stuck at the wall
-            return nxt, head - 1
-        return nxt, head + 1
-
     while True:
-        if state in spec.accept_states:
+        if c.state in spec.accept_states:
             return OracleVerdict("accept", explored)
-        if head <= n + 1:
-            if (state, head) in seen:
+        if c.head <= n + 1:
+            if c in seen:
                 return OracleVerdict("loop", explored)
-            seen.add((state, head))
-        else:
-            # Blank excursion: analyze the state cycle once, then either
-            # declare a loop or ride the leftward drift back to n+1.
+            seen.add(c)
+            # each blank excursion analyzes its state cycle afresh
             first_seen = {}
             drifting_home = False
-            while head > n + 1:
-                if state in spec.accept_states:
-                    return OracleVerdict("accept", explored)
-                if not drifting_home:
-                    if state in first_seen:
-                        if head >= first_seen[state]:
-                            return OracleVerdict("loop", explored)
-                        drifting_home = True
-                    else:
-                        first_seen[state] = head
-                nxt = step(state, head)
-                if nxt is None:
-                    return OracleVerdict("reject", explored)
-                state, head = nxt
-                explored += 1
-            continue  # back in the bounded region; recheck accept/visited
-        nxt = step(state, head)
-        if nxt is None:
+        elif not drifting_home:
+            if c.state in first_seen:
+                if c.head >= first_seen[c.state]:
+                    return OracleVerdict("loop", explored)
+                drifting_home = True  # ride the leftward drift back to n+1
+            else:
+                first_seen[c.state] = c.head
+        succs = successors(spec, c)
+        if not succs:
             return OracleVerdict("reject", explored)
-        state, head = nxt
+        c = succs[0]
         explored += 1

@@ -20,6 +20,7 @@ from .braidlike_tm import (
     MoveLeft,
     MoveRight,
     Write,
+    check_input,
     symbol_at,
     write_tape,
 )
@@ -55,12 +56,6 @@ class TourGuide:
     creation_state: int = None
 
 
-@dataclass(frozen=True)
-class NTourGuide:
-    answers: tuple  # indexed by state; each entry a frozenset of responses
-    creation_state: int = None
-
-
 def det_guide_bound(n_states: int) -> int:
     """Number of distinct deterministic tour guides: (N+4)^N * N."""
     if n_states < 1:
@@ -76,6 +71,15 @@ def nondet_guide_bound(n_states: int) -> int:
     if n_states < 1:
         raise ValueError("need at least one state")
     return (2 ** (n_states + 4)) ** n_states * n_states * (n_states + 1)
+
+
+def default_cell_cap(spec: MachineSpec) -> int:
+    """The applicable guide bound plus one cell: the nondeterministic bound
+    for a machine with a target state, the deterministic bound otherwise.
+    decide_reachability and the btm-reach and btm-oracle commands default
+    to it."""
+    bound = nondet_guide_bound if spec.target_state is not None else det_guide_bound
+    return bound(spec.num_states) + 1
 
 
 def compute_guide(left, cell_symbol: int, spec: MachineSpec, creation_state: int = None) -> TourGuide:
@@ -142,7 +146,7 @@ def decide_read_only(spec: MachineSpec, input_symbols) -> str:
         raise ValueError("decide_read_only requires a deterministic machine")
     if not spec.read_only:
         raise ValueError("decide_read_only requires a read-only machine")
-    input_symbols = tuple(input_symbols)
+    input_symbols = check_input(spec, input_symbols)
     n = len(input_symbols)
     state = spec.start_state
     left = None
@@ -233,69 +237,16 @@ def decide_det_braidlike(spec: MachineSpec) -> str:
             state = nxt
 
 
-def compute_nguide(left, cell_symbol: int, spec: MachineSpec, creation_state: int = None) -> NTourGuide:
-    """Set-valued guide for nondeterministic machines.
-
-    answers[q] is the least fixpoint of the local-walk relation: every
-    terminal outcome reachable from q through left-guide round trips, plus
-    LoopForever whenever a cycle of round trips is reachable.
-    """
-    n = spec.num_states
-    term = [set() for _ in range(n)]
-    edges = [set() for _ in range(n)]
-    for q in range(n):
-        if q in spec.accept_states:
-            term[q].add(ACCEPT)  # absorbing: arriving here halts
-            continue
-        succs = spec.transitions.get((q, cell_symbol), ())
-        if not succs:
-            term[q].add(REJECT)
-        for action, nxt in succs:
-            if isinstance(action, MoveRight):
-                term[q].add(ReturnInState(nxt))
-            elif isinstance(action, Write):
-                term[q].add(DESTROY_ME)
-            else:  # MoveLeft
-                if left is None:
-                    term[q].add(REJECT)  # this branch is stuck at the wall
-                    continue
-                for r in left.answers[nxt]:
-                    if isinstance(r, ReturnInState):
-                        edges[q].add(r.state)
-                    else:
-                        term[q].add(r)
-    # Reachability closure over round-trip edges.
-    reach = []
-    for q in range(n):
-        seen = {q}
-        stack = [q]
-        while stack:
-            v = stack.pop()
-            for w in edges[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        reach.append(seen)
-    answers = []
-    for q in range(n):
-        acc = set()
-        for v in reach[q]:
-            acc |= term[v]
-        # a reachable round-trip cycle means the walk can go on forever
-        if any(w in reach[q] for v in reach[q] for w in edges[v]):
-            acc.add(LOOP_FOREVER)
-        answers.append(frozenset(acc))
-    return NTourGuide(tuple(answers), creation_state)
-
-
 def decide_reachability(spec: MachineSpec, cell_cap: int = None, max_explored: int = None) -> OracleVerdict:
     """Decide whether the machine can reach its target state.
 
     Explicit-state BFS (reach_bfs) over canonical configurations, capped by
-    default at the nondeterministic guide bound plus one cell, which makes
-    the verdict exact: a run reaching the target exists iff one exists whose
-    head stays under the guide-count cap.
+    default at default_cell_cap(spec), the nondeterministic guide bound plus
+    one cell. The exactness of that default rests on the paper's bound on
+    nondeterministic tour guides: a run reaching the target exists iff one
+    exists whose head stays under the guide-count cap. This package computes
+    no nondeterministic guides, so it does not check that bound itself.
     """
     if cell_cap is None:
-        cell_cap = nondet_guide_bound(spec.num_states) + 1
+        cell_cap = default_cell_cap(spec)
     return reach_bfs(spec, cell_cap, max_explored=max_explored)

@@ -20,6 +20,11 @@ TRIVIAL_REACH = "states 2\nsymbols 2\nstart 0\naccept\ntarget 0\ndeterministic f
 DRIFTER = "states 1\nsymbols 1\nstart 0\naccept\ndeterministic true\ntrans 0 0 right 0\n"
 RIGHT_WRITER = "states 2\nsymbols 2\nstart 0\naccept\ntarget 1\ntrans 0 0 write 1 0\ntrans 0 1 right 0\n"
 GAME = "timed t0 t1\nimmune m0\nstart m0 t0\nspeed 2\nmove m0 t0 m0 t1\ngoal m0 t1\n"
+SCANNER = (
+    "states 3\nsymbols 3\nstart 0\naccept 2\ndeterministic true\n"
+    "trans 0 1 right 0\ntrans 0 2 right 1\n"
+    "trans 1 1 right 0\ntrans 1 2 right 1\ntrans 1 0 right 2\n"
+)
 
 
 def write(tmp_path, name, text):
@@ -79,12 +84,7 @@ def test_btm_decide(tmp_path, capsys):
 
 
 def test_btm_decide_with_input(tmp_path, capsys):
-    scanner = (
-        "states 3\nsymbols 3\nstart 0\naccept 2\ndeterministic true\n"
-        "trans 0 1 right 0\ntrans 0 2 right 1\n"
-        "trans 1 1 right 0\ntrans 1 2 right 1\ntrans 1 0 right 2\n"
-    )
-    path = write(tmp_path, "scan.btm", scanner)
+    path = write(tmp_path, "scan.btm", SCANNER)
     assert main(["btm-decide", path, "--input", "12"]) == 0
     assert capsys.readouterr().out.strip() == "accept"
     assert main(["btm-decide", path, "--input", "21"]) == 0
@@ -94,6 +94,21 @@ def test_btm_decide_with_input(tmp_path, capsys):
 def test_btm_oracle(tmp_path, capsys):
     assert main(["btm-oracle", write(tmp_path, "t.btm", TRIVIAL_REACH)]) == 0
     assert "reached" in capsys.readouterr().out
+
+
+def test_btm_oracle_default_cap_is_det_bound_plus_one(tmp_path, capsys):
+    # a 1-state machine without a target: det bound 5, so the cap is 6 cells
+    assert main(["btm-oracle", write(tmp_path, "d.btm", DRIFTER)]) == 0
+    assert capsys.readouterr().out == "unresolved (explored 8)\n"
+
+
+@pytest.mark.parametrize("cap,warned", [(24576, True), (24577, False)])
+def test_btm_reach_warns_below_nondet_bound_plus_one(tmp_path, capsys, cap, warned):
+    # a 2-state machine with a target: nondet bound 24 576, so the exact cap is 24 577
+    assert main(["--max-cells", str(cap), "btm-reach", write(tmp_path, "t.btm", TRIVIAL_REACH)]) == 0
+    err = capsys.readouterr().err
+    assert err == (f"warning: cell cap {cap} is below the exact bound 24577; "
+                   "a not-reached verdict is only bounded\n" if warned else "")
 
 
 def test_trace_file_replays(tmp_path, capsys):
@@ -124,6 +139,21 @@ def test_compile_sim_dot_pipeline(tmp_path, capsys):
     assert "solved" in capsys.readouterr().out
     assert main(["level-dot", level_path]) == 0
     assert capsys.readouterr().out.startswith("digraph level {")
+
+
+@pytest.mark.parametrize("command,name,text", [
+    ("cm-compile", "p.cm", ADDER),
+    ("level-dot", "l.json", level_to_json(compile(parse_counter_program(ADDER)))),
+    ("game-to-btm", "g.game", GAME),
+])
+def test_output_file_matches_stdout(tmp_path, capsys, command, name, text):
+    path = write(tmp_path, name, text)
+    assert main([command, path]) == 0
+    stdout = capsys.readouterr().out
+    out_path = tmp_path / "out"
+    assert main([command, path, "-o", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out_path.read_bytes() == stdout.encode()
 
 
 def test_game_to_btm_round_trip(tmp_path, capsys):
@@ -234,6 +264,10 @@ BAD_INPUTS = {
     "unwritable-trace": (["--trace", "{d}/missing/t.json", "btm-reach", "{f}"], "m.btm",
                          TRIVIAL_REACH, "error:"),
     "unwritable-output": (["cm-compile", "{f}", "-o", "{d}/missing/l.json"], "p.cm", ADDER, "error:"),
+    "decide-input-out-of-range": (["btm-decide", "{f}", "--input", "19"], "m.btm", SCANNER,
+                                  "error: input symbol 9 out of range"),
+    "bisim-negative-budget": (["--max-steps", "-3", "bisim", "{f}"], "p.cm", ADDER, "error:"),
+    "oracle-negative-budget": (["--max-steps", "-3", "btm-oracle", "{f}"], "m.btm", DRIFTER, "error:"),
 }
 
 

@@ -17,7 +17,6 @@ from braidbench.tour_guide import (
     ReturnInState,
     TourGuide,
     compute_guide,
-    compute_nguide,
     decide_det_braidlike,
     decide_reachability,
     decide_read_only,
@@ -154,6 +153,9 @@ def test_read_only_rejects_writer_and_nondet():
     nondet = spec_of({}, 1, 1)
     with pytest.raises(ValueError):
         decide_read_only(nondet, ())
+    reader = spec_of({}, 1, 2, det=True)
+    with pytest.raises(ValueError, match="input symbol 2 out of range"):
+        decide_read_only(reader, (1, 2))
 
 
 # --- decide_det_braidlike ---------------------------------------------------
@@ -196,35 +198,6 @@ def test_det_decider_random_agreement():
         oracle = det_behavior_oracle(spec, 10 ** 4, 200)
         if oracle.kind != "unresolved":
             assert verdict == oracle.kind
-
-
-# --- compute_nguide ---------------------------------------------------------
-
-def test_nguide_matches_det_guide_on_deterministic_specs():
-    rng = random.Random(41)
-    for _ in range(100):
-        n, s = rng.randint(1, 3), rng.randint(1, 2)
-        trans = {}
-        for q in range(n):
-            for a in range(s):
-                if rng.random() < 0.9:
-                    action = rng.choice(
-                        [MOVE_LEFT, MOVE_RIGHT] + [Write(b) for b in range(s)])
-                    trans[(q, a)] = ((action, rng.randrange(n)),)
-        spec = spec_of(trans, n, s, accept=rng.sample(range(n), rng.randint(0, 1)),
-                       det=True)
-        sym = rng.randrange(s)
-        dg = compute_guide(None, sym, spec)
-        ng = compute_nguide(None, sym, spec)
-        for q in range(n):
-            # the deterministic answer is always among the set-valued ones
-            assert dg.answers[q] in ng.answers[q]
-
-
-def test_nguide_collects_branch_outcomes():
-    spec = spec_of({(0, 0): ((MOVE_RIGHT, 1), (Write(0), 0))}, 2, 1)
-    ng = compute_nguide(None, 0, spec)
-    assert ng.answers[0] == frozenset({ReturnInState(1), DESTROY_ME})
 
 
 # --- decide_reachability ----------------------------------------------------
