@@ -69,7 +69,6 @@ from .rewind_timeline import (
     Timeline,
     build_braidlike_from_game,
     game_search,
-    initial_timeline,
     parse_game,
     tl_record,
     tl_seek,

@@ -100,10 +100,19 @@ def _emit(args, payload, text):
             json.dump({"verdict": payload["verdict"], "witness": payload["witness"]}, f, indent=2)
 
 
-def _witness_obj(trace):
-    if trace is None:
+def _search_payload(args, res):
+    """The payload of an OracleVerdict, its witness as plain objects."""
+    witness = None if res.witness is None else [
+        {"state": c.state, "head": c.head, "tape": list(c.tape)} for c in res.witness]
+    return {"command": args.command, "verdict": res.kind, "explored": res.explored, "witness": witness}
+
+
+def _decimal(n):
+    """n in decimal, or None if Python refuses to convert that many digits."""
+    try:
+        return str(n)
+    except ValueError:
         return None
-    return [{"state": c.state, "head": c.head, "tape": list(c.tape)} for c in trace]
 
 
 def _parse_input(text):
@@ -174,18 +183,16 @@ def _dispatch(args) -> int:
 
     if args.command == "btm-reach":
         spec = parse_btm(_read(args.file))
+        if spec.target_state is None:
+            raise _UsageError("btm-reach needs a machine with a declared target state")
         default_cap = default_cell_cap(spec)
         cap = args.max_cells if args.max_cells is not None else default_cap
         if cap < default_cap:
-            print(f"warning: cell cap {cap} is below the exact bound {default_cap}; "
+            bound = _decimal(default_cap) or f"of {default_cap.bit_length()} bits"
+            print(f"warning: cell cap {cap} is below the exact bound {bound}; "
                   "a not-reached verdict is only bounded", file=sys.stderr)
         res = decide_reachability(spec, cell_cap=cap)
-        payload = {
-            "command": args.command,
-            "verdict": res.kind,
-            "explored": res.explored,
-            "witness": _witness_obj(res.witness),
-        }
+        payload = _search_payload(args, res)
         _emit(args, payload, f"{res.kind} (explored {res.explored} configurations)")
         return 0
 
@@ -199,12 +206,7 @@ def _dispatch(args) -> int:
                 res = reach_bfs(spec, cap)
             else:
                 res = det_behavior_oracle(spec, args.max_steps, cap)
-        payload = {
-            "command": args.command,
-            "verdict": res.kind,
-            "explored": res.explored,
-            "witness": _witness_obj(res.witness),
-        }
+        payload = _search_payload(args, res)
         _emit(args, payload, f"{res.kind} (explored {res.explored})")
         return 0
 
@@ -212,6 +214,9 @@ def _dispatch(args) -> int:
         if args.states < 1:
             raise _UsageError("--states must be >= 1")
         det, nondet = det_guide_bound(args.states), nondet_guide_bound(args.states)
+        if _decimal(nondet) is None:  # the det bound is the smaller one
+            raise _UsageError(f"the nondet bound for {args.states} states has "
+                              f"{nondet.bit_length()} bits, too many to print in decimal")
         payload = {"command": args.command, "det": det, "nondet": nondet}
         _emit(args, payload, f"det={det} nondet={nondet}")
         return 0

@@ -2,11 +2,13 @@
 Turing machine.
 
 Recording a snapshot truncates the redo future — exactly the erase-right
-write rule — and seeking moves a cursor without erasing anything. The
-adapter turns a toy game (enumerated time-dependent and time-immune state,
-player moves, bounded seek speed) into a nondeterministic braidlike machine
-whose tape is the timeline, whose head is the cursor, and whose target
-state fires when the goal holds.
+write rule — and seeking moves a cursor without erasing anything. `Timeline`
+is the tuple reference coding; `game_search` steps timelines as zipped tapes
+of a TapeStore. The adapter turns a toy game (enumerated time-dependent and
+time-immune state, player moves, bounded seek speed) into a nondeterministic
+braidlike machine whose tape is the timeline, whose head is the cursor, and
+whose target state fires when the goal holds. The encoding's reachability
+search and `game_search` share the tape layer but not the search.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .braidlike_tm import BLANK, MachineSpec, MOVE_LEFT, MOVE_RIGHT, Write
+from .braidlike_tm import BLANK, MachineSpec, MOVE_LEFT, MOVE_RIGHT, TapeStore, Write
 from .oracle_sim import SearchBudgetExceeded
 
 
@@ -78,10 +80,6 @@ class GameSpec:
                 raise ValueError(f"goal pair ({m!r}, {t!r}) outside the enumerations")
 
 
-def initial_timeline(g: GameSpec) -> Timeline:
-    return Timeline((g.init_timed,), 0)
-
-
 @dataclass(frozen=True)
 class GameSearchResult:
     kind: str  # "winnable" | "not-winnable"
@@ -89,35 +87,47 @@ class GameSearchResult:
 
 
 def game_search(g: GameSpec, max_len: int, max_explored: int = None) -> GameSearchResult:
-    """Direct BFS over (timeline, immune state) pairs, with the timeline
-    length capped. The baseline the Turing-machine encoding is checked
-    against."""
+    """BFS over (immune state, timeline) pairs with timelines of at most
+    max_len snapshots; the encoding is checked against it. It steps the
+    TapeStore zipper: a node is a triple (immune, left, right), a record a
+    move right and a write, a seek a run of unit moves clamped at both ends.
+    Seek targets come in increasing cursor order, as tl_seek's deltas
+    -s..-1, 1..s first reach them, so explored matches a tuple-Timeline BFS."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    start = (initial_timeline(g), g.init_immune)
-    visited = {(start[0].snapshots, start[0].cursor, g.init_immune)}
+    sym = {t: i + 1 for i, t in enumerate(g.timed_states)}
+    store = TapeStore(len(sym) + 1)
+    apply, car, size = store.apply, store.car, store.size
+    records = {(m, sym[t]): [(m2, Write(sym[t2])) for m2, t2 in outs] for (m, t), outs in g.moves.items()}
+    goal = {(m, sym[t]) for m, t in g.goal}
+    start = (g.init_immune, 0, store.cons(sym[g.init_timed], 0))
+    visited = {start}
     queue = deque([start])
     explored = 0
     while queue:
-        tl, m = queue.popleft()
+        z = queue.popleft()
         explored += 1
         if max_explored is not None and explored > max_explored:
             raise SearchBudgetExceeded(f"game_search exceeded {max_explored} nodes")
-        t = tl.snapshots[tl.cursor]
-        if (m, t) in g.goal:
+        m, left, right = z
+        here = (m, car[right])
+        if here in goal:
             return GameSearchResult("winnable", explored)
-        nexts = []
-        for m2, t2 in g.moves.get((m, t), ()):
-            if len(tl.snapshots[: tl.cursor + 1]) + 1 <= max_len:
-                nexts.append((tl_record(tl, t2), m2))
-        for delta in range(-g.max_speed, g.max_speed + 1):
-            if delta != 0:
-                nexts.append((tl_seek(tl, delta, g.max_speed), m))
-        for tl2, m2 in nexts:
-            key = (tl2.snapshots, tl2.cursor, m2)
-            if key not in visited:
-                visited.add(key)
-                queue.append((tl2, m2))
+        nexts = [apply(apply(z, MOVE_RIGHT, m2), write, m2) for m2, write in records.get(here, ())
+                 if size[left] + 2 <= max_len]
+        seek, lefts = z, []
+        for _ in range(min(g.max_speed, size[left])):
+            seek = apply(seek, MOVE_LEFT, m)
+            lefts.append(seek)
+        nexts += reversed(lefts)
+        seek = z
+        for _ in range(min(g.max_speed, size[right] - 1)):
+            seek = apply(seek, MOVE_RIGHT, m)
+            nexts.append(seek)
+        for z2 in nexts:
+            if z2 not in visited:
+                visited.add(z2)
+                queue.append(z2)
     return GameSearchResult("not-winnable", explored)
 
 

@@ -174,6 +174,31 @@ def test_bounds_rejects_nonpositive(capsys):
     assert main(["bounds", "--states", "0"]) == 1
 
 
+def test_btm_reach_without_target_errors_before_the_cap_check(tmp_path, capsys):
+    assert main(["--max-cells", "6", "btm-reach", write(tmp_path, "d.btm", DRIFTER)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: btm-reach needs a machine with a declared target state\n"
+
+
+def test_btm_reach_warns_with_a_bound_too_long_for_decimal(tmp_path, capsys):
+    # speed 64 gives a 130-state machine, whose nondet bound has over 5 000 digits
+    game = write(tmp_path, "g.game", GAME.replace("speed 2", "speed 64"))
+    btm = str(tmp_path / "g.btm")
+    assert main(["game-to-btm", game, "-o", btm]) == 0
+    assert main(["--max-cells", "9", "btm-reach", btm]) == 0
+    out, err = capsys.readouterr()
+    assert out == "reached (explored 69 configurations)\n"
+    assert err == ("warning: cell cap 9 is below the exact bound of 17435 bits; "
+                   "a not-reached verdict is only bounded\n")
+
+
+def test_bounds_too_long_for_decimal_exits_one(capsys):
+    assert main(["bounds", "--states", "130"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the nondet bound for 130 states has 17435 bits, too many to print in decimal\n"
+
+
 def test_btm_reach_target_seen_mid_excursion(tmp_path, capsys):
     # reached only through a target visited partway through a leftward
     # excursion, which the removed --prune search reported as not-reached

@@ -1,19 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from braidbench.oracle_sim import SearchBudgetExceeded
 from braidbench.rewind_timeline import (
     GameParseError,
     GameSpec,
     Timeline,
     build_braidlike_from_game,
     game_search,
-    initial_timeline,
     parse_game,
     tl_record,
     tl_seek,
 )
 from braidbench.tour_guide import decide_reachability
+from reference_bfs import tuple_game_search
 
 
 def test_record_appends():
@@ -89,6 +91,36 @@ def test_game_search_reaches_through_moves():
     assert game_search(g, max_len=4).kind == "winnable"
 
 
+@st.composite
+def games(draw):
+    timed = tuple(f"t{i}" for i in range(draw(st.integers(1, 3))))
+    immune = tuple(f"m{i}" for i in range(draw(st.integers(1, 2))))
+    pairs = [(m, t) for m in immune for t in timed]
+    moves = {}
+    for pair in pairs:
+        outs = draw(st.lists(st.sampled_from(pairs), max_size=2, unique=True))
+        if outs:
+            moves[pair] = tuple(outs)
+    goal = frozenset(draw(st.lists(st.sampled_from(pairs), max_size=1)))
+    return GameSpec(timed, immune, immune[0], timed[0], moves, goal, max_speed=draw(st.integers(1, 10)))
+
+
+def _search_outcome(search, g, max_len, max_explored):
+    try:
+        res = search(g, max_len, max_explored)
+    except SearchBudgetExceeded:
+        return "budget exceeded"
+    return res.kind, res.explored
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(g=games(), max_len=st.integers(1, 9), max_explored=st.none() | st.integers(1, 50))
+def test_game_search_matches_tuple_search(g, max_len, max_explored):
+    # the zipper search visits the tuple search's nodes in the same order
+    assert (_search_outcome(game_search, g, max_len, max_explored)
+            == _search_outcome(tuple_game_search, g, max_len, max_explored))
+
+
 def test_adapter_goal_at_start_target_in_one_step():
     spec = build_braidlike_from_game(toy_game([("m0", "t0")]))
     res = decide_reachability(spec, cell_cap=4)
@@ -156,7 +188,3 @@ def test_parse_game_errors():
     with pytest.raises(GameParseError):
         parse_game("timed t0\nimmune m0\nstart m0 t0\nmove m0 t0\n")
 
-
-def test_initial_timeline():
-    t = initial_timeline(toy_game([]))
-    assert t.snapshots == ("t0",) and t.cursor == 0
