@@ -92,7 +92,7 @@ def _write_output(args, text):
 
 def _emit(args, payload, text):
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         print(text)
     if args.trace and payload.get("witness") is not None:
@@ -126,6 +126,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.max_steps < 0:
+            raise _UsageError("--max-steps must be >= 0")
+        if args.max_cells is not None and args.max_cells < 1:
+            raise _UsageError("--max-cells must be >= 1")
         return _dispatch(args)
     except (_UsageError, ValueError, OSError) as e:
         # every parse error subclasses ValueError; OSError covers unreadable

@@ -77,39 +77,42 @@ def initial_config(program: CounterProgram) -> CounterConfig:
     return CounterConfig(pc=0, counters=tuple(program.init_counters), steps=0)
 
 
+def cm_exec(program: CounterProgram, pc: int, counters: list):
+    """Execute instruction pc on a counters list, in place. Returns the next
+    pc, or None once the machine halts."""
+    ins = program.instructions[pc]
+    if isinstance(ins, Halt):
+        return None
+    if isinstance(ins, Add):
+        counters[ins.counter] += 1
+        pc += 1
+    elif counters[ins.counter] > 0:  # SubBranch
+        counters[ins.counter] -= 1
+        pc += 1
+    else:
+        pc = ins.target
+    return None if pc >= len(program.instructions) else pc  # past the end: implicit halt
+
+
 def cm_step(program: CounterProgram, c: CounterConfig) -> CounterConfig:
     """Execute one instruction. Pure; the input config is not modified."""
     if c.halted:
         raise ValueError("cannot step a halted configuration")
-    ins = program.instructions[c.pc]
-    counters = c.counters
-    if isinstance(ins, Halt):
-        pc = None
-    elif isinstance(ins, Add):
-        counters = counters[: ins.counter] + (counters[ins.counter] + 1,) + counters[ins.counter + 1 :]
-        pc = c.pc + 1
-    else:  # SubBranch
-        if counters[ins.counter] > 0:
-            counters = counters[: ins.counter] + (counters[ins.counter] - 1,) + counters[ins.counter + 1 :]
-            pc = c.pc + 1
-        else:
-            pc = ins.target
-    if pc is not None and pc >= len(program.instructions):
-        pc = None  # fell off the end: implicit halt
-    return CounterConfig(pc=pc, counters=counters, steps=c.steps + 1)
+    counters = list(c.counters)
+    pc = cm_exec(program, c.pc, counters)
+    return CounterConfig(pc=pc, counters=tuple(counters), steps=c.steps + 1)
 
 
 def cm_run(program: CounterProgram, init: CounterConfig, max_steps: int) -> RunResult:
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    c = init
-    for _ in range(max_steps):
-        if c.halted:
-            return RunResult("halted", c)
-        c = cm_step(program, c)
-    if c.halted:
-        return RunResult("halted", c)
-    return RunResult("budget", c)
+    pc, counters = init.pc, list(init.counters)
+    steps = 0
+    while steps < max_steps and pc is not None:
+        pc = cm_exec(program, pc, counters)
+        steps += 1
+    c = init if steps == 0 else CounterConfig(pc, tuple(counters), init.steps + steps)
+    return RunResult("budget" if pc is not None else "halted", c)
 
 
 def parse_counter_program(text: str) -> CounterProgram:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .counter_machine import Add, CounterProgram, Halt, SubBranch, cm_step, initial_config
+from .counter_machine import Add, CounterProgram, SubBranch, cm_exec
 
 
 class LevelFormatError(ValueError):
@@ -202,37 +202,112 @@ def compile(program: CounterProgram) -> Level:
     )
 
 
-def level_step(level: Level, c: LevelConfig):
-    """One deterministic step of the token semantics. Returns the next
-    LevelConfig, or SOLVED when the player stands at a goal."""
-    g = level.gadgets[c.tim_at]
-    counters = list(c.counters)
-    in_flight = list(c.in_flight)
-    if isinstance(g, Goal):
-        return SOLVED
-    if isinstance(g, LeverPull):
-        eff = level.signals[g.signal]
-        if isinstance(eff, Add1):
-            counters[eff.counter] += 1
-        elif isinstance(eff, Remove1):
-            if counters[eff.counter] > 0:
-                counters[eff.counter] -= 1
-                in_flight.append(f"R{eff.counter}")
-            # at zero the freed bunny dies on the spikes: no token moves
-        else:  # OpenDoor
-            if eff.router in in_flight:
-                in_flight.remove(eff.router)
-                in_flight.append(eff.branch)
-        nxt = level.tim_edges[(c.tim_at, "out")]
-    elif isinstance(g, Branch):
-        if c.tim_at in in_flight:
-            in_flight.remove(c.tim_at)  # jump on the monstar, killing it
-            nxt = level.tim_edges[(c.tim_at, "monstar")]
+# Opcodes of the lowered step table
+_GOAL, _ADD, _REMOVE, _DOOR, _BRANCH, _STUCK = range(6)
+
+
+def _lower(level: Level, in_flight=()):
+    """Lower a level to a step table with one (op, arg, arg, out, alt) row
+    per gadget, indexed by gadget number.
+
+    Monstar locations are numbered with the gadgets. A router that a Remove1
+    names but the level lacks, and an in-flight id that names no gadget, get
+    numbers past the gadgets; they hold monstars but no row. Returns the
+    table, the number of each location id and the id of each number.
+    """
+    names = list(level.gadgets)
+    index = {name: i for i, name in enumerate(names)}
+
+    def loc(name):
+        if name not in index:
+            index[name] = len(names)
+            names.append(name)
+        return index[name]
+
+    for name in in_flight:
+        loc(name)
+    table = []
+    for gid, g in level.gadgets.items():
+        if isinstance(g, Goal):
+            row = (_GOAL, 0, 0, 0, 0)
+        elif isinstance(g, LeverPull):
+            eff = level.signals[g.signal]
+            out = index[level.tim_edges[(gid, "out")]]
+            if isinstance(eff, Add1):
+                row = (_ADD, eff.counter, 0, out, 0)
+            elif isinstance(eff, Remove1):
+                row = (_REMOVE, eff.counter, loc(f"R{eff.counter}"), out, 0)
+            else:  # OpenDoor
+                row = (_DOOR, index[eff.router], index[eff.branch], out, 0)
+        elif isinstance(g, Branch):
+            row = (_BRANCH, 0, 0, index[level.tim_edges[(gid, "monstar")]], index[level.tim_edges[(gid, "empty")]])
         else:
-            nxt = level.tim_edges[(c.tim_at, "empty")]
-    else:
-        raise LevelFormatError(f"player cannot stand at {c.tim_at!r} ({type(g).__name__})")
-    return LevelConfig(nxt, tuple(counters), tuple(sorted(in_flight)), c.ticks + 1)
+            row = (_STUCK, f"player cannot stand at {gid!r} ({type(g).__name__})", 0, 0, 0)
+        table.append(row)
+    return table, index, names
+
+
+def _run(table, pos, counters, flight, ticks, max_ticks, stops):
+    """The level interpreter: tick from gadget number pos, updating the
+    counters list and the per-location monstar counts in flight in place.
+
+    Stops at a goal, at max_ticks ticks, or on entering a gadget in stops.
+    Returns (pos, ticks, solved); a solved run counts the goal's tick.
+    """
+    while ticks < max_ticks:
+        op, a, b, out, alt = table[pos]
+        if op == _REMOVE:
+            if counters[a] > 0:
+                counters[a] -= 1
+                flight[b] += 1
+            # at zero the freed bunny dies on the spikes: no token moves
+            pos = out
+        elif op == _DOOR:
+            if flight[a]:
+                flight[a] -= 1
+                flight[b] += 1
+            pos = out
+        elif op == _BRANCH:
+            if flight[pos]:
+                flight[pos] -= 1  # jump on the monstar, killing it
+                pos = out
+            else:
+                pos = alt
+        elif op == _ADD:
+            counters[a] += 1
+            pos = out
+        elif op == _GOAL:
+            return pos, ticks + 1, True
+        else:
+            raise LevelFormatError(a)
+        ticks += 1
+        if pos in stops:
+            break
+    return pos, ticks, False
+
+
+def _advance(level: Level, c: LevelConfig, max_ticks: int):
+    """Run the level from c to a goal or to max_ticks ticks. Returns
+    (solved, ticks, config), config None once solved."""
+    if c.ticks >= max_ticks:
+        return False, c.ticks, c
+    table, index, names = _lower(level, c.in_flight)
+    counters = list(c.counters)
+    flight = [0] * len(names)
+    for name in c.in_flight:
+        flight[index[name]] += 1
+    pos, ticks, solved = _run(table, index[c.tim_at], counters, flight, c.ticks, max_ticks, ())
+    if solved:
+        return True, ticks, None
+    in_flight = sorted(names[i] for i, n in enumerate(flight) for _ in range(n))
+    return False, ticks, LevelConfig(names[pos], tuple(counters), tuple(in_flight), ticks)
+
+
+def level_step(level: Level, c: LevelConfig):
+    """One deterministic tick of the token semantics. Returns the next
+    LevelConfig, or SOLVED when the player stands at a goal."""
+    solved, _, nxt = _advance(level, c, c.ticks + 1)
+    return SOLVED if solved else nxt
 
 
 @dataclass(frozen=True)
@@ -246,12 +321,8 @@ def level_run(level: Level, max_ticks: int, init: LevelConfig = None) -> LevelRu
     if max_ticks < 0:
         raise ValueError("max_ticks must be >= 0")
     c = initial_level_config(level) if init is None else init
-    while c.ticks < max_ticks:
-        nxt = level_step(level, c)
-        if nxt is SOLVED:
-            return LevelRunResult("solved", c.ticks + 1)
-        c = nxt
-    return LevelRunResult("budget", c.ticks, c)
+    solved, ticks, end = _advance(level, c, max_ticks)
+    return LevelRunResult("solved", ticks) if solved else LevelRunResult("budget", ticks, end)
 
 
 @dataclass(frozen=True)
@@ -284,49 +355,34 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     level = compile(program)
-    cm = initial_config(program)
-    lv = initial_level_config(level)
-    entries = set(level.instruction_entries)
-    boundaries = []
+    table, index, names = _lower(level)
+    entries = [index[gid] for gid in level.instruction_entries]
+    stops = frozenset(entries)
+    pc, cm_counters = 0, list(program.init_counters)
+    pos, counters, flight = index[level.entry], list(level.init_counters), [0] * len(names)
+    ticks = steps = 0
     solved = False
-    ok_all = True
-
-    def record(idx, ok):
-        nonlocal ok_all
-        ok_all = ok_all and ok
-        boundaries.append(
-            BoundaryRecord(idx, cm.pc, cm.counters, SOLVED if solved else lv.tim_at, lv.counters, ok)
-        )
-
-    record(0, lv.tim_at == level.instruction_entries[cm.pc] and lv.counters == cm.counters)
-    for k in range(1, max_steps + 1):
-        if cm.halted:
-            break
-        cm = cm_step(program, cm)
+    ok = pos == entries[pc] and counters == cm_counters
+    ok_all = ok
+    boundaries = [BoundaryRecord(0, pc, tuple(cm_counters), names[pos], tuple(counters), ok)]
+    while steps < max_steps and pc is not None:
+        pc = cm_exec(program, pc, cm_counters)
+        steps += 1
         # advance the level to the next instruction entry, or all the way to
-        # solved when the machine just halted (the goal needs its own tick)
-        ticks_before = lv.ticks
-        while lv.ticks - ticks_before <= 4:  # 3 gadgets per instruction, plus the goal
-            nxt = level_step(level, lv)
-            if nxt is SOLVED:
-                solved = True
-                break
-            lv = nxt
-            if not cm.halted and lv.tim_at in entries:
-                break
-        if cm.halted:
-            ok = solved and lv.counters == cm.counters
+        # solved when the machine just halted (the goal needs its own tick);
+        # 3 gadgets per instruction, plus the goal
+        pos, ticks, solved = _run(table, pos, counters, flight, ticks, ticks + 5, () if pc is None else stops)
+        if pc is None:
+            ok = solved and counters == cm_counters
         else:
-            ok = (
-                not solved
-                and lv.tim_at == level.instruction_entries[cm.pc]
-                and lv.counters == cm.counters
-            )
-        record(k, ok)
+            ok = not solved and pos == entries[pc] and counters == cm_counters
+        ok_all = ok_all and ok
+        boundaries.append(BoundaryRecord(
+            steps, pc, tuple(cm_counters), SOLVED if solved else names[pos], tuple(counters), ok))
         if solved:
             break
-    ok_all = ok_all and (cm.halted == solved)
-    return BisimReport(ok_all, tuple(boundaries), cm.halted, solved, lv.ticks + (1 if solved else 0), cm.steps)
+    ok_all = ok_all and ((pc is None) == solved)
+    return BisimReport(ok_all, tuple(boundaries), pc is None, solved, ticks, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,9 @@ def test_cm_run_text_and_json(tmp_path, capsys):
     assert main(["cm-run", path]) == 0
     assert "halted" in capsys.readouterr().out
     assert main(["--format", "json", "cm-run", path]) == 0
-    obj = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1  # one compact line
+    obj = json.loads(out)
     assert obj["verdict"] == "halted"
     assert obj["counters"] == [1]
 
@@ -178,6 +180,18 @@ def test_btm_reach_without_target_errors_before_the_cap_check(tmp_path, capsys):
     assert main(["--max-cells", "6", "btm-reach", write(tmp_path, "d.btm", DRIFTER)]) == 1
     err = capsys.readouterr().err
     assert err == "error: btm-reach needs a machine with a declared target state\n"
+
+
+@pytest.mark.parametrize("argv,name,text,err", [
+    (["--max-cells", "0", "btm-reach"], "t.btm", TRIVIAL_REACH, "error: --max-cells must be >= 1\n"),
+    (["--max-cells", "-3", "btm-oracle"], "d.btm", DRIFTER, "error: --max-cells must be >= 1\n"),
+    (["--max-steps", "-1", "cm-run"], "p.cm", ADDER, "error: --max-steps must be >= 0\n"),
+    (["--max-steps", "-1", "bisim"], "p.cm", ADDER, "error: --max-steps must be >= 0\n"),
+], ids=["reach-cells-0", "oracle-cells-negative", "cm-run-steps-negative", "bisim-steps-negative"])
+def test_budget_flags_checked_before_any_work(tmp_path, capsys, argv, name, text, err):
+    # the error names the flag, and no below-bound warning comes first
+    assert main([*argv, write(tmp_path, name, text)]) == 1
+    assert capsys.readouterr() == ("", err)
 
 
 def test_btm_reach_warns_with_a_bound_too_long_for_decimal(tmp_path, capsys):
