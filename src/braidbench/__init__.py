@@ -31,8 +31,11 @@ from .braidlike_tm import (
     write_tape,
 )
 from .oracle_sim import (
+    Certificate,
     OracleVerdict,
     SearchBudgetExceeded,
+    check_certificate,
+    closed_ngram_proof,
     det_behavior_oracle,
     reach_bfs,
     read_only_oracle,

@@ -14,7 +14,7 @@ from . import counter_machine as cm
 from . import gadget_compiler as gc
 from . import rewind_timeline as rt
 from .braidlike_tm import format_btm, parse_btm
-from .oracle_sim import det_behavior_oracle, reach_bfs, read_only_oracle
+from .oracle_sim import END, WALL, SearchBudgetExceeded, det_behavior_oracle, reach_bfs, read_only_oracle
 from .tour_guide import (
     GuideInvariantError,
     decide_det_braidlike,
@@ -43,7 +43,7 @@ def _build_parser():
     p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     p.add_argument("--max-cells", type=int, default=None,
                    help="cell cap; defaults to the applicable guide bound + 1")
-    p.add_argument("--trace", metavar="PATH", help="write the witness trace as JSON")
+    p.add_argument("--trace", metavar="PATH", help="write the witness or certificate as JSON")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("cm-run", help="run a counter program")
@@ -95,16 +95,41 @@ def _emit(args, payload, text):
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         print(text)
-    if args.trace and payload.get("witness") is not None:
-        with open(args.trace, "w") as f:
-            json.dump({"verdict": payload["verdict"], "witness": payload["witness"]}, f, indent=2)
+    for key in ("witness", "certificate"):
+        if args.trace and payload.get(key) is not None:
+            with open(args.trace, "w") as f:
+                json.dump({"verdict": payload["verdict"], key: payload[key]}, f, indent=2)
+
+
+def _ngrams(grams):
+    """A certificate's n-gram set as sorted lists; WALL and END are strings."""
+    return sorted((list(g) for g in grams), key=lambda g: [-1 if x in (WALL, END) else x for x in g])
 
 
 def _search_payload(args, res):
-    """The payload of an OracleVerdict, its witness as plain objects."""
+    """The payload of an OracleVerdict, its witness or certificate as plain
+    objects."""
     witness = None if res.witness is None else [
         {"state": c.state, "head": c.head, "tape": list(c.tape)} for c in res.witness]
-    return {"command": args.command, "verdict": res.kind, "explored": res.explored, "witness": witness}
+    cert = res.certificate
+    certificate = None if cert is None else {
+        "n": cert.n, "left": _ngrams(cert.left), "right": _ngrams(cert.right)}
+    return {"command": args.command, "verdict": res.kind, "explored": res.explored,
+            "witness": witness, "certificate": certificate}
+
+
+def _search_text(res, detail):
+    """A search verdict's text line: the detail in brackets, or the rule of
+    a certified verdict."""
+    if res.certificate is not None:
+        return f"{res.kind} (closed {res.certificate.n}-gram set, {res.explored} windows)"
+    return f"{res.kind} ({detail})"
+
+
+def _budget_exceeded(args):
+    """The payload and text of a search that outgrew --max-steps."""
+    text = f"unresolved (budget of {args.max_steps} configurations exceeded)"
+    return {"command": args.command, "verdict": "unresolved", "budget": args.max_steps}, text
 
 
 def _decimal(n):
@@ -195,9 +220,12 @@ def _dispatch(args) -> int:
             bound = _decimal(default_cap) or f"of {default_cap.bit_length()} bits"
             print(f"warning: cell cap {cap} is below the exact bound {bound}; "
                   "a not-reached verdict is only bounded", file=sys.stderr)
-        res = decide_reachability(spec, cell_cap=cap)
-        payload = _search_payload(args, res)
-        _emit(args, payload, f"{res.kind} (explored {res.explored} configurations)")
+        try:
+            res = decide_reachability(spec, cell_cap=cap, max_explored=args.max_steps)
+        except SearchBudgetExceeded:
+            _emit(args, *_budget_exceeded(args))
+            return 0
+        _emit(args, _search_payload(args, res), _search_text(res, f"explored {res.explored} configurations"))
         return 0
 
     if args.command == "btm-oracle":
@@ -207,11 +235,14 @@ def _dispatch(args) -> int:
         else:
             cap = args.max_cells if args.max_cells is not None else default_cell_cap(spec)
             if spec.target_state is not None:
-                res = reach_bfs(spec, cap)
+                try:
+                    res = reach_bfs(spec, cap, max_explored=args.max_steps)
+                except SearchBudgetExceeded:
+                    _emit(args, *_budget_exceeded(args))
+                    return 0
             else:
                 res = det_behavior_oracle(spec, args.max_steps, cap)
-        payload = _search_payload(args, res)
-        _emit(args, payload, f"{res.kind} (explored {res.explored})")
+        _emit(args, _search_payload(args, res), _search_text(res, f"explored {res.explored}"))
         return 0
 
     if args.command == "bounds":

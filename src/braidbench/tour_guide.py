@@ -24,7 +24,7 @@ from .braidlike_tm import (
     symbol_at,
     write_tape,
 )
-from .oracle_sim import OracleVerdict, reach_bfs
+from .oracle_sim import OracleVerdict, closed_ngram_proof, reach_bfs
 
 
 class GuideInvariantError(RuntimeError):
@@ -240,13 +240,20 @@ def decide_det_braidlike(spec: MachineSpec) -> str:
 def decide_reachability(spec: MachineSpec, cell_cap: int = None, max_explored: int = None) -> OracleVerdict:
     """Decide whether the machine can reach its target state.
 
-    Explicit-state BFS (reach_bfs) over canonical configurations, capped by
-    default at default_cell_cap(spec), the nondeterministic guide bound plus
-    one cell. The exactness of that default rests on the paper's bound on
-    nondeterministic tour guides: a run reaching the target exists iff one
-    exists whose head stays under the guide-count cap. This package computes
-    no nondeterministic guides, so it does not check that bound itself.
+    First closed_ngram_proof tries to prove the target unreachable at any
+    cell cap; its "not-reached" verdict carries a certificate that
+    check_certificate replays. Only when no proof closes does an
+    explicit-state BFS (reach_bfs) over canonical configurations run,
+    capped by default at default_cell_cap(spec), the nondeterministic guide
+    bound plus one cell, and budgeted by max_explored. Its "reached" verdict
+    carries a witness that replays through `successors`. Only a BFS
+    "not-reached" verdict rests on the paper's bound on nondeterministic
+    tour guides: a run reaching the target exists iff one exists whose head
+    stays under the guide-count cap. This package computes no
+    nondeterministic guides, so it does not check that bound itself.
     """
     if cell_cap is None:
         cell_cap = default_cell_cap(spec)
-    return reach_bfs(spec, cell_cap, max_explored=max_explored)
+    if cell_cap < 1:
+        raise ValueError("cell_cap must be >= 1")
+    return closed_ngram_proof(spec, "not-reached") or reach_bfs(spec, cell_cap, max_explored=max_explored)

@@ -6,6 +6,9 @@ tape store nor the zipper with `reach_bfs`. It searches in the same order,
 so the verdict, the explored count, cap_hit and the witness must all match
 exactly.
 
+`tuple_halts` simulates a deterministic machine on tuple Configurations,
+so a "loop" certificate can be held against a run that halts.
+
 `tuple_game_search` is the same kind of baseline for `game_search`: it
 steps tuple Timelines with `tl_record` and `tl_seek` and keys its visited
 set on (snapshots, cursor, immune), so the kind and the explored count must
@@ -41,6 +44,21 @@ def tuple_reach_bfs(spec, cell_cap):
                 parents[succ] = c
                 queue.append(succ)
     return OracleVerdict("not-reached", explored, None, cap_hit)
+
+
+def tuple_halts(spec, max_steps):
+    """Whether the deterministic machine halts within max_steps steps from
+    the blank tape: it enters an accept state, or it has no successor (a
+    missing transition or a stuck left move)."""
+    c = start_configuration(spec)
+    for _ in range(max_steps + 1):
+        if c.state in spec.accept_states:
+            return True
+        succs = successors(spec, c)
+        if not succs:
+            return True
+        c = succs[0]
+    return False
 
 
 def tuple_game_search(g, max_len, max_explored=None):

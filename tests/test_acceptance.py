@@ -22,7 +22,7 @@ from braidbench.braidlike_tm import (
 )
 from braidbench.counter_machine import cm_run, initial_config, parse_counter_program
 from braidbench.gadget_compiler import bisimulate, compile, level_run
-from braidbench.oracle_sim import det_behavior_oracle, read_only_oracle
+from braidbench.oracle_sim import check_certificate, det_behavior_oracle, read_only_oracle
 from braidbench.rewind_timeline import (
     GameSpec,
     Timeline,
@@ -61,7 +61,7 @@ def test_criterion_1_exhaustive_deterministic_agreement():
     ]
     keys = ((0, 0), (0, 1), (1, 0), (1, 1))
     accept_sets = (frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1}))
-    total = mismatches = unresolved = 0
+    total = mismatches = unresolved = certified = 0
     for combo in itertools.product(options, repeat=4):
         trans = {k: (opt,) for k, opt in zip(keys, combo) if opt is not None}
         for accept in accept_sets:
@@ -73,8 +73,13 @@ def test_criterion_1_exhaustive_deterministic_agreement():
                 unresolved += 1
             elif verdict != oracle.kind:
                 mismatches += 1
-    report("1 (exhaustive 2-state agreement)", mismatches == 0,
-           f"({total} machines, {unresolved} oracle-unresolved, {mismatches} mismatches)")
+            elif oracle.certificate is not None:
+                certified += 1
+                if not check_certificate(spec, "loop", oracle.certificate):
+                    mismatches += 1
+    report("1 (exhaustive 2-state agreement)", mismatches == 0 and unresolved == 0,
+           f"({total} machines, {certified} certified loops, {unresolved} oracle-unresolved, "
+           f"{mismatches} mismatches)")
 
 
 # --- 2: reachability agreement ----------------------------------------------
@@ -149,16 +154,21 @@ def verdict_at_cap(spec, runner, stated_cap):
 
 
 def test_criterion_2_reachability_agreement():
+    # decide_reachability at the exact cap against the tuple BFS, on the
+    # verdict; a "not-reached" verdict must carry a certificate that checks
+    # (only a proof settles one without the full-cap BFS)
     rng = random.Random(20260824)
     specs = [random_reach_spec(rng) for _ in range(200)]
-    agree = 0
+    agree = certified = 0
     for spec in specs:
         cap = nondet_guide_bound(spec.num_states) + 1
-        v_bfs = verdict_at_cap(spec, tuple_reach_bfs, cap)
-        v_dec = verdict_at_cap(
-            spec, lambda s, c: decide_reachability(s, cell_cap=c), cap)
-        agree += v_bfs == v_dec
-    report("2 (reachability vs oracle, 200 specs)", agree == 200, f"({agree}/200)")
+        kind = verdict_at_cap(spec, tuple_reach_bfs, cap)[0]
+        res = decide_reachability(spec, cell_cap=cap, max_explored=10 ** 5)
+        checked = res.certificate is not None and check_certificate(spec, "not-reached", res.certificate)
+        certified += checked
+        agree += res.kind == kind and (checked or res.kind == "reached")
+    report("2 (reachability vs oracle, 200 specs)", agree == 200,
+           f"({agree}/200, {certified} certified not-reached)")
 
 
 # --- 3: guide-bound values ---------------------------------------------------

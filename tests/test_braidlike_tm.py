@@ -177,8 +177,11 @@ def test_run_det_accepting_start():
 
 
 def test_run_det_right_drifter_budget():
-    spec = det_spec({(0, 0): (MOVE_RIGHT, 0)}, n=1, s=1)
+    # walks right through states 0..19, then accepts: unresolved at 10 cells
+    spec = det_spec({(q, 0): (MOVE_RIGHT, q + 1) for q in range(20)}, n=21, s=1, accept=[20])
     assert det_behavior_oracle(spec, 1000, 10).kind == "unresolved"
+    drifter = det_spec({(0, 0): (MOVE_RIGHT, 0)}, n=1, s=1)
+    assert det_behavior_oracle(drifter, 1000, 10).kind == "loop"
 
 
 def test_run_det_requires_deterministic():

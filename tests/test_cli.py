@@ -14,6 +14,7 @@ from braidbench.braidlike_tm import Configuration, parse_btm, successors
 from braidbench.cli import main
 from braidbench.counter_machine import parse_counter_program
 from braidbench.gadget_compiler import compile, level_to_json
+from braidbench.oracle_sim import Certificate, check_certificate, det_behavior_oracle
 
 ADDER = "counters 1\n0: add 0\n1: halt\n"
 TRIVIAL_REACH = "states 2\nsymbols 2\nstart 0\naccept\ntarget 0\ndeterministic false\n"
@@ -98,10 +99,20 @@ def test_btm_oracle(tmp_path, capsys):
     assert "reached" in capsys.readouterr().out
 
 
-def test_btm_oracle_default_cap_is_det_bound_plus_one(tmp_path, capsys):
-    # a 1-state machine without a target: det bound 5, so the cap is 6 cells
+def test_btm_oracle_default_cap_is_det_bound_plus_one(tmp_path, capsys, monkeypatch):
+    # a 1-state machine without a target: det bound 5, so the cap is 6 cells.
+    # No 1-state machine walks past cell 1 and then halts, so the drifter
+    # stands in: the simulation stops at the cap, then a proof closes.
+    caps = []
+
+    def oracle(spec, max_steps, max_cells):
+        caps.append(max_cells)
+        return det_behavior_oracle(spec, max_steps, max_cells)
+
+    monkeypatch.setattr(cli, "det_behavior_oracle", oracle)
     assert main(["btm-oracle", write(tmp_path, "d.btm", DRIFTER)]) == 0
-    assert capsys.readouterr().out == "unresolved (explored 8)\n"
+    assert capsys.readouterr().out == "loop (closed 1-gram set, 2 windows)\n"
+    assert caps == [6]
 
 
 @pytest.mark.parametrize("cap,warned", [(24576, True), (24577, False)])
@@ -257,16 +268,62 @@ def test_right_writer_at_exact_cap():
     # The default cap is 24 577 cells. Copying the tape per configuration
     # took about 2.4 GB on this search; the tape zipper takes O(1) memory
     # per configuration.
-    code = ("from braidbench import decide_reachability, parse_btm\n"
-            f"r = decide_reachability(parse_btm({RIGHT_WRITER!r}))\n"
+    code = ("from braidbench import parse_btm, reach_bfs\n"
+            "from braidbench.tour_guide import default_cell_cap\n"
+            f"spec = parse_btm({RIGHT_WRITER!r})\n"
+            "r = reach_bfs(spec, default_cell_cap(spec))\n"
             "print(r.kind, r.explored, r.cap_hit)")
     out = run_limited("-c", code)
     assert (out.returncode, out.stdout) == (0, "not-reached 49155 True\n"), out.stderr
 
 
 def test_btm_reach_right_writer_default_cap(tmp_path):
-    out = run_limited("-m", "braidbench.cli", "btm-reach", write(tmp_path, "rw.btm", RIGHT_WRITER))
-    assert (out.returncode, out.stdout) == (0, "not-reached (explored 49155 configurations)\n"), out.stderr
+    # btm-reach proves the target unreachable; btm-oracle runs the BFS to the cap
+    path = write(tmp_path, "rw.btm", RIGHT_WRITER)
+    out = run_limited("-m", "braidbench.cli", "btm-reach", path)
+    assert (out.returncode, out.stdout) == (0, "not-reached (closed 1-gram set, 4 windows)\n"), out.stderr
+    out = run_limited("-m", "braidbench.cli", "btm-oracle", path)
+    assert (out.returncode, out.stdout) == (0, "not-reached (explored 49155)\n"), out.stderr
+
+
+WALKER = ("states 21\nsymbols 1\nstart 0\naccept\ntarget 20\n"
+          + "".join(f"trans {q} 0 right {q + 1}\n" for q in range(20)))
+
+
+@pytest.mark.parametrize("command", ["btm-reach", "btm-oracle"])
+def test_search_budget_is_max_steps(tmp_path, capsys, command):
+    # the walker reaches its target in its 21st configuration, so no proof
+    # closes and the BFS needs a budget of 21
+    path = write(tmp_path, "w.btm", WALKER)
+    assert main(["--max-steps", "20", command, path]) == 0
+    assert capsys.readouterr() == ("unresolved (budget of 20 configurations exceeded)\n", "")
+    assert main(["--format", "json", "--max-steps", "20", command, path]) == 0
+    assert json.loads(capsys.readouterr().out) == {"command": command, "verdict": "unresolved", "budget": 20}
+    assert main(["--max-steps", "21", command, path]) == 0
+    assert capsys.readouterr().out.startswith("reached (explored 21")
+
+
+def test_btm_reach_speed_64_game_not_reached_at_default_cap(tmp_path, capsys):
+    # the goal is on a timed state no move records; the encoding has 131
+    # states, and a BFS could never fill their default cap
+    game = write(tmp_path, "g.game", "timed t0 t1 t2\nimmune m0\nstart m0 t0\nspeed 64\n"
+                                     "move m0 t0 m0 t1\nmove m0 t1 m0 t0\ngoal m0 t2\n")
+    btm = str(tmp_path / "g.btm")
+    assert main(["game-to-btm", game, "-o", btm]) == 0
+    trace = tmp_path / "cert.json"
+    assert main(["--trace", str(trace), "btm-reach", btm]) == 0
+    out, err = capsys.readouterr()
+    assert (out.split(" (")[0], err) == ("not-reached", "")
+    assert out.startswith("not-reached (closed 1-gram set, ")
+    obj = json.loads(trace.read_text())
+    cert = obj["certificate"]
+    assert obj["verdict"] == "not-reached" and cert["n"] == 1
+    assert ["wall"] in cert["left"] and ["end"] in cert["right"]
+    certificate = Certificate(cert["n"], frozenset(map(tuple, cert["left"])), frozenset(map(tuple, cert["right"])))
+    assert check_certificate(parse_btm(Path(btm).read_text()), "not-reached", certificate)
+    assert main(["--format", "json", "btm-reach", btm]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["verdict"], obj["certificate"], obj["witness"]) == ("not-reached", cert, None)
 
 
 def test_compiled_level_starts_from_init(tmp_path, capsys):

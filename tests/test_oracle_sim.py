@@ -2,15 +2,27 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidbench.braidlike_tm import (
+    BLANK,
     MachineSpec,
     MOVE_LEFT,
     MOVE_RIGHT,
     Write,
     successors,
 )
-from braidbench.oracle_sim import det_behavior_oracle, reach_bfs, read_only_oracle
+from braidbench.oracle_sim import (
+    END,
+    WALL,
+    Certificate,
+    check_certificate,
+    closed_ngram_proof,
+    det_behavior_oracle,
+    reach_bfs,
+    read_only_oracle,
+)
+from reference_bfs import tuple_halts, tuple_reach_bfs
 
 
 def spec_of(transitions, n, s, accept=(), target=None, det=False, start=0):
@@ -126,10 +138,22 @@ def test_oracle_accepting_start():
 
 
 def test_oracle_drifter_unresolved():
-    # the cell budget stops the run at head 11, its twelfth configuration
+    # a walker that moves right through states 0..19 and accepts in state
+    # 20: the cell budget stops the run at head 11, its twelfth
+    # configuration, and no sound proof says it never halts
+    spec = spec_of({(q, 0): ((MOVE_RIGHT, q + 1),) for q in range(20)}, 21, 1, accept=[20], det=True)
+    res = det_behavior_oracle(spec, 10 ** 6, 10)
+    assert (res.kind, res.explored, res.certificate) == ("unresolved", 12, None)
+    assert det_behavior_oracle(spec, 10 ** 6, 20).kind == "accept"
+
+
+def test_oracle_drifter_certified_loop():
+    # past the cell budget, a closed 1-gram set proves the drifter never halts
     spec = spec_of({(0, 0): ((MOVE_RIGHT, 0),)}, 1, 1, det=True)
     res = det_behavior_oracle(spec, 10 ** 6, 10)
-    assert (res.kind, res.explored) == ("unresolved", 12)
+    assert (res.kind, res.explored) == ("loop", 2)
+    assert res.certificate == Certificate(1, frozenset({(WALL,), (0,)}), frozenset({(END,)}))
+    assert check_certificate(spec, "loop", res.certificate)
 
 
 def test_oracle_dead_end_rejects():
@@ -230,3 +254,101 @@ def test_read_only_terminates_random_machines():
         res = read_only_oracle(spec, inp)
         assert res.kind in ("accept", "reject", "loop")
         assert res.explored < 10 ** 5
+
+
+# --- closed_ngram_proof and check_certificate ------------------------------
+
+def test_proof_certifies_unreachable_target_at_any_cap():
+    # the right-writer never enters state 1; a BFS can only say so per cap
+    spec = spec_of({(0, 0): ((Write(1), 0),), (0, 1): ((MOVE_RIGHT, 0),)}, 2, 2, target=1)
+    res = closed_ngram_proof(spec, "not-reached")
+    assert (res.kind, res.explored, res.witness, res.cap_hit) == ("not-reached", 4, None, False)
+    assert res.certificate == Certificate(1, frozenset({(WALL,), (1,)}), frozenset({(END,)}))
+
+
+def test_proof_needs_two_cells_of_context():
+    # Left of every 1 it writes lies a blank, which sends the head right
+    # again, so a left move off a 1 never reaches cell 0. A 1-gram set
+    # forgets what lies left of the cell a left move pulls in, so it lets a
+    # left move off a 1 land on another 1 next to the wall, where the next
+    # left move is stuck; a 2-gram set keeps the blank in between.
+    spec = spec_of({(0, 0): ((MOVE_RIGHT, 1),), (0, 1): ((MOVE_LEFT, 0),),
+                    (1, 0): ((Write(1), 0),), (1, 1): ((MOVE_RIGHT, 0),)}, 2, 2, det=True)
+    res = closed_ngram_proof(spec, "loop")
+    assert (res.explored, res.certificate.n) == (10, 2)
+    assert res.certificate.left == {(WALL, WALL), (BLANK, WALL), (BLANK, 1), (1, BLANK)}
+    assert check_certificate(spec, "loop", res.certificate)
+
+
+def test_proof_pulls_back_what_it_pushed():
+    # writes 1 at cell 0, walks right two cells and back, and enters the
+    # target on reading the 1. The 1 leaves both windows on the way out, so
+    # only the pushed n-gram, pulled back in, lets the proof see it.
+    spec = spec_of({(0, 0): ((Write(1), 1),), (1, 1): ((MOVE_RIGHT, 2),), (2, 0): ((MOVE_RIGHT, 3),),
+                    (3, 0): ((MOVE_LEFT, 4),), (4, 0): ((MOVE_LEFT, 5),), (5, 1): ((Write(1), 6),)},
+                   7, 2, target=6)
+    assert tuple_reach_bfs(spec, 4).kind == "reached"
+    assert closed_ngram_proof(spec, "not-reached") is None
+
+
+def test_proof_refuses_what_halts_or_reaches():
+    stuck = spec_of({(0, 0): ((MOVE_LEFT, 0),)}, 1, 1, det=True)
+    assert closed_ngram_proof(stuck, "loop") is None
+    assert closed_ngram_proof(spec_of({}, 1, 1, accept=[0], det=True), "loop") is None
+    assert closed_ngram_proof(spec_of({}, 1, 1, target=0), "not-reached") is None
+
+
+def test_check_certificate_rejects_malformed():
+    spec = spec_of({(0, 0): ((MOVE_RIGHT, 0),)}, 1, 1, det=True)
+    good = closed_ngram_proof(spec, "loop").certificate
+    assert check_certificate(spec, "loop", good)
+    for bad in (good._replace(n=2), good._replace(n=0), good._replace(left=frozenset({(0,)})),
+                good._replace(right=good.right | {(5,)}), good._replace(left=good.left | {(END,)})):
+        assert not check_certificate(spec, "loop", bad), bad
+    with pytest.raises(ValueError):
+        check_certificate(spec, "reached", good)
+    with pytest.raises(ValueError):
+        closed_ngram_proof(spec, "not-reached")  # no target
+
+
+ACTIONS = st.sampled_from([MOVE_LEFT, MOVE_RIGHT, Write(0), Write(1)])
+
+
+@st.composite
+def machines(draw):
+    """A deterministic machine without a target, or a nondeterministic one
+    with a target: 1-3 states, 1-2 symbols."""
+    n, s = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    det = draw(st.booleans())
+    step = st.tuples(ACTIONS.filter(lambda a: not isinstance(a, Write) or a.symbol < s), st.integers(0, n - 1))
+    trans = {}
+    for key in ((q, a) for q in range(n) for a in range(s)):
+        succs = tuple(dict.fromkeys(draw(st.lists(step, max_size=1 if det else 2))))
+        if succs:
+            trans[key] = succs
+    if det:
+        return spec_of(trans, n, s, accept=draw(st.sets(st.integers(0, n - 1), max_size=1)), det=True)
+    return spec_of(trans, n, s, target=draw(st.integers(0, n - 1)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(spec=machines())
+def test_certificates_are_sound_and_checked(spec):
+    """No certificate for a machine that the tuple BFS shows reaching its
+    target, or whose tuple simulation halts. check_certificate accepts every
+    certificate produced, and rejects it with any one n-gram dropped: each
+    n-gram of a closed set was pushed by a window the rest still reach."""
+    kind = "loop" if spec.deterministic else "not-reached"
+    res = closed_ngram_proof(spec, kind)
+    if res is None:
+        return
+    if spec.deterministic:
+        assert not tuple_halts(spec, 2000)
+    else:
+        assert tuple_reach_bfs(spec, 24).kind == "not-reached"
+    cert = res.certificate
+    assert check_certificate(spec, kind, cert)
+    for gram in cert.left:
+        assert not check_certificate(spec, kind, cert._replace(left=cert.left - {gram}))
+    for gram in cert.right:
+        assert not check_certificate(spec, kind, cert._replace(right=cert.right - {gram}))

@@ -8,7 +8,7 @@ from braidbench.braidlike_tm import (
     MOVE_RIGHT,
     Write,
 )
-from braidbench.oracle_sim import det_behavior_oracle, read_only_oracle
+from braidbench.oracle_sim import check_certificate, det_behavior_oracle, reach_bfs, read_only_oracle
 from braidbench.tour_guide import (
     ACCEPT,
     DESTROY_ME,
@@ -231,9 +231,12 @@ def test_reachability_matches_bfs_random():
                 if succs:
                     trans[(q, a)] = succs
         spec = spec_of(trans, n, s, target=rng.randrange(n))
-        res, base = decide_reachability(spec, cell_cap=32), tuple_reach_bfs(spec, 32)
-        assert (res.kind, res.explored, res.cap_hit, res.witness) == \
+        res, bfs, base = decide_reachability(spec, cell_cap=32), reach_bfs(spec, 32), tuple_reach_bfs(spec, 32)
+        assert (bfs.kind, bfs.explored, bfs.cap_hit, bfs.witness) == \
             (base.kind, base.explored, base.cap_hit, base.witness)
+        assert res.kind == base.kind
+        if res.certificate is not None:
+            assert check_certificate(spec, "not-reached", res.certificate)
 
 
 def test_reachability_witness_ends_at_target():
