@@ -50,7 +50,6 @@ from .tour_guide import (
     compute_guide,
     decide_det_braidlike,
     decide_reachability,
-    decide_read_only,
     det_guide_bound,
     nondet_guide_bound,
 )

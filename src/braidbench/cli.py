@@ -18,7 +18,6 @@ from .oracle_sim import END, WALL, SearchBudgetExceeded, det_behavior_oracle, re
 from .tour_guide import (
     GuideInvariantError,
     decide_det_braidlike,
-    decide_read_only,
     decide_reachability,
     default_cell_cap,
     det_guide_bound,
@@ -59,7 +58,7 @@ def _build_parser():
     s = sub.add_parser("btm-decide", help="decide a deterministic braidlike machine")
     s.add_argument("file")
     s.add_argument("--input", default=None,
-                   help="input symbols (e.g. 0110) for the read-only decider")
+                   help="input symbols (e.g. 0110); the machine must be read-only")
     s = sub.add_parser("btm-reach", help="decide target-state reachability")
     s.add_argument("file")
     s = sub.add_parser("btm-oracle", help="brute-force behavior oracle")
@@ -202,10 +201,8 @@ def _dispatch(args) -> int:
 
     if args.command == "btm-decide":
         spec = parse_btm(_read(args.file))
-        if args.input is not None:
-            verdict = decide_read_only(spec, _parse_input(args.input))
-        else:
-            verdict = decide_det_braidlike(spec)
+        inp = None if args.input is None else _parse_input(args.input)
+        verdict = decide_det_braidlike(spec, inp)
         payload = {"command": args.command, "verdict": verdict}
         _emit(args, payload, verdict)
         return 0

@@ -136,10 +136,13 @@ def build_braidlike_from_game(g: GameSpec) -> MachineSpec:
 
     Tape symbols are the timed states (plus blank); head states are the
     immune states plus bookkeeping: a boot state that records the initial
-    snapshot, record states that finish an action with an erase-right
-    write, and hop states that unroll a speed-k seek into k unit moves.
-    A branch that seeks past either end of the timeline simply dies; the
-    clamped outcome is always covered by a shorter exact seek.
+    snapshot and record states that finish an action with an erase-right
+    write. A main state seeks one cell at a time, on any timed symbol. A
+    speed-k seek inside the timeline is k unit seeks, each of them a legal
+    seek because max_speed >= 1, so the reachable (immune, timeline,
+    cursor) set is the same at every speed and the machine does not depend
+    on max_speed. A unit seek past either end of the timeline simply dies;
+    a clamped seek lands where fewer unit seeks do.
     """
     if len(g.timed_states) * len(g.immune_states) > 2 ** 16:
         raise ValueError("game enumerations too large to materialize")
@@ -156,10 +159,6 @@ def build_braidlike_from_game(g: GameSpec) -> MachineSpec:
     boot = st("boot")
     target = st("target")
     mains = {m: st(("main", m)) for m in g.immune_states}
-
-    def hop(direction, m, j):
-        # j unit moves left to perform; hop 0 is just the main state
-        return mains[m] if j == 0 else st((direction, m, j))
 
     transitions = {}
 
@@ -183,16 +182,10 @@ def build_braidlike_from_game(g: GameSpec) -> MachineSpec:
         for t in g.timed_states:
             if (m, t) in g.goal:
                 add(mains[m], sym[t], Write(sym[t]), target)
-            for k in range(1, g.max_speed + 1):
-                add(mains[m], sym[t], MOVE_RIGHT, hop("hopR", m, k - 1))
-                add(mains[m], sym[t], MOVE_LEFT, hop("hopL", m, k - 1))
-    for m in g.immune_states:
-        for j in range(1, g.max_speed):
-            for t in g.timed_states:
-                add(st(("hopR", m, j)), sym[t], MOVE_RIGHT, hop("hopR", m, j - 1))
-                add(st(("hopL", m, j)), sym[t], MOVE_LEFT, hop("hopL", m, j - 1))
+            add(mains[m], sym[t], MOVE_RIGHT, mains[m])
+            add(mains[m], sym[t], MOVE_LEFT, mains[m])
 
-    # dedupe (speed-1 and speed-2 right seeks from the same key coincide, etc.)
+    # dedupe (a move listed twice in the game adds its record transition twice)
     transitions = {k: tuple(dict.fromkeys(v)) for k, v in transitions.items()}
     return MachineSpec(
         num_states=len(states),

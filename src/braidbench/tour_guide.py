@@ -7,6 +7,10 @@ writing machines) "destroy me" — a write at some cell <= i will happen
 before the head crosses the boundary rightward again. A guide is a function
 of its left neighbor and the one symbol it stands over, which is what makes
 the deciders below work.
+
+decide_det_braidlike is the one deterministic guide walk: on a read-only
+machine and an input it is Shepherdson's (1959) crossing-sequence
+construction, and DestroyMe extends it to writing machines on the blank tape.
 """
 
 from __future__ import annotations
@@ -15,11 +19,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .braidlike_tm import (
-    BLANK,
     MachineSpec,
     MoveLeft,
     MoveRight,
     Write,
+    canonical_tape,
     check_input,
     symbol_at,
     write_tape,
@@ -132,75 +136,47 @@ def compute_guide(left, cell_symbol: int, spec: MachineSpec, creation_state: int
     return TourGuide(tuple(answers), creation_state)
 
 
-def decide_read_only(spec: MachineSpec, input_symbols) -> str:
-    """Decide a deterministic read-only machine on an input.
-
-    Guides are built left to right over the input, then over the blank
-    suffix. Once at cell i in state q, the guide over cell i answers for the
-    whole excursion at cells <= i, so the summarized head only ever moves
-    right. Over blanks the guides are an iterated map on a finite set, so a
-    repeated (guide, state) pair closes the computation as a loop.
-    Returns "accept" | "reject" | "loop".
-    """
-    if not spec.deterministic:
-        raise ValueError("decide_read_only requires a deterministic machine")
-    if not spec.read_only:
-        raise ValueError("decide_read_only requires a read-only machine")
-    input_symbols = check_input(spec, input_symbols)
-    n = len(input_symbols)
-    state = spec.start_state
-    left = None
-    cell = 0
-    seen_blank = set()
-    while True:
-        if state in spec.accept_states:
-            return "accept"
-        sym = input_symbols[cell] if cell < n else BLANK
-        guide = compute_guide(left, sym, spec)
-        if cell >= n:
-            key = (guide.answers, state)
-            if key in seen_blank:
-                return "loop"
-            seen_blank.add(key)
-        r = guide.answers[state]
-        if isinstance(r, ReturnInState):
-            state = r.state
-            left = guide
-            cell += 1
-            continue
-        if r is DESTROY_ME:
-            raise GuideInvariantError("DestroyMe answer from a read-only machine")
-        return r.value
-
-
-def decide_det_braidlike(spec: MachineSpec) -> str:
-    """Decide the blank-tape behavior of a deterministic braidlike machine.
+def decide_det_braidlike(spec: MachineSpec, input_symbols=None) -> str:
+    """Decide a deterministic braidlike machine on the blank tape, or a
+    deterministic read-only machine on input_symbols.
 
     Simulates with a chain of alive guides, one per boundary the head has
     crossed. Rightward moves mint a guide; leftward moves consult the guide
     at the crossed boundary, dropping to concrete simulation only on a
     DestroyMe answer. A write at cell j truncates tape and chain at j.
-    LoopForever is concluded on a freshly minted guide equal to an alive
-    one, or on an exact repeat of (configuration, chain).
+    Every (state, head, tape) the walk visits is a configuration of the
+    run, so a repeated one is a loop. So is a freshly minted guide equal to
+    an alive one when both were minted at cells at or past the input's end.
+    That rule is sound only where everything right of both guides is blank:
+    the head then crosses both boundaries in the same state, with the same
+    summary to its left and the same blank tape to its right, so the
+    stretch between them repeats forever.
 
-    Always terminates. Alive guides are distinct, so the chain holds at most
-    det_guide_bound guides; the head never passes the end of the chain
-    (head <= len(chain), checked every step), so head and tape stay within
-    det_guide_bound + 1 cells and the set of (configuration, chain) keys is
-    finite. Returns "accept" | "reject" | "loop".
+    Always terminates. Alive guides past the input are distinct, so the
+    chain holds at most len(input) + det_guide_bound guides; the head never
+    passes the end of the chain (checked every step), so the walk visits
+    finitely many configurations. Returns "accept" | "reject" | "loop".
     """
     if not spec.deterministic:
         raise ValueError("decide_det_braidlike requires a deterministic machine")
-    state, head, tape = spec.start_state, 0, ()
+    if input_symbols is None:
+        tape = ()
+    elif spec.read_only:
+        tape = canonical_tape(check_input(spec, input_symbols))
+    else:
+        raise ValueError("decide_det_braidlike on an input requires a read-only machine")
+    n = len(tape)  # guides minted at cells >= n have only blanks to their right
+    state, head, tape_id = spec.start_state, 0, 0
+    tape_ids = {tape: 0}  # interned, so a step hashes the tape only when a write changes it
     chain = []  # chain[k] guards boundary (k, k+1)
-    alive = set()
+    alive = set()  # guides minted at cells >= n
     visited = set()
     while True:
         if state in spec.accept_states:
             return "accept"
         if head > len(chain):
             raise GuideInvariantError("head beyond the end of the guide chain")
-        key = (state, head, tape, tuple(chain))
+        key = (state, head, tape_id)
         if key in visited:
             return "loop"
         visited.add(key)
@@ -224,13 +200,15 @@ def decide_det_braidlike(spec: MachineSpec) -> str:
                 # A guide promised destruction before this crossing.
                 raise GuideInvariantError("destroy-me prophecy violated by a rightward crossing")
             guide = compute_guide(chain[-1] if chain else None, sym, spec, creation_state=nxt)
-            if guide in alive:
-                return "loop"  # two identical guides: the stretch between them repeats forever
+            if head >= n:
+                if guide in alive:
+                    return "loop"  # two identical guides: the stretch between them repeats forever
+                alive.add(guide)
             chain.append(guide)
-            alive.add(guide)
             state, head = nxt, head + 1
         else:  # Write
             tape = write_tape(tape, head, action.symbol)
+            tape_id = tape_ids.setdefault(tape, len(tape_ids))
             for g in chain[head:]:
                 alive.discard(g)
             del chain[head:]

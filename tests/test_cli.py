@@ -178,6 +178,15 @@ def test_game_to_btm_round_trip(tmp_path, capsys):
     assert not spec.deterministic
 
 
+def test_game_to_btm_does_not_depend_on_speed(tmp_path, capsys):
+    # seeks are unit moves, so the machine is the same at every speed
+    texts = []
+    for speed in ("1", "64"):
+        assert main(["game-to-btm", write(tmp_path, "g.game", GAME.replace("speed 2", f"speed {speed}"))]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+
+
 def test_bad_input_symbols_exit_one(tmp_path, capsys):
     drifter = "states 1\nsymbols 1\nstart 0\naccept\ndeterministic true\n"
     assert main(["btm-decide", write(tmp_path, "d.btm", drifter), "--input", "xy"]) == 1
@@ -206,13 +215,13 @@ def test_budget_flags_checked_before_any_work(tmp_path, capsys, argv, name, text
 
 
 def test_btm_reach_warns_with_a_bound_too_long_for_decimal(tmp_path, capsys):
-    # speed 64 gives a 130-state machine, whose nondet bound has over 5 000 digits
-    game = write(tmp_path, "g.game", GAME.replace("speed 2", "speed 64"))
-    btm = str(tmp_path / "g.btm")
-    assert main(["game-to-btm", game, "-o", btm]) == 0
+    # a 130-state counter that blank-writes its way to the target; the
+    # nondet bound for 130 states has over 5 000 digits
+    btm = write(tmp_path, "c.btm", "states 130\nsymbols 2\nstart 0\naccept\ntarget 129\n"
+                + "".join(f"trans {q} 0 write 0 {q + 1}\n" for q in range(129)))
     assert main(["--max-cells", "9", "btm-reach", btm]) == 0
     out, err = capsys.readouterr()
-    assert out == "reached (explored 69 configurations)\n"
+    assert out == "reached (explored 130 configurations)\n"
     assert err == ("warning: cell cap 9 is below the exact bound of 17435 bits; "
                    "a not-reached verdict is only bounded\n")
 
@@ -304,8 +313,8 @@ def test_search_budget_is_max_steps(tmp_path, capsys, command):
 
 
 def test_btm_reach_speed_64_game_not_reached_at_default_cap(tmp_path, capsys):
-    # the goal is on a timed state no move records; the encoding has 131
-    # states, and a BFS could never fill their default cap
+    # the goal is on a timed state no move records; the encoding has 5
+    # states at every speed, and a BFS could never fill their default cap
     game = write(tmp_path, "g.game", "timed t0 t1 t2\nimmune m0\nstart m0 t0\nspeed 64\n"
                                      "move m0 t0 m0 t1\nmove m0 t1 m0 t0\ngoal m0 t2\n")
     btm = str(tmp_path / "g.btm")
@@ -360,6 +369,10 @@ BAD_INPUTS = {
     "unwritable-trace": (["--trace", "{d}/missing/t.json", "btm-reach", "{f}"], "m.btm",
                          TRIVIAL_REACH, "error:"),
     "unwritable-output": (["cm-compile", "{f}", "-o", "{d}/missing/l.json"], "p.cm", ADDER, "error:"),
+    "decide-input-on-writer": (["btm-decide", "{f}", "--input", "01"], "m.btm",
+                               "states 1\nsymbols 2\nstart 0\naccept\ndeterministic true\n"
+                               "trans 0 0 write 1 0\n",
+                               "error: decide_det_braidlike on an input requires a read-only machine\n"),
     "decide-input-out-of-range": (["btm-decide", "{f}", "--input", "19"], "m.btm", SCANNER,
                                   "error: input symbol 9 out of range"),
     "bisim-negative-budget": (["--max-steps", "-3", "bisim", "{f}"], "p.cm", ADDER, "error:"),

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidbench.oracle_sim import SearchBudgetExceeded
+from braidbench.oracle_sim import SearchBudgetExceeded, reach_bfs
 from braidbench.rewind_timeline import (
     GameParseError,
     GameSpec,
@@ -117,8 +117,12 @@ def _search_outcome(search, g, max_len, max_explored):
 @given(g=games(), max_len=st.integers(1, 9), max_explored=st.none() | st.integers(1, 50))
 def test_game_search_matches_tuple_search(g, max_len, max_explored):
     # the zipper search visits the tuple search's nodes in the same order
-    assert (_search_outcome(game_search, g, max_len, max_explored)
-            == _search_outcome(tuple_game_search, g, max_len, max_explored))
+    outcome = _search_outcome(game_search, g, max_len, max_explored)
+    assert outcome == _search_outcome(tuple_game_search, g, max_len, max_explored)
+    if max_explored is None:
+        # the encoding on a max_len-cell tape reaches its target iff the game is winnable
+        reached = reach_bfs(build_braidlike_from_game(g), max_len).kind == "reached"
+        assert reached == (outcome[0] == "winnable")
 
 
 def test_adapter_goal_at_start_target_in_one_step():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,7 +20,6 @@ from braidbench.tour_guide import (
     compute_guide,
     decide_det_braidlike,
     decide_reachability,
-    decide_read_only,
     det_guide_bound,
     nondet_guide_bound,
 )
@@ -100,7 +100,7 @@ def test_guide_accepting_state_short_circuits():
     assert g.answers[0] is REJECT  # dead configuration
 
 
-# --- decide_read_only ------------------------------------------------------
+# --- decide_det_braidlike on an input -------------------------------------
 
 def scanner():
     trans = {
@@ -116,18 +116,18 @@ def scanner():
 def test_read_only_always_accept():
     spec = spec_of({}, 1, 3, accept=[0], det=True)
     for inp in ((), (1, 2), (2, 2, 2)):
-        assert decide_read_only(spec, inp) == "accept"
+        assert decide_det_braidlike(spec, inp) == "accept"
 
 
 def test_read_only_drifter_loops():
     spec = spec_of({(0, a): ((MOVE_RIGHT, 0),) for a in range(2)}, 1, 2, det=True)
-    assert decide_read_only(spec, ()) == "loop"
+    assert decide_det_braidlike(spec, ()) == "loop"
 
 
 def test_read_only_scanner_matches_oracle():
     spec = scanner()
     for inp in ((1, 2), (2, 1), (), (2,), (1, 1, 2)):
-        assert decide_read_only(spec, inp) == read_only_oracle(spec, inp).kind
+        assert decide_det_braidlike(spec, inp) == read_only_oracle(spec, inp).kind
 
 
 def test_read_only_random_agreement():
@@ -143,19 +143,36 @@ def test_read_only_random_agreement():
         spec = spec_of(trans, n, s, accept=rng.sample(range(n), rng.randint(0, 1)),
                        det=True)
         inp = tuple(rng.randrange(s) for _ in range(rng.randint(0, 6)))
-        assert decide_read_only(spec, inp) == read_only_oracle(spec, inp).kind
+        assert decide_det_braidlike(spec, inp) == read_only_oracle(spec, inp).kind
+
+
+def test_read_only_census_matches_oracle():
+    # every 2-state 2-symbol read-only table, accept sets {} and {1}, on
+    # every input of length <= 4: 625 * 2 * 31 = 38 750 cases
+    keys = [(q, a) for q in range(2) for a in range(2)]
+    cells = [None] + [(move, q) for move in (MOVE_LEFT, MOVE_RIGHT) for q in range(2)]
+    inputs = [tuple(w) for n in range(5) for w in itertools.product(range(2), repeat=n)]
+    cases = mismatches = 0
+    for table in itertools.product(cells, repeat=len(keys)):
+        trans = {k: (v,) for k, v in zip(keys, table) if v is not None}
+        for accept in ((), (1,)):
+            spec = spec_of(trans, 2, 2, accept=accept, det=True)
+            for inp in inputs:
+                cases += 1
+                mismatches += decide_det_braidlike(spec, inp) != read_only_oracle(spec, inp).kind
+    assert (cases, mismatches) == (38_750, 0)
 
 
 def test_read_only_rejects_writer_and_nondet():
     writer = spec_of({(0, 0): ((Write(1), 0),)}, 1, 2, det=True)
     with pytest.raises(ValueError):
-        decide_read_only(writer, ())
+        decide_det_braidlike(writer, ())
     nondet = spec_of({}, 1, 1)
     with pytest.raises(ValueError):
-        decide_read_only(nondet, ())
+        decide_det_braidlike(nondet, ())
     reader = spec_of({}, 1, 2, det=True)
     with pytest.raises(ValueError, match="input symbol 2 out of range"):
-        decide_read_only(reader, (1, 2))
+        decide_det_braidlike(reader, (1, 2))
 
 
 # --- decide_det_braidlike ---------------------------------------------------
