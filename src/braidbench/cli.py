@@ -125,12 +125,6 @@ def _search_text(res, detail):
     return f"{res.kind} ({detail})"
 
 
-def _budget_exceeded(args):
-    """The payload and text of a search that outgrew --max-steps."""
-    text = f"unresolved (budget of {args.max_steps} configurations exceeded)"
-    return {"command": args.command, "verdict": "unresolved", "budget": args.max_steps}, text
-
-
 def _decimal(n):
     """n in decimal, or None if Python refuses to convert that many digits."""
     try:
@@ -155,6 +149,10 @@ def main(argv=None) -> int:
         if args.max_cells is not None and args.max_cells < 1:
             raise _UsageError("--max-cells must be >= 1")
         return _dispatch(args)
+    except SearchBudgetExceeded:  # btm-reach and btm-oracle budget their BFS by --max-steps
+        _emit(args, {"command": args.command, "verdict": "unresolved", "budget": args.max_steps},
+              f"unresolved (budget of {args.max_steps} configurations exceeded)")
+        return 0
     except (_UsageError, ValueError, OSError) as e:
         # every parse error subclasses ValueError; OSError covers unreadable
         # inputs and unwritable outputs
@@ -217,11 +215,7 @@ def _dispatch(args) -> int:
             bound = _decimal(default_cap) or f"of {default_cap.bit_length()} bits"
             print(f"warning: cell cap {cap} is below the exact bound {bound}; "
                   "a not-reached verdict is only bounded", file=sys.stderr)
-        try:
-            res = decide_reachability(spec, cell_cap=cap, max_explored=args.max_steps)
-        except SearchBudgetExceeded:
-            _emit(args, *_budget_exceeded(args))
-            return 0
+        res = decide_reachability(spec, cell_cap=cap, max_explored=args.max_steps)
         _emit(args, _search_payload(args, res), _search_text(res, f"explored {res.explored} configurations"))
         return 0
 
@@ -232,11 +226,7 @@ def _dispatch(args) -> int:
         else:
             cap = args.max_cells if args.max_cells is not None else default_cell_cap(spec)
             if spec.target_state is not None:
-                try:
-                    res = reach_bfs(spec, cap, max_explored=args.max_steps)
-                except SearchBudgetExceeded:
-                    _emit(args, *_budget_exceeded(args))
-                    return 0
+                res = reach_bfs(spec, cap, max_explored=args.max_steps)
             else:
                 res = det_behavior_oracle(spec, args.max_steps, cap)
         _emit(args, _search_payload(args, res), _search_text(res, f"explored {res.explored}"))

@@ -48,7 +48,7 @@ class Certificate(NamedTuple):
 
 @dataclass(frozen=True)
 class OracleVerdict:
-    kind: str  # "reached" | "not-reached" | "accept" | "reject" | "loop" | "unresolved"
+    kind: str  # "reached" | "not-reached" | "accept" | "reject" | "loop" | "unresolved" | "winnable" | "not-winnable"
     explored: int = 0  # configurations (or, with a certificate, windows) of the search that settled it
     witness: tuple = None  # trace of Configurations, start first
     cap_hit: bool = False  # True if any successor was discarded at the cell cap

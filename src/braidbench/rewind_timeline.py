@@ -3,12 +3,15 @@ Turing machine.
 
 Recording a snapshot truncates the redo future — exactly the erase-right
 write rule — and seeking moves a cursor without erasing anything. `Timeline`
-is the tuple reference coding; `game_search` steps timelines as zipped tapes
-of a TapeStore. The adapter turns a toy game (enumerated time-dependent and
-time-immune state, player moves, bounded seek speed) into a nondeterministic
-braidlike machine whose tape is the timeline, whose head is the cursor, and
-whose target state fires when the goal holds. The encoding's reachability
-search and `game_search` share the tape layer but not the search.
+is the tuple reference coding, with seeks bounded by a speed. The adapter
+turns a toy game (enumerated time-dependent and time-immune state, player
+moves) into a nondeterministic braidlike machine whose tape is the timeline,
+whose head is the cursor, and whose target state fires when the goal holds.
+`game_search` steps the same graph on zipped tapes of a TapeStore. Both seek
+one cell at a time: a speed-k seek inside the timeline is k unit seeks and
+leaves the immune state alone, so the seek speed changes no verdict. The
+encoding's reachability search and `game_search` share the tape layer but
+not the search.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .braidlike_tm import BLANK, MachineSpec, MOVE_LEFT, MOVE_RIGHT, TapeStore, Write
-from .oracle_sim import SearchBudgetExceeded
+from .oracle_sim import OracleVerdict, SearchBudgetExceeded
 
 
 class GameParseError(ValueError):
@@ -80,19 +83,15 @@ class GameSpec:
                 raise ValueError(f"goal pair ({m!r}, {t!r}) outside the enumerations")
 
 
-@dataclass(frozen=True)
-class GameSearchResult:
-    kind: str  # "winnable" | "not-winnable"
-    explored: int
-
-
-def game_search(g: GameSpec, max_len: int, max_explored: int = None) -> GameSearchResult:
+def game_search(g: GameSpec, max_len: int, max_explored: int = None) -> OracleVerdict:
     """BFS over (immune state, timeline) pairs with timelines of at most
-    max_len snapshots; the encoding is checked against it. It steps the
-    TapeStore zipper: a node is a triple (immune, left, right), a record a
-    move right and a write, a seek a run of unit moves clamped at both ends.
-    Seek targets come in increasing cursor order, as tl_seek's deltas
-    -s..-1, 1..s first reach them, so explored matches a tuple-Timeline BFS."""
+    max_len snapshots: "winnable" or "not-winnable", with the nodes explored.
+    It steps the TapeStore zipper: a node is a triple (immune, left, right),
+    a record a move right and a write, a seek one unit move. Like the
+    encoding, it does not read max_speed: a speed-k seek inside the timeline
+    is k unit seeks, a clamped seek lands where fewer unit seeks do, and the
+    immune state does not change while seeking, so the node set is the same
+    at every speed and only the BFS order differs from a speed-k search."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     sym = {t: i + 1 for i, t in enumerate(g.timed_states)}
@@ -112,23 +111,18 @@ def game_search(g: GameSpec, max_len: int, max_explored: int = None) -> GameSear
         m, left, right = z
         here = (m, car[right])
         if here in goal:
-            return GameSearchResult("winnable", explored)
+            return OracleVerdict("winnable", explored)
         nexts = [apply(apply(z, MOVE_RIGHT, m2), write, m2) for m2, write in records.get(here, ())
                  if size[left] + 2 <= max_len]
-        seek, lefts = z, []
-        for _ in range(min(g.max_speed, size[left])):
-            seek = apply(seek, MOVE_LEFT, m)
-            lefts.append(seek)
-        nexts += reversed(lefts)
-        seek = z
-        for _ in range(min(g.max_speed, size[right] - 1)):
-            seek = apply(seek, MOVE_RIGHT, m)
-            nexts.append(seek)
+        if left:
+            nexts.append(apply(z, MOVE_LEFT, m))
+        if size[right] > 1:
+            nexts.append(apply(z, MOVE_RIGHT, m))
         for z2 in nexts:
             if z2 not in visited:
                 visited.add(z2)
                 queue.append(z2)
-    return GameSearchResult("not-winnable", explored)
+    return OracleVerdict("not-winnable", explored)
 
 
 def build_braidlike_from_game(g: GameSpec) -> MachineSpec:

@@ -10,16 +10,19 @@ exactly.
 so a "loop" certificate can be held against a run that halts.
 
 `tuple_game_search` is the same kind of baseline for `game_search`: it
-steps tuple Timelines with `tl_record` and `tl_seek` and keys its visited
-set on (snapshots, cursor, immune), so the kind and the explored count must
-match, and both must exceed the same budget.
+steps tuple Timelines with `tl_record` and `tl_seek` at the game's speed,
+and keys its visited set on (snapshots, cursor, immune). `game_search` seeks
+one cell at a time, so at speed 1 the two search in the same order: the
+kind and the explored count must match, and both must exceed the same
+budget. At a higher speed they reach the same nodes in another order, so
+the kind must match, and the explored count too when neither wins.
 """
 
 from collections import deque
 
 from braidbench.braidlike_tm import start_configuration, successors
 from braidbench.oracle_sim import OracleVerdict, SearchBudgetExceeded
-from braidbench.rewind_timeline import GameSearchResult, Timeline, tl_record, tl_seek
+from braidbench.rewind_timeline import Timeline, tl_record, tl_seek
 
 
 def tuple_reach_bfs(spec, cell_cap):
@@ -73,7 +76,7 @@ def tuple_game_search(g, max_len, max_explored=None):
             raise SearchBudgetExceeded(f"game_search exceeded {max_explored} nodes")
         t = tl.snapshots[tl.cursor]
         if (m, t) in g.goal:
-            return GameSearchResult("winnable", explored)
+            return OracleVerdict("winnable", explored)
         nexts = []
         for m2, t2 in g.moves.get((m, t), ()):
             if len(tl.snapshots[: tl.cursor + 1]) + 1 <= max_len:
@@ -86,4 +89,4 @@ def tuple_game_search(g, max_len, max_explored=None):
             if key not in visited:
                 visited.add(key)
                 queue.append((tl2, m2))
-    return GameSearchResult("not-winnable", explored)
+    return OracleVerdict("not-winnable", explored)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -116,13 +117,31 @@ def _search_outcome(search, g, max_len, max_explored):
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(g=games(), max_len=st.integers(1, 9), max_explored=st.none() | st.integers(1, 50))
 def test_game_search_matches_tuple_search(g, max_len, max_explored):
-    # the zipper search visits the tuple search's nodes in the same order
+    # game_search seeks one cell at a time, so it visits the speed-1 tuple
+    # search's nodes in the same order
     outcome = _search_outcome(game_search, g, max_len, max_explored)
-    assert outcome == _search_outcome(tuple_game_search, g, max_len, max_explored)
+    assert outcome == _search_outcome(tuple_game_search, dataclasses.replace(g, max_speed=1), max_len, max_explored)
     if max_explored is None:
+        # at the game's own speed the node set is the same, in another order:
+        # the verdict agrees, and so does an exhaustive search's node count
+        kind, explored = _search_outcome(tuple_game_search, g, max_len, None)
+        assert kind == outcome[0]
+        if kind == "not-winnable":
+            assert explored == outcome[1]
         # the encoding on a max_len-cell tape reaches its target iff the game is winnable
         reached = reach_bfs(build_braidlike_from_game(g), max_len).kind == "reached"
         assert reached == (outcome[0] == "winnable")
+
+
+def test_game_search_order_does_not_follow_the_speed():
+    # from m1 on t0 t1 t0 at cursor 2, the speed-2 tuple search queues the
+    # seek of -2 before the seek of -1 that wins; game_search seeks one cell
+    # at a time, so it never queues the first and wins one node sooner
+    g = GameSpec(("t0", "t1"), ("m0", "m1"), "m0", "t0",
+                 {("m0", "t0"): (("m0", "t1"),), ("m0", "t1"): (("m1", "t0"),), ("m1", "t1"): (("m0", "t0"),)},
+                 frozenset({("m1", "t1")}), max_speed=2)
+    assert _search_outcome(game_search, g, 3, None) == ("winnable", 5)
+    assert _search_outcome(tuple_game_search, g, 3, None) == ("winnable", 6)
 
 
 def test_adapter_goal_at_start_target_in_one_step():
