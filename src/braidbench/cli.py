@@ -7,7 +7,10 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
+import stat
 import sys
 
 from . import counter_machine as cm
@@ -36,6 +39,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser():
     p = _Parser(prog="braidbench", description=__doc__.splitlines()[0])
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -80,11 +84,23 @@ def _read(path):
         return f.read()
 
 
+def _write_file(path, text):
+    """Write text to path like mode "w" (same inode and permissions, through
+    symlinks), but cut a regular file to length only after writing: closing
+    a non-empty file truncated to zero makes ext4 (auto_da_alloc) start
+    writeback, tens of milliseconds per overwrite. Devices and pipes cannot
+    be truncated and need not be."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as f:
+        f.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            f.truncate()
+
+
 def _write_output(args, text):
     """Write text to the -o file, or to stdout."""
     if args.output:
-        with open(args.output, "w") as f:
-            f.write(text)
+        _write_file(args.output, text)
     else:
         print(text, end="")
 
@@ -96,8 +112,7 @@ def _emit(args, payload, text):
         print(text)
     for key in ("witness", "certificate"):
         if args.trace and payload.get(key) is not None:
-            with open(args.trace, "w") as f:
-                json.dump({"verdict": payload["verdict"], key: payload[key]}, f, indent=2)
+            _write_file(args.trace, json.dumps({"verdict": payload["verdict"], key: payload[key]}, indent=2))
 
 
 def _ngrams(grams):

@@ -7,11 +7,12 @@ is the tuple reference coding, with seeks bounded by a speed. The adapter
 turns a toy game (enumerated time-dependent and time-immune state, player
 moves) into a nondeterministic braidlike machine whose tape is the timeline,
 whose head is the cursor, and whose target state fires when the goal holds.
-`game_search` steps the same graph on zipped tapes of a TapeStore. Both seek
-one cell at a time: a speed-k seek inside the timeline is k unit seeks and
-leaves the immune state alone, so the seek speed changes no verdict. The
-encoding's reachability search and `game_search` share the tape layer but
-not the search.
+`game_search` steps the same graph on zipped tapes of a TapeStore. Both
+make only left seeks, one cell at a time: a record leaves the cursor at the
+timeline's end and seeking leaves the immune state alone, so a seek of any
+speed, in either direction, lands where left seeks from the end do, and the
+seek speed changes no verdict. The encoding's reachability search and
+`game_search` share the tape layer but not the search.
 """
 
 from __future__ import annotations
@@ -87,11 +88,13 @@ def game_search(g: GameSpec, max_len: int, max_explored: int = None) -> OracleVe
     """BFS over (immune state, timeline) pairs with timelines of at most
     max_len snapshots: "winnable" or "not-winnable", with the nodes explored.
     It steps the TapeStore zipper: a node is a triple (immune, left, right),
-    a record a move right and a write, a seek one unit move. Like the
-    encoding, it does not read max_speed: a speed-k seek inside the timeline
-    is k unit seeks, a clamped seek lands where fewer unit seeks do, and the
-    immune state does not change while seeking, so the node set is the same
-    at every speed and only the BFS order differs from a speed-k search."""
+    a record a move right and a write, a seek one unit move left. Like the
+    encoding, it reads neither max_speed nor the redo future: a record
+    leaves the cursor at the end and seeking leaves the immune state alone,
+    so any seek lands where left seeks from the end do. A unit right seek
+    would lead back to the node this one was first reached from, so
+    `explored` is that of a unit-seek BFS both ways; a speed-k search
+    differs only in order."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     sym = {t: i + 1 for i, t in enumerate(g.timed_states)}
@@ -116,8 +119,6 @@ def game_search(g: GameSpec, max_len: int, max_explored: int = None) -> OracleVe
                  if size[left] + 2 <= max_len]
         if left:
             nexts.append(apply(z, MOVE_LEFT, m))
-        if size[right] > 1:
-            nexts.append(apply(z, MOVE_RIGHT, m))
         for z2 in nexts:
             if z2 not in visited:
                 visited.add(z2)
@@ -131,12 +132,12 @@ def build_braidlike_from_game(g: GameSpec) -> MachineSpec:
     Tape symbols are the timed states (plus blank); head states are the
     immune states plus bookkeeping: a boot state that records the initial
     snapshot and record states that finish an action with an erase-right
-    write. A main state seeks one cell at a time, on any timed symbol. A
-    speed-k seek inside the timeline is k unit seeks, each of them a legal
-    seek because max_speed >= 1, so the reachable (immune, timeline,
-    cursor) set is the same at every speed and the machine does not depend
-    on max_speed. A unit seek past either end of the timeline simply dies;
-    a clamped seek lands where fewer unit seeks do.
+    write. A main state seeks left one cell at a time, on any timed symbol.
+    A record leaves the head at the timeline's end and seeking leaves the
+    immune state alone, so every (immune, timeline, cursor) triple that
+    seeks of any speed reach, in either direction, is a run of unit left
+    seeks from the end: the machine needs no right seek and does not depend
+    on max_speed. A left seek off cell 0 simply dies.
     """
     if len(g.timed_states) * len(g.immune_states) > 2 ** 16:
         raise ValueError("game enumerations too large to materialize")
@@ -176,7 +177,6 @@ def build_braidlike_from_game(g: GameSpec) -> MachineSpec:
         for t in g.timed_states:
             if (m, t) in g.goal:
                 add(mains[m], sym[t], Write(sym[t]), target)
-            add(mains[m], sym[t], MOVE_RIGHT, mains[m])
             add(mains[m], sym[t], MOVE_LEFT, mains[m])
 
     # dedupe (a move listed twice in the game adds its record transition twice)

@@ -131,6 +131,7 @@ def test_trace_file_replays(tmp_path, capsys):
     )
     btm = write(tmp_path, "r.btm", reach)
     trace_path = tmp_path / "trace.json"
+    trace_path.write_text("[" * 10_000)  # a longer file is cut to the new length
     assert main(["--trace", str(trace_path), "btm-reach", btm]) == 0
     capsys.readouterr()
     obj = json.loads(trace_path.read_text())
@@ -167,6 +168,56 @@ def test_output_file_matches_stdout(tmp_path, capsys, command, name, text):
     assert main([command, path, "-o", str(out_path)]) == 0
     assert capsys.readouterr().out == ""
     assert out_path.read_bytes() == stdout.encode()
+    # a longer file is rewritten in place and cut to the new length
+    out_path.write_bytes(b"x" * 100_000)
+    inode = out_path.stat().st_ino
+    assert main([command, path, "-o", str(out_path)]) == 0
+    assert out_path.read_bytes() == stdout.encode()
+    assert out_path.stat().st_ino == inode
+    # and a symlink is written through, not replaced
+    link = tmp_path / "link"
+    link.symlink_to(out_path)
+    out_path.write_bytes(b"x" * 100_000)
+    assert main([command, path, "-o", str(link)]) == 0
+    assert link.is_symlink() and out_path.read_bytes() == stdout.encode()
+
+
+def test_output_to_devnull(tmp_path, capsys):
+    # /dev/null cannot be truncated, so the writer must not try
+    assert main(["cm-compile", write(tmp_path, "p.cm", ADDER), "-o", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_writers_open_without_truncating(tmp_path, capsys, monkeypatch):
+    # truncating a non-empty file to zero and closing it makes ext4 flush it
+    flags = {}
+    real_open = cli.os.open
+
+    def spy(path, flag, *args, **kwargs):
+        flags[str(path)] = flag
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(cli.os, "open", spy)
+    out, trace = str(tmp_path / "l.json"), str(tmp_path / "trace.json")
+    assert main(["cm-compile", write(tmp_path, "p.cm", ADDER), "-o", out]) == 0
+    assert main(["--trace", trace, "btm-reach", write(tmp_path, "t.btm", TRIVIAL_REACH)]) == 0
+    capsys.readouterr()
+    assert out in flags and trace in flags
+    assert not (flags[out] | flags[trace]) & os.O_TRUNC
+
+
+def test_parser_reuse_carries_no_option_over(tmp_path, capsys):
+    reach, scan = write(tmp_path, "t.btm", TRIVIAL_REACH), write(tmp_path, "scan.btm", SCANNER)
+    assert main(["--max-cells", "9", "--format", "json", "btm-reach", reach]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["verdict"] == "reached" and err.startswith("warning: cell cap 9 ")
+    assert main(["btm-reach", reach]) == 0
+    assert capsys.readouterr() == ("reached (explored 1 configurations)\n", "")
+    assert main(["btm-decide", scan, "--input", "12"]) == 0
+    assert capsys.readouterr().out == "accept\n"
+    assert main(["btm-decide", scan]) == 0
+    assert capsys.readouterr().out == "reject\n"
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_game_to_btm_round_trip(tmp_path, capsys):
