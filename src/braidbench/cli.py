@@ -285,13 +285,16 @@ def _dispatch(args) -> int:
                 for b in report.boundaries
             ],
         }
-        lines = [f"{'pass' if report.passed else 'fail'}: "
-                 f"{len(report.boundaries)} boundaries, halted={report.cm_halted} solved={report.level_solved}"]
-        for b in report.boundaries:
-            mark = "ok" if b.ok else "MISMATCH"
-            lines.append(f"  [{b.index}] pc={b.cm_pc} counters={list(b.cm_counters)} "
-                         f"tim={b.tim_at} occ={list(b.occupancies)} {mark}")
-        _emit(args, payload, "\n".join(lines))
+        text = None
+        if args.format == "text":
+            lines = [f"{payload['verdict']}: "
+                     f"{len(report.boundaries)} boundaries, halted={report.cm_halted} solved={report.level_solved}"]
+            for b in report.boundaries:
+                mark = "ok" if b.ok else "MISMATCH"
+                lines.append(f"  [{b.index}] pc={b.cm_pc} counters={list(b.cm_counters)} "
+                             f"tim={b.tim_at} occ={list(b.occupancies)} {mark}")
+            text = "\n".join(lines)
+        _emit(args, payload, text)
         return 0
 
     raise _UsageError(f"unknown command {args.command!r}")

@@ -77,40 +77,49 @@ def initial_config(program: CounterProgram) -> CounterConfig:
     return CounterConfig(pc=0, counters=tuple(program.init_counters), steps=0)
 
 
-def cm_exec(program: CounterProgram, pc: int, counters: list):
-    """Execute instruction pc on a counters list, in place. Returns the next
-    pc, or None once the machine halts."""
-    ins = program.instructions[pc]
-    if isinstance(ins, Halt):
-        return None
-    if isinstance(ins, Add):
-        counters[ins.counter] += 1
-        pc += 1
-    elif counters[ins.counter] > 0:  # SubBranch
-        counters[ins.counter] -= 1
-        pc += 1
-    else:
-        pc = ins.target
-    return None if pc >= len(program.instructions) else pc  # past the end: implicit halt
+def lower_program(program: CounterProgram) -> list:
+    """One row per instruction, indexed by pc: (is_add, counter, next_pc,
+    jump_pc) for Add and SubBranch, None for Halt. next_pc is None past the
+    last instruction (the implicit halt); an Add's jump_pc is its next_pc."""
+    n = len(program.instructions)
+    rows = []
+    for pc, ins in enumerate(program.instructions):
+        nxt = pc + 1 if pc + 1 < n else None
+        if isinstance(ins, Add):
+            rows.append((True, ins.counter, nxt, nxt))
+        elif isinstance(ins, SubBranch):
+            rows.append((False, ins.counter, nxt, ins.target))
+        else:
+            rows.append(None)
+    return rows
 
 
 def cm_step(program: CounterProgram, c: CounterConfig) -> CounterConfig:
     """Execute one instruction. Pure; the input config is not modified."""
     if c.halted:
         raise ValueError("cannot step a halted configuration")
-    counters = list(c.counters)
-    pc = cm_exec(program, c.pc, counters)
-    return CounterConfig(pc=pc, counters=tuple(counters), steps=c.steps + 1)
+    return cm_run(program, c, 1).config
 
 
 def cm_run(program: CounterProgram, init: CounterConfig, max_steps: int) -> RunResult:
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
+    rows = lower_program(program)
     pc, counters = init.pc, list(init.counters)
     steps = 0
     while steps < max_steps and pc is not None:
-        pc = cm_exec(program, pc, counters)
+        row = rows[pc]
         steps += 1
+        if row is None:
+            pc = None
+        elif row[0]:
+            counters[row[1]] += 1
+            pc = row[2]
+        elif counters[row[1]]:
+            counters[row[1]] -= 1
+            pc = row[2]
+        else:
+            pc = row[3]
     c = init if steps == 0 else CounterConfig(pc, tuple(counters), init.steps + steps)
     return RunResult("budget" if pc is not None else "halted", c)
 

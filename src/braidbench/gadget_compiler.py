@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .counter_machine import Add, CounterProgram, SubBranch, cm_exec
+from .counter_machine import Add, CounterProgram, SubBranch, lower_program
 
 
 class LevelFormatError(ValueError):
@@ -84,17 +84,19 @@ class Level:
     init_counters: tuple = None
 
     def __post_init__(self):
+        if not _is_int(self.num_counters):
+            raise LevelFormatError(f"num_counters {self.num_counters!r} is not an integer")
         init = (0,) * self.num_counters if self.init_counters is None else tuple(self.init_counters)
         object.__setattr__(self, "init_counters", init)
-        if len(init) != self.num_counters or any(v < 0 for v in init):
-            raise LevelFormatError("init_counters must list one non-negative value per counter")
+        if len(init) != self.num_counters or not all(_is_int(v) and v >= 0 for v in init):
+            raise LevelFormatError("init_counters must list one non-negative integer per counter")
         if self.entry not in self.gadgets:
             raise LevelFormatError(f"entry gadget {self.entry!r} missing")
         for gid, g in self.gadgets.items():
             if isinstance(g, LeverPull) and g.signal not in self.signals:
                 raise LevelFormatError(f"lever signal {g.signal!r} undeclared")
-            if isinstance(g, CounterStation) and not (0 <= g.counter < self.num_counters):
-                raise LevelFormatError(f"counter station for counter {g.counter} out of range")
+            if isinstance(g, CounterStation):
+                self._check_counter(f"counter station {gid!r}", g.counter)
             for label in _EXITS.get(type(g), ()):
                 if (gid, label) not in self.tim_edges:
                     raise LevelFormatError(f"gadget {gid!r} has no {label!r} exit")
@@ -108,8 +110,19 @@ class Level:
         for sig, eff in self.signals.items():
             if isinstance(eff, OpenDoor) and (eff.router not in self.gadgets or eff.branch not in self.gadgets):
                 raise LevelFormatError(f"signal {sig!r} routes through a missing gadget")
-            if isinstance(eff, (Add1, Remove1)) and not (0 <= eff.counter < self.num_counters):
-                raise LevelFormatError(f"signal {sig!r} names counter {eff.counter} out of range")
+            if isinstance(eff, (Add1, Remove1)):
+                self._check_counter(f"signal {sig!r}", eff.counter)
+
+    def _check_counter(self, what, counter):
+        if not _is_int(counter):
+            raise LevelFormatError(f"{what} names counter {counter!r}, not an integer")
+        if not 0 <= counter < self.num_counters:
+            raise LevelFormatError(f"{what} names counter {counter} out of range")
+
+
+def _is_int(v):
+    """True for an int that is not a bool: JSON's true would index counter 1."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 SOLVED = "solved"
@@ -248,11 +261,11 @@ def _lower(level: Level, in_flight=()):
     return table, index, names
 
 
-def _run(table, pos, counters, flight, ticks, max_ticks, stops):
+def _run(table, pos, counters, flight, ticks, max_ticks):
     """The level interpreter: tick from gadget number pos, updating the
     counters list and the per-location monstar counts in flight in place.
 
-    Stops at a goal, at max_ticks ticks, or on entering a gadget in stops.
+    Stops at a goal or at max_ticks ticks.
     Returns (pos, ticks, solved); a solved run counts the goal's tick.
     """
     while ticks < max_ticks:
@@ -282,8 +295,6 @@ def _run(table, pos, counters, flight, ticks, max_ticks, stops):
         else:
             raise LevelFormatError(a)
         ticks += 1
-        if pos in stops:
-            break
     return pos, ticks, False
 
 
@@ -297,7 +308,7 @@ def _advance(level: Level, c: LevelConfig, max_ticks: int):
     flight = [0] * len(names)
     for name in c.in_flight:
         flight[index[name]] += 1
-    pos, ticks, solved = _run(table, index[c.tim_at], counters, flight, c.ticks, max_ticks, ())
+    pos, ticks, solved = _run(table, index[c.tim_at], counters, flight, c.ticks, max_ticks)
     if solved:
         return True, ticks, None
     in_flight = sorted(names[i] for i, n in enumerate(flight) for _ in range(n))
@@ -354,34 +365,88 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
     At every instruction boundary the machine's (pc, counters) must match
     the player's position and the station occupancies; at the end, halting
     must coincide with solving.
+
+    One loop steps both: an instruction of the lowered program
+    (`lower_program`), then ticks of the lowered level table up to the next
+    instruction entry. The instruction step repeats `cm_run`'s and the
+    ticks repeat `_run`'s, inlined because the two calls per instruction
+    cost about 40% of the time. The lockstep tests with
+    `tests/reference_level.py`, on compiled and on miscompiled levels, pin
+    each copy to the reference semantics.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
+    rows = lower_program(program)
     level = compile(program)
     table, index, names = _lower(level)
     entries = [index[gid] for gid in level.instruction_entries]
-    stops = frozenset(entries)
+    is_entry = [False] * len(names)
+    for e in entries:
+        is_entry[e] = True
     pc, cm_counters = 0, list(program.init_counters)
     pos, counters, flight = index[level.entry], list(level.init_counters), [0] * len(names)
     ticks = steps = 0
     solved = False
     ok = pos == entries[pc] and counters == cm_counters
     ok_all = ok
-    boundaries = [BoundaryRecord(0, pc, tuple(cm_counters), names[pos], tuple(counters), ok)]
+    record = tuple.__new__  # BoundaryRecord(...) through its NamedTuple __new__ is slower
+    boundaries = [record(BoundaryRecord, (0, pc, tuple(cm_counters), names[pos], tuple(counters), ok))]
     while steps < max_steps and pc is not None:
-        pc = cm_exec(program, pc, cm_counters)
+        row = rows[pc]
         steps += 1
-        # advance the level to the next instruction entry, or all the way to
+        if row is None:
+            pc = None
+        elif row[0]:
+            cm_counters[row[1]] += 1
+            pc = row[2]
+        elif cm_counters[row[1]]:
+            cm_counters[row[1]] -= 1
+            pc = row[2]
+        else:
+            pc = row[3]
+        # tick the level to the next instruction entry, or all the way to
         # solved when the machine just halted (the goal needs its own tick);
         # 3 gadgets per instruction, plus the goal
-        pos, ticks, solved = _run(table, pos, counters, flight, ticks, ticks + 5, () if pc is None else stops)
+        limit = ticks + 5
+        while ticks < limit:
+            op, a, b, out, alt = table[pos]
+            if op == _REMOVE:
+                if counters[a] > 0:
+                    counters[a] -= 1
+                    flight[b] += 1
+                pos = out
+            elif op == _DOOR:
+                if flight[a]:
+                    flight[a] -= 1
+                    flight[b] += 1
+                pos = out
+            elif op == _BRANCH:
+                if flight[pos]:
+                    flight[pos] -= 1
+                    pos = out
+                else:
+                    pos = alt
+            elif op == _ADD:
+                counters[a] += 1
+                pos = out
+            elif op == _GOAL:
+                ticks += 1
+                solved = True
+                break
+            else:
+                raise LevelFormatError(a)
+            ticks += 1
+            if pc is not None and is_entry[pos]:
+                break
+        cm_tuple = tuple(cm_counters)
+        same = counters == cm_counters
         if pc is None:
-            ok = solved and counters == cm_counters
+            ok = solved and same
         else:
-            ok = not solved and pos == entries[pc] and counters == cm_counters
+            ok = not solved and pos == entries[pc] and same
         ok_all = ok_all and ok
-        boundaries.append(BoundaryRecord(
-            steps, pc, tuple(cm_counters), SOLVED if solved else names[pos], tuple(counters), ok))
+        boundaries.append(record(BoundaryRecord, (
+            steps, pc, cm_tuple, SOLVED if solved else names[pos], cm_tuple if same else tuple(counters), ok)))
         if solved:
             break
     ok_all = ok_all and ((pc is None) == solved)

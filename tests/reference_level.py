@@ -1,13 +1,17 @@
 """Reference semantics for counter programs and levels.
 
 These are the tuple-stepping `cm_step`, `cm_run`, `level_step`,
-`level_run` and `bisimulate` that the library replaced with one in-place
-counter step (`counter_machine.cm_exec`) and one interpreter over a lowered
-step table (`gadget_compiler._run`). Each tick here builds a fresh frozen
-config and looks gadgets, signals and exits up by id, so it shares no state
-and no table with the library. The lockstep property in
-`tests/test_gadget_compiler.py` requires equal results, field by field and
-boundary by boundary, and the same `LevelFormatError` message.
+`level_run` and `bisimulate` that the library replaced with lowered tables
+stepped in place: one row per instruction (`counter_machine.lower_program`,
+stepped by `cm_run`), one row per gadget (`gadget_compiler._lower`, stepped
+by `gadget_compiler._run`), and `bisimulate`'s one loop over both. Each
+tick here builds a fresh frozen config and looks instructions, gadgets,
+signals and exits up by id, so it shares no state and no table with the
+library. The lockstep properties in `tests/test_gadget_compiler.py`
+require equal results, field by field and boundary by boundary, and the
+same `LevelFormatError` message, also on miscompiled levels: they patch
+`compile` here as well as in `gadget_compiler`, since this module imports
+it by name.
 """
 
 from braidbench.counter_machine import Add, CounterConfig, CounterProgram, Halt, RunResult, initial_config

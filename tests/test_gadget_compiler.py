@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import reference_level
 from braidbench import gadget_compiler
 from braidbench.cli import main
 from braidbench.counter_machine import (
@@ -20,10 +22,12 @@ from braidbench.counter_machine import (
 from braidbench.gadget_compiler import (
     Add1,
     Branch,
+    CounterStation,
     Goal,
     LeverPull,
     LevelConfig,
     LevelFormatError,
+    OpenDoor,
     SOLVED,
     bisimulate,
     compile,
@@ -35,6 +39,7 @@ from braidbench.gadget_compiler import (
     level_to_json,
 )
 from reference_level import ref_bisimulate, ref_cm_run, ref_cm_step, ref_level_run, ref_level_step
+from test_acceptance import CORPUS
 
 
 def test_compile_halt_only():
@@ -277,6 +282,44 @@ def test_program_lockstep_with_reference(p, budget):
     assert_level_steps_agree(level, initial_level_config(level), budget)
 
 
+@st.composite
+def loop_programs(draw):
+    """Transfer, drain and add loops over counters a and b, with a zero
+    scratch counter z for jumps, from `init` counters in the hundreds. The
+    last instruction halts or jumps back to the start, which never halts."""
+    a, b, z = draw(st.permutations(range(3)))
+    init = [0, 0, 0]
+    init[a], init[b] = draw(st.integers(100, 400)), draw(st.integers(100, 400))
+    ins = []
+    for kind, forward in draw(st.lists(st.tuples(st.sampled_from(["transfer", "drain", "adds"]), st.booleans()),
+                                       min_size=1, max_size=4)):
+        src, dst = (a, b) if forward else (b, a)
+        start = len(ins)
+        if kind == "transfer":  # move src into dst, 3 steps a unit
+            ins += [SubBranch(src, start + 3), Add(dst), SubBranch(z, start)]
+        elif kind == "drain":  # empty src, 2 steps a unit
+            ins += [SubBranch(src, start + 2), SubBranch(z, start)]
+        else:
+            ins += [Add(dst)] * draw(st.integers(1, 4))
+    ins.append(draw(st.sampled_from([Halt(), SubBranch(z, 0)])))
+    return CounterProgram(3, tuple(ins), tuple(init))
+
+
+# transfer counter 0 into counter 1, then drain counter 1: halts after 2 603 steps
+TRANSFER_DRAIN = CounterProgram(3, (SubBranch(0, 3), Add(1), SubBranch(2, 0), SubBranch(1, 5), SubBranch(2, 3), Halt()),
+                                (400, 300, 0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(p=loop_programs(), budget=st.just(10 ** 4) | st.integers(0, 10 ** 4))
+@example(p=TRANSFER_DRAIN, budget=10 ** 4)
+@example(p=TRANSFER_DRAIN, budget=2000)
+def test_long_run_lockstep_with_reference(p, budget):
+    assert outcome(bisimulate, p, budget) == outcome(ref_bisimulate, p, budget)
+    c = initial_config(p)
+    assert outcome(cm_run, p, c, budget) == outcome(ref_cm_run, p, c, budget)
+
+
 # Gadget ids of hand-built levels, with the kinds each may take. A level may
 # have the router "R0" that a Remove1 on counter 0 names, or lack it; it
 # always lacks "R1". In-flight ids may also be "R1" or "Q", which name no
@@ -332,32 +375,46 @@ def test_json_level_lockstep_with_reference(case, budget):
 
 # --- bisimulate must fail on a miscompiled level
 
-def swap_branch_exits(branch):
+def swap_branch_exits(level, branch):
+    edges = dict(level.tim_edges)
+    edges[(branch, "monstar")], edges[(branch, "empty")] = edges[(branch, "empty")], edges[(branch, "monstar")]
+    return dataclasses.replace(level, tim_edges=edges)
+
+
+def drop_add(level, lever):
+    """The add lever becomes a pass-through branch that nothing feeds."""
+    assert isinstance(level.signals[level.gadgets[lever].signal], Add1)
+    out = level.tim_edges[(lever, "out")]
+    edges = {k: v for k, v in level.tim_edges.items() if k != (lever, "out")}
+    edges[(lever, "monstar")] = edges[(lever, "empty")] = out
+    return dataclasses.replace(level, gadgets={**level.gadgets, lever: Branch()}, tim_edges=edges)
+
+
+def retarget_door(level, signal, router, branch):
+    return dataclasses.replace(level, signals={**level.signals, signal: OpenDoor(router, branch)})
+
+
+def lever_to_station(level, lever, station):
+    """The player walks onto a counter station: the level table's stuck row."""
+    return dataclasses.replace(level, tim_edges={**level.tim_edges, (lever, "out"): station})
+
+
+def mutated(*mutations):
+    """A stand-in for compile that applies (function, *args) mutations in
+    order to the real compile's level."""
     def mutant(program):
         level = compile(program)  # this module's name for it; the patch replaces gadget_compiler.compile
-        edges = dict(level.tim_edges)
-        edges[(branch, "monstar")], edges[(branch, "empty")] = edges[(branch, "empty")], edges[(branch, "monstar")]
-        return dataclasses.replace(level, tim_edges=edges)
-    return mutant
-
-
-def drop_add(lever):
-    """The add lever becomes a pass-through branch that nothing feeds."""
-    def mutant(program):
-        level = compile(program)
-        assert isinstance(level.signals[level.gadgets[lever].signal], Add1)
-        out = level.tim_edges[(lever, "out")]
-        edges = {k: v for k, v in level.tim_edges.items() if k != (lever, "out")}
-        edges[(lever, "monstar")] = edges[(lever, "empty")] = out
-        return dataclasses.replace(level, gadgets={**level.gadgets, lever: Branch()}, tim_edges=edges)
+        for f, *args in mutations:
+            level = f(level, *args)
+        return level
     return mutant
 
 
 MUTANTS = {
     # the remove at step 2 frees a monstar, so the player must take B1's monstar exit
-    "swapped-branch-exits": (swap_branch_exits("B1"),
+    "swapped-branch-exits": (mutated((swap_branch_exits, "B1")),
                              "counters 2\ninit 0 1\n0: add 0\n1: subb 1 3\n2: halt\n3: halt\n", 2),
-    "dropped-add": (drop_add("L2"), "counters 1\n0: add 0\n1: add 0\n2: add 0\n3: add 0\n4: halt\n", 3),
+    "dropped-add": (mutated((drop_add, "L2")), "counters 1\n0: add 0\n1: add 0\n2: add 0\n3: add 0\n4: halt\n", 3),
 }
 
 
@@ -374,3 +431,106 @@ def test_bisimulate_fails_on_miscompiled_level(tmp_path, capsys, monkeypatch, mu
     assert main(["bisim", str(path)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("fail:") and "MISMATCH" in out
+
+
+@st.composite
+def mutations(draw, level):
+    """One to three mutations of a compiled level, as mutated() takes them."""
+    kinds = {gid: type(g) for gid, g in level.gadgets.items()}
+    levers = [gid for gid, k in kinds.items() if k is LeverPull]
+    options = {
+        swap_branch_exits: [(gid,) for gid, k in kinds.items() if k is Branch],
+        drop_add: [(gid,) for gid in levers if isinstance(level.signals[level.gadgets[gid].signal], Add1)],
+        retarget_door: [(sig, router, branch) for sig, eff in level.signals.items() if isinstance(eff, OpenDoor)
+                        for router in kinds for branch in kinds],
+        lever_to_station: [(gid, station) for gid in levers for station, k in kinds.items() if k is CounterStation],
+    }
+    usable = [f for f, targets in options.items() if targets]
+    if not usable:
+        return []
+    mutation = st.sampled_from(usable).flatmap(lambda f: st.sampled_from(options[f]).map(lambda args: (f, *args)))
+    return draw(st.lists(mutation, min_size=1, max_size=3, unique=True))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(p=programs(), data=st.data(), budget=st.sampled_from([0, 1, 2]) | st.integers(0, 40))
+def test_miscompiled_level_lockstep_with_reference(p, data, budget):
+    mutant = mutated(*data.draw(mutations(compile(p))))
+    with mock.patch.object(gadget_compiler, "compile", mutant), mock.patch.object(reference_level, "compile", mutant):
+        assert outcome(bisimulate, p, budget) == outcome(ref_bisimulate, p, budget)
+
+
+# --- the bisim command's output, byte for byte, from the reference report
+
+def bisim_json(report):
+    return json.dumps({
+        "command": "bisim", "verdict": "pass" if report.passed else "fail", "cm_halted": report.cm_halted,
+        "level_solved": report.level_solved, "steps": report.steps, "ticks": report.ticks,
+        "boundaries": [{"index": b.index, "pc": b.cm_pc, "counters": list(b.cm_counters), "tim_at": b.tim_at,
+                        "occupancies": list(b.occupancies), "ok": b.ok} for b in report.boundaries],
+    }, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def bisim_text(report):
+    out = (f"{'pass' if report.passed else 'fail'}: {len(report.boundaries)} boundaries, "
+           f"halted={report.cm_halted} solved={report.level_solved}\n")
+    for b in report.boundaries:
+        out += (f"  [{b.index}] pc={b.cm_pc} counters={list(b.cm_counters)} tim={b.tim_at} "
+                f"occ={list(b.occupancies)} {'ok' if b.ok else 'MISMATCH'}\n")
+    return out
+
+
+BISIM_CASES = {name: (None, src) for name, src in CORPUS.items()}
+BISIM_CASES["swapped-branch-exits"] = MUTANTS["swapped-branch-exits"][:2]
+
+
+@pytest.mark.parametrize("mutant,src", BISIM_CASES.values(), ids=BISIM_CASES.keys())
+def test_bisim_output_matches_reference_report(tmp_path, capsys, monkeypatch, mutant, src):
+    if mutant is not None:
+        monkeypatch.setattr(gadget_compiler, "compile", mutant)
+        monkeypatch.setattr(reference_level, "compile", mutant)
+    path = tmp_path / "p.cm"
+    path.write_text(src)
+    report = ref_bisimulate(parse_counter_program(src), 300)
+    assert main(["--format", "json", "--max-steps", "300", "bisim", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out) == json.loads(bisim_json(report))
+    assert out == bisim_json(report)
+    assert main(["--max-steps", "300", "bisim", str(path)]) == 0
+    assert capsys.readouterr().out == bisim_text(report)
+
+
+# --- level JSON must give every counter count and index as an int
+
+def _int_edit(edit):
+    src = "counters 1\n0: add 0\n1: subb 0 0\n2: halt\n"
+    obj = json.loads(level_to_json(compile(parse_counter_program(src))))
+    edit(obj)
+    return json.dumps(obj)
+
+
+NON_INT_LEVELS = {
+    "add1-counter-float": lambda o: o["signals"]["add0"].update(counter=0.0),
+    "add1-counter-bool": lambda o: o["signals"]["add0"].update(counter=False),
+    "remove1-counter-float": lambda o: o["signals"]["sub1"].update(counter=0.0),
+    "remove1-counter-bool": lambda o: o["signals"]["sub1"].update(counter=False),
+    "station-counter-float": lambda o: o["gadgets"]["C0"].update(counter=0.0),
+    "station-counter-bool": lambda o: o["gadgets"]["C0"].update(counter=False),
+    "init-fraction": lambda o: o.update(init_counters=[1.5]),
+    "init-bool": lambda o: o.update(init_counters=[True]),
+    "num-counters-bool": lambda o: o.update(num_counters=True),
+    "num-counters-float": lambda o: o.update(num_counters=1.0),
+}
+
+
+@pytest.mark.parametrize("edit", NON_INT_LEVELS.values(), ids=NON_INT_LEVELS.keys())
+def test_level_rejects_non_int_counters(tmp_path, capsys, edit):
+    text = _int_edit(edit)
+    with pytest.raises(LevelFormatError):
+        level_from_json(text)
+    path = tmp_path / "l.json"
+    path.write_text(text)
+    assert main(["level-sim", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
