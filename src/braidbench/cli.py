@@ -226,11 +226,11 @@ def _dispatch(args) -> int:
             raise _UsageError("btm-reach needs a machine with a declared target state")
         default_cap = default_cell_cap(spec)
         cap = args.max_cells if args.max_cells is not None else default_cap
-        if cap < default_cap:
+        res = decide_reachability(spec, cell_cap=cap, max_explored=args.max_steps)
+        if res.kind == "not-reached" and res.cap_hit and cap < default_cap:  # only reach_bfs hits a cap
             bound = _decimal(default_cap) or f"of {default_cap.bit_length()} bits"
             print(f"warning: cell cap {cap} is below the exact bound {bound}; "
                   "a not-reached verdict is only bounded", file=sys.stderr)
-        res = decide_reachability(spec, cell_cap=cap, max_explored=args.max_steps)
         _emit(args, _search_payload(args, res), _search_text(res, f"explored {res.explored} configurations"))
         return 0
 

@@ -11,10 +11,10 @@ player's path long enough that he cannot beat the monstar to a gadget.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from .counter_machine import Add, CounterProgram, SubBranch, lower_program
+from .counter_machine import Add, CounterProgram, Halt, SubBranch, lower_program
 
 
 class LevelFormatError(ValueError):
@@ -39,7 +39,7 @@ class CounterStation:
 
 @dataclass(frozen=True)
 class TrapRouter:
-    # door signal id -> destination branch gadget id
+    # (door signal id, destination branch gadget id) pairs
     doors: tuple
 
 
@@ -65,7 +65,16 @@ class OpenDoor:
     branch: str
 
 
-# the exits level_step takes from each gadget kind the player can stand on
+# Every gadget kind and signal effect by its tag in level JSON: the object
+# {"kind": "lever", "signal": s} is LeverPull(s), its other keys the fields.
+_KINDS = {
+    "kind": {"lever": LeverPull, "branch": Branch, "counter": CounterStation, "router": TrapRouter, "goal": Goal},
+    "effect": {"add1": Add1, "remove1": Remove1, "open-door": OpenDoor},
+}
+_TAG_OF = {cls: (key, name) for key, kinds in _KINDS.items() for name, cls in kinds.items()}
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _TAG_OF}
+
+# the exits a tick takes from each gadget kind the player can stand on
 _EXITS = {LeverPull: ("out",), Branch: ("monstar", "empty")}
 
 
@@ -101,9 +110,14 @@ class Level:
                 if (gid, label) not in self.tim_edges:
                     raise LevelFormatError(f"gadget {gid!r} has no {label!r} exit")
             if isinstance(g, TrapRouter):
-                for sig, _ in g.doors:
+                for door in g.doors:
+                    if not (isinstance(door, tuple) and len(door) == 2):
+                        raise LevelFormatError(f"router {gid!r} has door {door!r}, not a [signal, branch] pair")
+                    sig, branch = door
                     if sig not in self.signals:
                         raise LevelFormatError(f"router door signal {sig!r} undeclared")
+                    if branch not in self.gadgets:
+                        raise LevelFormatError(f"router {gid!r} opens onto missing gadget {branch!r}")
         for (gid, _), target in self.tim_edges.items():
             if gid not in self.gadgets or target not in self.gadgets:
                 raise LevelFormatError(f"tim edge {gid!r} -> {target!r} references a missing gadget")
@@ -151,69 +165,39 @@ def compile(program: CounterProgram) -> Level:
     itself: monstar present continues to pc+1, absent jumps to t. Halt and
     the implicit end become goals.
     """
-    gadgets = {}
-    tim_edges = {}
-    monstar_edges = []
-    signals = {}
-    n_ins = len(program.instructions)
-    entry_of = {}
-
+    # each instruction's entry gadget; the last is the fall-through goal
+    entries = tuple(f"G{i}" if isinstance(ins, Halt) else f"L{i}"
+                    for i, ins in enumerate(program.instructions)) + ("Gend",)
     # Stations exist for every counter so occupancies line up with the
     # machine's counter vector; routers only where something is removed.
-    for c in range(program.num_counters):
-        gadgets[f"C{c}"] = CounterStation(c)
+    gadgets = {f"C{c}": CounterStation(c) for c in range(program.num_counters)}
+    tim_edges, signals = {}, {}
     router_doors = {}  # counter -> list of (signal, branch id)
-
     for i, ins in enumerate(program.instructions):
+        gid, nxt = entries[i], entries[i + 1]
         if isinstance(ins, Add):
-            gid = f"L{i}"
-            sig = f"add{i}"
-            gadgets[gid] = LeverPull(sig)
-            signals[sig] = Add1(ins.counter)
-            entry_of[i] = gid
+            gadgets[gid] = LeverPull(f"add{i}")
+            signals[f"add{i}"] = Add1(ins.counter)
+            tim_edges[(gid, "out")] = nxt
         elif isinstance(ins, SubBranch):
-            sub, door, br = f"L{i}", f"D{i}", f"B{i}"
-            sub_sig, door_sig = f"sub{i}", f"door{i}"
-            gadgets[sub] = LeverPull(sub_sig)
-            gadgets[door] = LeverPull(door_sig)
-            gadgets[br] = Branch()
-            signals[sub_sig] = Remove1(ins.counter)
-            signals[door_sig] = OpenDoor(f"R{ins.counter}", br)
+            door, br, door_sig = f"D{i}", f"B{i}", f"door{i}"
+            gadgets[gid], gadgets[door], gadgets[br] = LeverPull(f"sub{i}"), LeverPull(door_sig), Branch()
+            signals[f"sub{i}"], signals[door_sig] = Remove1(ins.counter), OpenDoor(f"R{ins.counter}", br)
             router_doors.setdefault(ins.counter, []).append((door_sig, br))
-            tim_edges[(sub, "out")] = door
-            tim_edges[(door, "out")] = br
-            entry_of[i] = sub
+            tim_edges[(gid, "out")], tim_edges[(door, "out")] = door, br
+            tim_edges[(br, "monstar")], tim_edges[(br, "empty")] = nxt, entries[ins.target]
         else:  # Halt
-            gid = f"G{i}"
             gadgets[gid] = Goal()
-            entry_of[i] = gid
     gadgets["Gend"] = Goal()
-    entry_of[n_ins] = "Gend"
 
+    monstar_edges = []
     for c, doors in router_doors.items():
         gadgets[f"R{c}"] = TrapRouter(tuple(doors))
-        monstar_edges.append((f"C{c}", f"R{c}"))
-        for _, br in doors:
-            monstar_edges.append((f"R{c}", br))
+        monstar_edges += [(f"C{c}", f"R{c}")] + [(f"R{c}", br) for _, br in doors]
 
-    # Control-flow edges between instructions.
-    for i, ins in enumerate(program.instructions):
-        if isinstance(ins, Add):
-            tim_edges[(entry_of[i], "out")] = entry_of[i + 1]
-        elif isinstance(ins, SubBranch):
-            tim_edges[(f"B{i}", "monstar")] = entry_of[i + 1]
-            tim_edges[(f"B{i}", "empty")] = entry_of[ins.target]
-
-    return Level(
-        gadgets=gadgets,
-        tim_edges=tim_edges,
-        monstar_edges=tuple(monstar_edges),
-        signals=signals,
-        entry=entry_of[0],
-        num_counters=program.num_counters,
-        instruction_entries=tuple(entry_of[i] for i in range(n_ins + 1)),
-        init_counters=program.init_counters,
-    )
+    return Level(gadgets=gadgets, tim_edges=tim_edges, monstar_edges=tuple(monstar_edges), signals=signals,
+                 entry=entries[0], num_counters=program.num_counters, instruction_entries=entries,
+                 init_counters=program.init_counters)
 
 
 # Opcodes of the lowered step table
@@ -298,30 +282,6 @@ def _run(table, pos, counters, flight, ticks, max_ticks):
     return pos, ticks, False
 
 
-def _advance(level: Level, c: LevelConfig, max_ticks: int):
-    """Run the level from c to a goal or to max_ticks ticks. Returns
-    (solved, ticks, config), config None once solved."""
-    if c.ticks >= max_ticks:
-        return False, c.ticks, c
-    table, index, names = _lower(level, c.in_flight)
-    counters = list(c.counters)
-    flight = [0] * len(names)
-    for name in c.in_flight:
-        flight[index[name]] += 1
-    pos, ticks, solved = _run(table, index[c.tim_at], counters, flight, c.ticks, max_ticks)
-    if solved:
-        return True, ticks, None
-    in_flight = sorted(names[i] for i, n in enumerate(flight) for _ in range(n))
-    return False, ticks, LevelConfig(names[pos], tuple(counters), tuple(in_flight), ticks)
-
-
-def level_step(level: Level, c: LevelConfig):
-    """One deterministic tick of the token semantics. Returns the next
-    LevelConfig, or SOLVED when the player stands at a goal."""
-    solved, _, nxt = _advance(level, c, c.ticks + 1)
-    return SOLVED if solved else nxt
-
-
 @dataclass(frozen=True)
 class LevelRunResult:
     kind: str  # "solved" | "budget"
@@ -330,11 +290,31 @@ class LevelRunResult:
 
 
 def level_run(level: Level, max_ticks: int, init: LevelConfig = None) -> LevelRunResult:
+    """Run the level from init, by default its start, to a goal or to
+    max_ticks ticks in all."""
     if max_ticks < 0:
         raise ValueError("max_ticks must be >= 0")
     c = initial_level_config(level) if init is None else init
-    solved, ticks, end = _advance(level, c, max_ticks)
-    return LevelRunResult("solved", ticks) if solved else LevelRunResult("budget", ticks, end)
+    if c.ticks >= max_ticks:
+        return LevelRunResult("budget", c.ticks, c)
+    table, index, names = _lower(level, c.in_flight)
+    counters = list(c.counters)
+    flight = [0] * len(names)
+    for name in c.in_flight:
+        flight[index[name]] += 1
+    pos, ticks, solved = _run(table, index[c.tim_at], counters, flight, c.ticks, max_ticks)
+    if solved:
+        return LevelRunResult("solved", ticks)
+    in_flight = sorted(names[i] for i, n in enumerate(flight) for _ in range(n))
+    return LevelRunResult("budget", ticks, LevelConfig(names[pos], tuple(counters), tuple(in_flight), ticks))
+
+
+def level_step(level: Level, c: LevelConfig):
+    """One deterministic tick of the token semantics, a level_run to
+    c.ticks + 1. Returns the next LevelConfig, or SOLVED when the player
+    stands at a goal."""
+    res = level_run(level, c.ticks + 1, c)
+    return SOLVED if res.kind == SOLVED else res.config
 
 
 class BoundaryRecord(NamedTuple):
@@ -457,35 +437,24 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
 # Serialization
 
 def level_to_json(level: Level) -> str:
-    def gadget_obj(g):
-        if isinstance(g, LeverPull):
-            return {"kind": "lever", "signal": g.signal}
-        if isinstance(g, Branch):
-            return {"kind": "branch"}
-        if isinstance(g, CounterStation):
-            return {"kind": "counter", "counter": g.counter}
-        if isinstance(g, TrapRouter):
-            return {"kind": "router", "doors": [list(d) for d in g.doors]}
-        return {"kind": "goal"}
-
-    def effect_obj(e):
-        if isinstance(e, Add1):
-            return {"effect": "add1", "counter": e.counter}
-        if isinstance(e, Remove1):
-            return {"effect": "remove1", "counter": e.counter}
-        return {"effect": "open-door", "router": e.router, "branch": e.branch}
-
     obj = {
         "entry": level.entry,
         "num_counters": level.num_counters,
-        "gadgets": {gid: gadget_obj(g) for gid, g in sorted(level.gadgets.items())},
+        "gadgets": {gid: _tagged(g) for gid, g in sorted(level.gadgets.items())},
         "tim_edges": [{"from": gid, "exit": label, "to": dst} for (gid, label), dst in sorted(level.tim_edges.items())],
-        "monstar_edges": [list(e) for e in level.monstar_edges],
-        "signals": {sig: effect_obj(e) for sig, e in sorted(level.signals.items())},
-        "instruction_entries": list(level.instruction_entries),
-        "init_counters": list(level.init_counters),
+        "monstar_edges": level.monstar_edges,
+        "signals": {sig: _tagged(e) for sig, e in sorted(level.signals.items())},
+        "instruction_entries": level.instruction_entries,
+        "init_counters": level.init_counters,
     }
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _tagged(x):
+    """A gadget or signal effect as a JSON object: its tag and its fields
+    (tuples dump as arrays)."""
+    key, name = _TAG_OF[type(x)]
+    return {key: name, **{f: getattr(x, f) for f in _FIELDS[type(x)]}}
 
 
 def level_from_json(text: str) -> Level:
@@ -495,37 +464,12 @@ def level_from_json(text: str) -> Level:
         raise LevelFormatError(str(e))
     if not isinstance(obj, dict):
         raise LevelFormatError("level JSON must be an object")
-
-    def gadget(o):
-        kind = o.get("kind")
-        if kind == "lever":
-            return LeverPull(o["signal"])
-        if kind == "branch":
-            return Branch()
-        if kind == "counter":
-            return CounterStation(o["counter"])
-        if kind == "router":
-            return TrapRouter(tuple(tuple(d) for d in o["doors"]))
-        if kind == "goal":
-            return Goal()
-        raise LevelFormatError(f"unknown gadget kind {kind!r}")
-
-    def effect(o):
-        e = o.get("effect")
-        if e == "add1":
-            return Add1(o["counter"])
-        if e == "remove1":
-            return Remove1(o["counter"])
-        if e == "open-door":
-            return OpenDoor(o["router"], o["branch"])
-        raise LevelFormatError(f"unknown signal effect {e!r}")
-
     try:
         return Level(
-            gadgets={gid: gadget(g) for gid, g in obj["gadgets"].items()},
+            gadgets={gid: _untagged(g, "kind", "gadget kind") for gid, g in obj["gadgets"].items()},
             tim_edges={(e["from"], e["exit"]): e["to"] for e in obj["tim_edges"]},
             monstar_edges=tuple(tuple(e) for e in obj["monstar_edges"]),
-            signals={sig: effect(e) for sig, e in obj["signals"].items()},
+            signals={sig: _untagged(e, "effect", "signal effect") for sig, e in obj["signals"].items()},
             entry=obj["entry"],
             num_counters=obj["num_counters"],
             instruction_entries=tuple(obj.get("instruction_entries", ())),
@@ -535,6 +479,18 @@ def level_from_json(text: str) -> Level:
         raise LevelFormatError(f"missing field {e}")
     except (AttributeError, TypeError) as e:
         raise LevelFormatError(f"malformed level: {e}")
+
+
+def _untagged(o, key, what):
+    """The gadget or signal effect of a JSON object tagged at key."""
+    name = o.get(key)
+    try:
+        cls = _KINDS[key][name]
+    except (KeyError, TypeError):  # TypeError: a list or object as the tag
+        raise LevelFormatError(f"unknown {what} {name!r}") from None
+    if cls is TrapRouter:  # hashable doors; Level checks that each is a pair
+        return TrapRouter(tuple(tuple(d) if isinstance(d, list) else d for d in o["doors"]))
+    return cls(*[o[f] for f in _FIELDS[cls]])
 
 
 def level_to_dot(level: Level) -> str:

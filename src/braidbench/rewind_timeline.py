@@ -71,6 +71,8 @@ class GameSpec:
         if self.max_speed < 1:
             raise ValueError("max_speed must be >= 1")
         timed, immune = set(self.timed_states), set(self.immune_states)
+        if len(timed) < len(self.timed_states) or len(immune) < len(self.immune_states):
+            raise ValueError("a timed or immune state is listed twice")
         if self.init_timed not in timed or self.init_immune not in immune:
             raise ValueError("initial state outside the enumerations")
         for (m, t), outs in self.moves.items():

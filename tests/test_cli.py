@@ -15,12 +15,23 @@ from braidbench.cli import main
 from braidbench.counter_machine import parse_counter_program
 from braidbench.gadget_compiler import compile, level_to_json
 from braidbench.oracle_sim import Certificate, check_certificate, det_behavior_oracle
+from braidbench.tour_guide import nondet_guide_bound
+from test_acceptance import CORPUS
 
 ADDER = "counters 1\n0: add 0\n1: halt\n"
 TRIVIAL_REACH = "states 2\nsymbols 2\nstart 0\naccept\ntarget 0\ndeterministic false\n"
 DRIFTER = "states 1\nsymbols 1\nstart 0\naccept\ndeterministic true\ntrans 0 0 right 0\n"
 RIGHT_WRITER = "states 2\nsymbols 2\nstart 0\naccept\ntarget 1\ntrans 0 0 write 1 0\ntrans 0 1 right 0\n"
 GAME = "timed t0 t1\nimmune m0\nstart m0 t0\nspeed 2\nmove m0 t0 m0 t1\ngoal m0 t1\n"
+# Writes a marker, then pairs of 1s, then walks back flipping parity, so
+# target 8 is unreachable; no n-gram proof closes, so btm-reach answers by
+# a BFS that hits any small cap. Padding the state count changes nothing
+# but the exact bound.
+PARITY = (
+    "symbols 3\nstart 0\naccept\ntarget 8\n"
+    "trans 0 0 write 2 1\ntrans 1 2 right 2\ntrans 2 0 write 1 3\ntrans 3 1 right 4\ntrans 4 0 write 1 5\n"
+    "trans 5 1 right 2\ntrans 5 1 left 7\ntrans 6 1 left 7\ntrans 7 1 left 6\ntrans 7 2 write 2 8\n"
+)
 SCANNER = (
     "states 3\nsymbols 3\nstart 0\naccept 2\ndeterministic true\n"
     "trans 0 1 right 0\ntrans 0 2 right 1\n"
@@ -115,13 +126,33 @@ def test_btm_oracle_default_cap_is_det_bound_plus_one(tmp_path, capsys, monkeypa
     assert caps == [6]
 
 
-@pytest.mark.parametrize("cap,warned", [(24576, True), (24577, False)])
-def test_btm_reach_warns_below_nondet_bound_plus_one(tmp_path, capsys, cap, warned):
-    # a 2-state machine with a target: nondet bound 24 576, so the exact cap is 24 577
-    assert main(["--max-cells", str(cap), "btm-reach", write(tmp_path, "t.btm", TRIVIAL_REACH)]) == 0
-    err = capsys.readouterr().err
-    assert err == (f"warning: cell cap {cap} is below the exact bound 24577; "
-                   "a not-reached verdict is only bounded\n" if warned else "")
+@pytest.mark.parametrize("cap", [9, 12])
+def test_btm_reach_warns_below_nondet_bound_plus_one(tmp_path, capsys, cap):
+    assert main(["--max-cells", str(cap), "btm-reach", write(tmp_path, "p.btm", "states 9\n" + PARITY)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("not-reached (explored ")
+    bound = nondet_guide_bound(9) + 1
+    assert bound == 14953814952580303570167829428153876481
+    assert err == f"warning: cell cap {cap} is below the exact bound {bound}; a not-reached verdict is only bounded\n"
+
+
+@pytest.mark.parametrize("btm,cap,verdict", [
+    # the 2-state nondet bound is 24 576, so the exact cap is 24 577
+    (TRIVIAL_REACH, 24576, "reached (explored 1 configurations)"),
+    (TRIVIAL_REACH, 24577, "reached (explored 1 configurations)"),
+    (RIGHT_WRITER, 3, "not-reached (closed 1-gram set, 4 windows)"),
+], ids=["reached", "reached-at-bound", "certified"])
+def test_btm_reach_warns_only_beside_a_bounded_verdict(tmp_path, capsys, btm, cap, verdict):
+    assert main(["--max-cells", str(cap), "btm-reach", write(tmp_path, "t.btm", btm)]) == 0
+    assert capsys.readouterr() == (verdict + "\n", "")
+
+
+def test_btm_reach_bounded_verdict_at_the_bound_is_not_warned(tmp_path, capsys, monkeypatch):
+    # a BFS at the exact cap cannot finish on the parity machine, so the
+    # exact cap is taken to be 9 here
+    monkeypatch.setattr(cli, "default_cell_cap", lambda spec: 9)
+    assert main(["--max-cells", "9", "btm-reach", write(tmp_path, "p.btm", "states 9\n" + PARITY)]) == 0
+    assert capsys.readouterr() == ("not-reached (explored 39 configurations)\n", "")
 
 
 def test_trace_file_replays(tmp_path, capsys):
@@ -153,6 +184,18 @@ def test_compile_sim_dot_pipeline(tmp_path, capsys):
     assert "solved" in capsys.readouterr().out
     assert main(["level-dot", level_path]) == 0
     assert capsys.readouterr().out.startswith("digraph level {")
+
+
+def test_level_file_bytes_are_pinned(tmp_path, capsys):
+    # the adder starts from `init` counters and compiles two subb
+    # instructions, so its level has every gadget kind and signal effect
+    data = Path(__file__).parent / "data"
+    level_path, dot_path = tmp_path / "adder.json", tmp_path / "adder.dot"
+    assert main(["cm-compile", write(tmp_path, "adder.cm", CORPUS["adder"]), "-o", str(level_path)]) == 0
+    assert main(["level-dot", str(level_path), "-o", str(dot_path)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert level_path.read_bytes() == (data / "adder.level.json").read_bytes()
+    assert dot_path.read_bytes() == (data / "adder.dot").read_bytes()
 
 
 @pytest.mark.parametrize("command,name,text", [
@@ -207,12 +250,12 @@ def test_writers_open_without_truncating(tmp_path, capsys, monkeypatch):
 
 
 def test_parser_reuse_carries_no_option_over(tmp_path, capsys):
-    reach, scan = write(tmp_path, "t.btm", TRIVIAL_REACH), write(tmp_path, "scan.btm", SCANNER)
-    assert main(["--max-cells", "9", "--format", "json", "btm-reach", reach]) == 0
+    parity, scan = write(tmp_path, "p.btm", "states 9\n" + PARITY), write(tmp_path, "scan.btm", SCANNER)
+    assert main(["--max-cells", "9", "--format", "json", "btm-reach", parity]) == 0
     out, err = capsys.readouterr()
-    assert json.loads(out)["verdict"] == "reached" and err.startswith("warning: cell cap 9 ")
-    assert main(["btm-reach", reach]) == 0
-    assert capsys.readouterr() == ("reached (explored 1 configurations)\n", "")
+    assert json.loads(out)["verdict"] == "not-reached" and err.startswith("warning: cell cap 9 ")
+    assert main(["btm-reach", parity]) == 0
+    assert capsys.readouterr() == ("unresolved (budget of 100000 configurations exceeded)\n", "")
     assert main(["btm-decide", scan, "--input", "12"]) == 0
     assert capsys.readouterr().out == "accept\n"
     assert main(["btm-decide", scan]) == 0
@@ -266,13 +309,11 @@ def test_budget_flags_checked_before_any_work(tmp_path, capsys, argv, name, text
 
 
 def test_btm_reach_warns_with_a_bound_too_long_for_decimal(tmp_path, capsys):
-    # a 130-state counter that blank-writes its way to the target; the
-    # nondet bound for 130 states has over 5 000 digits
-    btm = write(tmp_path, "c.btm", "states 130\nsymbols 2\nstart 0\naccept\ntarget 129\n"
-                + "".join(f"trans {q} 0 write 0 {q + 1}\n" for q in range(129)))
-    assert main(["--max-cells", "9", "btm-reach", btm]) == 0
+    # the parity machine padded to 130 states: the nondet bound for 130
+    # states has over 5 000 digits
+    assert main(["--max-cells", "9", "btm-reach", write(tmp_path, "p.btm", "states 130\n" + PARITY)]) == 0
     out, err = capsys.readouterr()
-    assert out == "reached (explored 130 configurations)\n"
+    assert out == "not-reached (explored 39 configurations)\n"
     assert err == ("warning: cell cap 9 is below the exact bound of 17435 bits; "
                    "a not-reached verdict is only bounded\n")
 

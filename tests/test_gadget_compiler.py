@@ -523,9 +523,7 @@ NON_INT_LEVELS = {
 }
 
 
-@pytest.mark.parametrize("edit", NON_INT_LEVELS.values(), ids=NON_INT_LEVELS.keys())
-def test_level_rejects_non_int_counters(tmp_path, capsys, edit):
-    text = _int_edit(edit)
+def assert_rejected(tmp_path, capsys, text):
     with pytest.raises(LevelFormatError):
         level_from_json(text)
     path = tmp_path / "l.json"
@@ -534,3 +532,31 @@ def test_level_rejects_non_int_counters(tmp_path, capsys, edit):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("edit", NON_INT_LEVELS.values(), ids=NON_INT_LEVELS.keys())
+def test_level_rejects_non_int_counters(tmp_path, capsys, edit):
+    assert_rejected(tmp_path, capsys, _int_edit(edit))
+
+
+def _doors(doors, signal="door1"):
+    """Router R0's doors, with the door signal renamed to signal."""
+    def edit(o):
+        o["signals"][signal] = o["signals"].pop("door1")
+        o["gadgets"]["D1"]["signal"] = signal
+        o["gadgets"]["R0"]["doors"] = doors
+    return edit
+
+
+# each door must be a [signal, branch] pair of a declared signal and an existing gadget
+BAD_DOORS = {
+    "one-item": _doors([["door1"]]),
+    "three-items": _doors([["door1", "B1", "B1"]]),
+    "string": _doors(["sB"], signal="s"),  # not the door ("s", "B")
+    "missing-branch": _doors([["door1", "B9"]]),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_DOORS.values(), ids=BAD_DOORS.keys())
+def test_level_rejects_malformed_router_doors(tmp_path, capsys, edit):
+    assert_rejected(tmp_path, capsys, _int_edit(edit))

@@ -186,6 +186,15 @@ def test_gamespec_validation():
         GameSpec(("t0",), ("m0",), "m0", "t0", {}, frozenset(), max_speed=0)
 
 
+def test_gamespec_rejects_repeated_names():
+    with pytest.raises(ValueError):
+        GameSpec(("a", "a", "b"), ("m0",), "m0", "a", {}, frozenset())
+    with pytest.raises(ValueError):
+        GameSpec(("t0",), ("m0", "m0"), "m0", "t0", {}, frozenset())
+    with pytest.raises(GameParseError):
+        parse_game("timed a a b\nimmune m0\nstart m0 a\n")
+
+
 def test_parse_game_round_trip():
     text = """
     # toy game
