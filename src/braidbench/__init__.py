@@ -45,8 +45,6 @@ from .tour_guide import (
     DESTROY_ME,
     LOOP_FOREVER,
     REJECT,
-    ReturnInState,
-    TourGuide,
     compute_guide,
     decide_det_braidlike,
     decide_reachability,

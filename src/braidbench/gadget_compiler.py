@@ -118,6 +118,10 @@ class Level:
                         raise LevelFormatError(f"router door signal {sig!r} undeclared")
                     if branch not in self.gadgets:
                         raise LevelFormatError(f"router {gid!r} opens onto missing gadget {branch!r}")
+        for edge in self.monstar_edges:
+            if not (isinstance(edge, tuple) and len(edge) == 2
+                    and edge[0] in self.gadgets and edge[1] in self.gadgets):
+                raise LevelFormatError(f"monstar edge {edge!r} is not a pair of existing gadgets")
         for (gid, _), target in self.tim_edges.items():
             if gid not in self.gadgets or target not in self.gadgets:
                 raise LevelFormatError(f"tim edge {gid!r} -> {target!r} references a missing gadget")
@@ -468,7 +472,7 @@ def level_from_json(text: str) -> Level:
         return Level(
             gadgets={gid: _untagged(g, "kind", "gadget kind") for gid, g in obj["gadgets"].items()},
             tim_edges={(e["from"], e["exit"]): e["to"] for e in obj["tim_edges"]},
-            monstar_edges=tuple(tuple(e) for e in obj["monstar_edges"]),
+            monstar_edges=tuple(tuple(e) if isinstance(e, list) else e for e in obj["monstar_edges"]),
             signals={sig: _untagged(e, "effect", "signal effect") for sig, e in obj["signals"].items()},
             entry=obj["entry"],
             num_counters=obj["num_counters"],

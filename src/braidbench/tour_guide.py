@@ -10,13 +10,10 @@ the deciders below work.
 
 decide_det_braidlike is the one deterministic guide walk: on a read-only
 machine and an input it is Shepherdson's (1959) crossing-sequence
-construction, and DestroyMe extends it to writing machines on the blank tape.
+construction, and DESTROY_ME extends it to writing machines on the blank tape.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from enum import Enum
 
 from .braidlike_tm import (
     MachineSpec,
@@ -35,29 +32,9 @@ class GuideInvariantError(RuntimeError):
     """A runtime check on the guide machinery failed (internal error)."""
 
 
-class Response(Enum):
-    """A guide's answers other than ReturnInState, which carries the state
-    of the next rightward crossing. The values of ACCEPT, REJECT and
-    LOOP_FOREVER are the deciders' verdict strings."""
-
-    ACCEPT = "accept"
-    REJECT = "reject"
-    LOOP_FOREVER = "loop"
-    DESTROY_ME = "destroy-me"
-
-
-ACCEPT, REJECT, LOOP_FOREVER, DESTROY_ME = Response
-
-
-@dataclass(frozen=True)
-class ReturnInState:
-    state: int
-
-
-@dataclass(frozen=True)
-class TourGuide:
-    answers: tuple  # indexed by state
-    creation_state: int = None
+# A guide's answers other than an int, the state of the next rightward
+# crossing. The first three are the deciders' verdict strings.
+ACCEPT, REJECT, LOOP_FOREVER, DESTROY_ME = "accept", "reject", "loop", "destroy-me"
 
 
 def det_guide_bound(n_states: int) -> int:
@@ -86,17 +63,18 @@ def default_cell_cap(spec: MachineSpec) -> int:
     return bound(spec.num_states) + 1
 
 
-def compute_guide(left, cell_symbol: int, spec: MachineSpec, creation_state: int = None) -> TourGuide:
-    """Summarize the boundary whose left cell holds cell_symbol.
+def compute_guide(left, cell_symbol: int, spec: MachineSpec) -> tuple:
+    """Summarize the boundary whose left cell holds cell_symbol: the answer
+    for each entry state, as a tuple indexed by state.
 
     left is the guide one boundary further left, or None at the wall. For
-    each state the local walk sits at the left cell: a right move returns;
-    an enabled write destroys this guide (the write lands at or left of her
-    cell); a left move defers to the left guide, whose DestroyMe propagates
-    (the destroying write is strictly left of here, so it takes this guide
-    out too). A repeated local state is a proven loop; the walk is bounded
-    by N steps per state because any write ends it immediately, so the cell
-    symbol is constant throughout.
+    each state the local walk sits at the left cell: a right move returns
+    the state it crosses in; an enabled write destroys this guide (the
+    write lands at or left of her cell); a left move defers to the left
+    guide, whose DESTROY_ME propagates (the destroying write is strictly
+    left of here, so it takes this guide out too). A repeated local state
+    is a proven loop; the walk is bounded by N steps per state because any
+    write ends it immediately, so the cell symbol is constant throughout.
     """
     if not spec.deterministic:
         raise ValueError("compute_guide requires a deterministic machine")
@@ -118,22 +96,18 @@ def compute_guide(left, cell_symbol: int, spec: MachineSpec, creation_state: int
                 break
             action, nxt = succs[0]
             if isinstance(action, MoveRight):
-                answers.append(ReturnInState(nxt))
+                answers.append(nxt)
                 break
             if isinstance(action, Write):
                 answers.append(DESTROY_ME)
                 break
-            # MoveLeft
-            if left is None:
-                answers.append(REJECT)  # stuck at the left endpoint
+            # MoveLeft; at the wall it is stuck
+            r = REJECT if left is None else left[nxt]
+            if not isinstance(r, int):
+                answers.append(r)  # ACCEPT / REJECT / LOOP_FOREVER / DESTROY_ME
                 break
-            r = left.answers[nxt]
-            if isinstance(r, ReturnInState):
-                cur = r.state
-                continue
-            answers.append(r)  # ACCEPT / REJECT / LOOP_FOREVER / DESTROY_ME
-            break
-    return TourGuide(tuple(answers), creation_state)
+            cur = r
+    return tuple(answers)
 
 
 def decide_det_braidlike(spec: MachineSpec, input_symbols=None) -> str:
@@ -141,18 +115,19 @@ def decide_det_braidlike(spec: MachineSpec, input_symbols=None) -> str:
     deterministic read-only machine on input_symbols.
 
     Simulates with a chain of alive guides, one per boundary the head has
-    crossed. Rightward moves mint a guide; leftward moves consult the guide
-    at the crossed boundary, dropping to concrete simulation only on a
-    DestroyMe answer. A write at cell j truncates tape and chain at j.
-    Every (state, head, tape) the walk visits is a configuration of the
-    run, so a repeated one is a loop. So is a freshly minted guide equal to
+    crossed, each kept with the state the head crossed it in. Rightward
+    moves mint a guide; leftward moves consult the guide at the crossed
+    boundary, dropping to concrete simulation only on a DESTROY_ME answer.
+    A write at cell j truncates tape and chain at j. Every (state, head,
+    tape) the walk visits is a configuration of the run, so a repeated one
+    is a loop. So is a freshly minted (guide, crossing state) pair equal to
     an alive one when both were minted at cells at or past the input's end.
     That rule is sound only where everything right of both guides is blank:
     the head then crosses both boundaries in the same state, with the same
     summary to its left and the same blank tape to its right, so the
     stretch between them repeats forever.
 
-    Always terminates. Alive guides past the input are distinct, so the
+    Always terminates. Alive pairs past the input are distinct, so the
     chain holds at most len(input) + det_guide_bound guides; the head never
     passes the end of the chain (checked every step), so the walk visits
     finitely many configurations. Returns "accept" | "reject" | "loop".
@@ -168,8 +143,8 @@ def decide_det_braidlike(spec: MachineSpec, input_symbols=None) -> str:
     n = len(tape)  # guides minted at cells >= n have only blanks to their right
     state, head, tape_id = spec.start_state, 0, 0
     tape_ids = {tape: 0}  # interned, so a step hashes the tape only when a write changes it
-    chain = []  # chain[k] guards boundary (k, k+1)
-    alive = set()  # guides minted at cells >= n
+    chain = []  # chain[k] = (guide, crossing state) at boundary (k, k+1)
+    alive = set()  # chain pairs minted at cells >= n
     visited = set()
     while True:
         if state in spec.accept_states:
@@ -188,29 +163,28 @@ def decide_det_braidlike(spec: MachineSpec, input_symbols=None) -> str:
         if isinstance(action, MoveLeft):
             if head == 0:
                 return "reject"  # stuck at the left endpoint
-            r = chain[head - 1].answers[nxt]
-            if isinstance(r, ReturnInState):
-                state = r.state  # summarized round trip; head stays put
-            elif r is DESTROY_ME:  # proceed as if the guide didn't exist
+            r = chain[head - 1][0][nxt]
+            if isinstance(r, int):
+                state = r  # summarized round trip; head stays put
+            elif r == DESTROY_ME:  # proceed as if the guide didn't exist
                 state, head = nxt, head - 1
             else:
-                return r.value
+                return r
         elif isinstance(action, MoveRight):
             if head < len(chain):
                 # A guide promised destruction before this crossing.
                 raise GuideInvariantError("destroy-me prophecy violated by a rightward crossing")
-            guide = compute_guide(chain[-1] if chain else None, sym, spec, creation_state=nxt)
+            crossing = (compute_guide(chain[-1][0] if chain else None, sym, spec), nxt)
             if head >= n:
-                if guide in alive:
-                    return "loop"  # two identical guides: the stretch between them repeats forever
-                alive.add(guide)
-            chain.append(guide)
+                if crossing in alive:
+                    return "loop"  # the stretch between the two equal pairs repeats forever
+                alive.add(crossing)
+            chain.append(crossing)
             state, head = nxt, head + 1
         else:  # Write
             tape = write_tape(tape, head, action.symbol)
             tape_id = tape_ids.setdefault(tape, len(tape_ids))
-            for g in chain[head:]:
-                alive.discard(g)
+            alive.difference_update(chain[head:])
             del chain[head:]
             state = nxt
 

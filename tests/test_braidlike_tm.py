@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -55,6 +56,25 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(BTMParseError) as exc:
         parse_btm("states 1\nsymbols 1\nstart 0\ntrans 0 0 teleport 0\n")
     assert exc.value.lineno == 4
+
+
+BTM_HEADER = "states 1\nsymbols 1\nstart 0\n"
+
+
+# (text, line number, message): a MachineSpec check reports line 0
+@pytest.mark.parametrize("text,lineno,message", [
+    (BTM_HEADER + "accept 3\n", 0, "accept state 3 out of range"),
+    (BTM_HEADER + "target 2\n", 0, "target state out of range"),
+    (BTM_HEADER + "trans 2 0 right 0\n", 0, "transition key (2, 0) out of range"),
+    (BTM_HEADER + "trans 0 0 right 4\n", 0, "transition from (0, 0) to state 4 out of range"),
+    (BTM_HEADER + "accept 0 x\n", 4, "accept states must be integers"),
+    (BTM_HEADER + "trans 0 0\n", 4, "truncated transition"),
+    (BTM_HEADER + "trans 0 0 left 0 0\n", 4, "expected `trans <q> <a> left <q'>`"),
+])
+def test_parse_error_class_and_line(text, lineno, message):
+    with pytest.raises(BTMParseError, match=re.escape(f"line {lineno}: {message}")) as exc:
+        parse_btm(text)
+    assert exc.value.lineno == lineno
 
 
 def test_parse_out_of_range_state():

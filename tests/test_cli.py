@@ -14,8 +14,8 @@ from braidbench.braidlike_tm import Configuration, parse_btm, successors
 from braidbench.cli import main
 from braidbench.counter_machine import parse_counter_program
 from braidbench.gadget_compiler import compile, level_to_json
-from braidbench.oracle_sim import Certificate, check_certificate, det_behavior_oracle
-from braidbench.tour_guide import nondet_guide_bound
+from braidbench.oracle_sim import Certificate, check_certificate, det_behavior_oracle, read_only_oracle
+from braidbench.tour_guide import GuideInvariantError, nondet_guide_bound
 from test_acceptance import CORPUS
 
 ADDER = "counters 1\n0: add 0\n1: halt\n"
@@ -108,6 +108,29 @@ def test_btm_decide_with_input(tmp_path, capsys):
 def test_btm_oracle(tmp_path, capsys):
     assert main(["btm-oracle", write(tmp_path, "t.btm", TRIVIAL_REACH)]) == 0
     assert "reached" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["12", "21", ""])
+def test_btm_oracle_with_input_is_read_only_oracle(tmp_path, capsys, text):
+    path = write(tmp_path, "scan.btm", SCANNER)
+    res = read_only_oracle(parse_btm(SCANNER), tuple(int(ch) for ch in text))
+    assert main(["btm-oracle", path, "--input", text]) == 0
+    assert capsys.readouterr().out == f"{res.kind} (explored {res.explored})\n"
+    assert main(["--format", "json", "btm-oracle", path, "--input", text]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "btm-oracle", "verdict": res.kind, "explored": res.explored,
+        "witness": None, "certificate": None}
+
+
+def test_guide_invariant_error_exits_two(tmp_path, capsys, monkeypatch):
+    def broken(spec, inp=None):
+        raise GuideInvariantError("head beyond the end of the guide chain")
+
+    monkeypatch.setattr(cli, "decide_det_braidlike", broken)
+    assert main(["btm-decide", write(tmp_path, "d.btm", DRIFTER)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: head beyond the end of the guide chain\n"
 
 
 def test_btm_oracle_default_cap_is_det_bound_plus_one(tmp_path, capsys, monkeypatch):

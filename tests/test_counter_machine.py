@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -41,6 +42,17 @@ def test_parse_out_of_order_index():
     with pytest.raises(CMParseError) as exc:
         parse_counter_program("counters 1\n1: add 0")
     assert exc.value.lineno == 2
+
+
+@pytest.mark.parametrize("text,lineno,message", [
+    ("counters x\n0: halt\n", 1, "expected `counters <k>`"),
+    ("counters 1\nadd 0\n", 2, "expected `<i>:` instruction label, got 'add'"),
+    ("counters 1\n0: halt 3\n", 2, "halt takes no arguments"),
+])
+def test_parse_error_class_and_line(text, lineno, message):
+    with pytest.raises(CMParseError, match=re.escape(f"line {lineno}: {message}")) as exc:
+        parse_counter_program(text)
+    assert exc.value.lineno == lineno
 
 
 def test_parse_missing_header():

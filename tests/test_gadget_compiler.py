@@ -560,3 +560,23 @@ BAD_DOORS = {
 @pytest.mark.parametrize("edit", BAD_DOORS.values(), ids=BAD_DOORS.keys())
 def test_level_rejects_malformed_router_doors(tmp_path, capsys, edit):
     assert_rejected(tmp_path, capsys, _int_edit(edit))
+
+
+def _monstar_edges(edges):
+    def edit(o):
+        o["monstar_edges"] = edges
+    return edit
+
+
+# each monstar edge must be a [from, to] pair of existing gadgets
+BAD_MONSTAR_EDGES = {
+    "string": _monstar_edges(["sa"]),  # not the edge ("s", "a")
+    "missing-gadget": _monstar_edges([["C0", "nowhere"]]),
+    "one-item": _monstar_edges([["x"]]),
+    "three-items": _monstar_edges([[1, 2, 3]]),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_MONSTAR_EDGES.values(), ids=BAD_MONSTAR_EDGES.keys())
+def test_level_rejects_malformed_monstar_edges(tmp_path, capsys, edit):
+    assert_rejected(tmp_path, capsys, _int_edit(edit))

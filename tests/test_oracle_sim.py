@@ -22,6 +22,7 @@ from braidbench.oracle_sim import (
     reach_bfs,
     read_only_oracle,
 )
+from braidbench.tour_guide import decide_det_braidlike
 from reference_bfs import tuple_halts, tuple_reach_bfs
 
 
@@ -217,6 +218,18 @@ def test_read_only_immediate_accept():
 
 def test_read_only_drifter_loops_on_empty():
     assert read_only_oracle(right_drifter(), ()).kind == "loop"
+
+
+def test_read_only_negative_drift_rides_home():
+    # Past the input, state 4 recurs one cell further left (a negative
+    # drift), so the head rides back into the input region and gets stuck
+    # at the wall: reject, not loop.
+    moves = [MOVE_RIGHT] * 4 + [MOVE_LEFT, MOVE_LEFT, MOVE_RIGHT]
+    nexts = [1, 2, 3, 4, 5, 6, 4]
+    spec = spec_of({(q, 0): ((m, nxt),) for q, (m, nxt) in enumerate(zip(moves, nexts))}, 7, 1, det=True)
+    res = read_only_oracle(spec, ())
+    assert (res.kind, res.explored) == ("reject", 14)
+    assert decide_det_braidlike(spec, ()) == "reject"
 
 
 def test_read_only_scanner_examples():

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,6 +194,23 @@ def test_gamespec_rejects_repeated_names():
         GameSpec(("t0",), ("m0", "m0"), "m0", "t0", {}, frozenset())
     with pytest.raises(GameParseError):
         parse_game("timed a a b\nimmune m0\nstart m0 a\n")
+
+
+GAME_HEADER = "timed t0\nimmune m0\nstart m0 t0\n"
+
+
+# (text, line number, message): a GameSpec check reports line 0
+@pytest.mark.parametrize("text,lineno,message", [
+    (GAME_HEADER + "move m9 t0 m0 t0\n", 0, "move source ('m9', 't0') outside the enumerations"),
+    (GAME_HEADER + "goal m0 t9\n", 0, "goal pair ('m0', 't9') outside the enumerations"),
+    ("timed t0\nimmune m0\nstart m0\n", 3, "expected `start <immune> <timed>`"),
+    (GAME_HEADER + "speed fast\n", 4, "expected `speed <k>`"),
+    (GAME_HEADER + "goal m0\n", 4, "expected `goal <immune> <timed>`"),
+])
+def test_parse_game_error_class_and_line(text, lineno, message):
+    with pytest.raises(GameParseError, match=re.escape(f"line {lineno}: {message}")) as exc:
+        parse_game(text)
+    assert exc.value.lineno == lineno
 
 
 def test_parse_game_round_trip():

@@ -15,8 +15,6 @@ from braidbench.tour_guide import (
     DESTROY_ME,
     LOOP_FOREVER,
     REJECT,
-    ReturnInState,
-    TourGuide,
     compute_guide,
     decide_det_braidlike,
     decide_reachability,
@@ -61,13 +59,12 @@ def test_bounds_reject_zero_states():
 def test_guide_all_right_movers():
     spec = spec_of({(q, 0): ((MOVE_RIGHT, (q + 1) % 3),) for q in range(3)},
                    3, 1, det=True)
-    g = compute_guide(None, 0, spec)
-    assert g.answers == (ReturnInState(1), ReturnInState(2), ReturnInState(0))
+    assert compute_guide(None, 0, spec) == (1, 2, 0)
 
 
 def test_guide_writer_answers_destroy_me():
     spec = spec_of({(0, 0): ((Write(0), 0),)}, 1, 1, det=True)
-    assert compute_guide(None, 0, spec).answers == (DESTROY_ME,)
+    assert compute_guide(None, 0, spec) == (DESTROY_ME,)
 
 
 def test_guide_local_cycle_is_loop_forever():
@@ -75,29 +72,23 @@ def test_guide_local_cycle_is_loop_forever():
     # 1 goes left, comes back in 0 — the local walk repeats a state
     spec = spec_of({(0, 0): ((MOVE_LEFT, 0),), (1, 0): ((MOVE_LEFT, 1),)},
                    2, 1, det=True)
-    left = TourGuide((ReturnInState(1), ReturnInState(0)))
-    g = compute_guide(left, 0, spec)
-    assert g.answers == (LOOP_FOREVER, LOOP_FOREVER)
+    assert compute_guide((1, 0), 0, spec) == (LOOP_FOREVER, LOOP_FOREVER)
 
 
 def test_guide_wall_makes_left_moves_reject():
     spec = spec_of({(0, 0): ((MOVE_LEFT, 0),)}, 1, 1, det=True)
-    assert compute_guide(None, 0, spec).answers == (REJECT,)
+    assert compute_guide(None, 0, spec) == (REJECT,)
 
 
 def test_guide_accept_and_destroy_propagation():
     spec = spec_of({(0, 0): ((MOVE_LEFT, 1),), (1, 0): ((MOVE_LEFT, 0),)},
                    2, 1, accept=[], det=True)
-    left = TourGuide((ACCEPT, DESTROY_ME))
-    g = compute_guide(left, 0, spec)
-    assert g.answers == (DESTROY_ME, ACCEPT)
+    assert compute_guide((ACCEPT, DESTROY_ME), 0, spec) == (DESTROY_ME, ACCEPT)
 
 
 def test_guide_accepting_state_short_circuits():
     spec = spec_of({}, 2, 1, accept=[1], det=True)
-    g = compute_guide(None, 0, spec)
-    assert g.answers[1] is ACCEPT
-    assert g.answers[0] is REJECT  # dead configuration
+    assert compute_guide(None, 0, spec) == (REJECT, ACCEPT)  # state 0 is dead
 
 
 # --- decide_det_braidlike on an input -------------------------------------
