@@ -39,8 +39,7 @@ class CounterStation:
 
 @dataclass(frozen=True)
 class TrapRouter:
-    # (door signal id, destination branch gadget id) pairs
-    doors: tuple
+    pass
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,6 @@ _EXITS = {LeverPull: ("out",), Branch: ("monstar", "empty")}
 class Level:
     gadgets: dict  # id -> Gadget
     tim_edges: dict  # (gadget id, exit label) -> gadget id
-    monstar_edges: tuple  # (from id, to id) pairs, for export only
     signals: dict  # signal id -> effect
     entry: str
     num_counters: int
@@ -109,19 +107,6 @@ class Level:
             for label in _EXITS.get(type(g), ()):
                 if (gid, label) not in self.tim_edges:
                     raise LevelFormatError(f"gadget {gid!r} has no {label!r} exit")
-            if isinstance(g, TrapRouter):
-                for door in g.doors:
-                    if not (isinstance(door, tuple) and len(door) == 2):
-                        raise LevelFormatError(f"router {gid!r} has door {door!r}, not a [signal, branch] pair")
-                    sig, branch = door
-                    if sig not in self.signals:
-                        raise LevelFormatError(f"router door signal {sig!r} undeclared")
-                    if branch not in self.gadgets:
-                        raise LevelFormatError(f"router {gid!r} opens onto missing gadget {branch!r}")
-        for edge in self.monstar_edges:
-            if not (isinstance(edge, tuple) and len(edge) == 2
-                    and edge[0] in self.gadgets and edge[1] in self.gadgets):
-                raise LevelFormatError(f"monstar edge {edge!r} is not a pair of existing gadgets")
         for (gid, _), target in self.tim_edges.items():
             if gid not in self.gadgets or target not in self.gadgets:
                 raise LevelFormatError(f"tim edge {gid!r} -> {target!r} references a missing gadget")
@@ -176,7 +161,6 @@ def compile(program: CounterProgram) -> Level:
     # machine's counter vector; routers only where something is removed.
     gadgets = {f"C{c}": CounterStation(c) for c in range(program.num_counters)}
     tim_edges, signals = {}, {}
-    router_doors = {}  # counter -> list of (signal, branch id)
     for i, ins in enumerate(program.instructions):
         gid, nxt = entries[i], entries[i + 1]
         if isinstance(ins, Add):
@@ -184,24 +168,21 @@ def compile(program: CounterProgram) -> Level:
             signals[f"add{i}"] = Add1(ins.counter)
             tim_edges[(gid, "out")] = nxt
         elif isinstance(ins, SubBranch):
-            door, br, door_sig = f"D{i}", f"B{i}", f"door{i}"
-            gadgets[gid], gadgets[door], gadgets[br] = LeverPull(f"sub{i}"), LeverPull(door_sig), Branch()
-            signals[f"sub{i}"], signals[door_sig] = Remove1(ins.counter), OpenDoor(f"R{ins.counter}", br)
-            router_doors.setdefault(ins.counter, []).append((door_sig, br))
+            door, br, door_sig, router = f"D{i}", f"B{i}", f"door{i}", _router(ins.counter)
+            gadgets.update({gid: LeverPull(f"sub{i}"), door: LeverPull(door_sig), br: Branch(), router: TrapRouter()})
+            signals[f"sub{i}"], signals[door_sig] = Remove1(ins.counter), OpenDoor(router, br)
             tim_edges[(gid, "out")], tim_edges[(door, "out")] = door, br
             tim_edges[(br, "monstar")], tim_edges[(br, "empty")] = nxt, entries[ins.target]
         else:  # Halt
             gadgets[gid] = Goal()
     gadgets["Gend"] = Goal()
+    return Level(gadgets=gadgets, tim_edges=tim_edges, signals=signals, entry=entries[0],
+                 num_counters=program.num_counters, instruction_entries=entries, init_counters=program.init_counters)
 
-    monstar_edges = []
-    for c, doors in router_doors.items():
-        gadgets[f"R{c}"] = TrapRouter(tuple(doors))
-        monstar_edges += [(f"C{c}", f"R{c}")] + [(f"R{c}", br) for _, br in doors]
 
-    return Level(gadgets=gadgets, tim_edges=tim_edges, monstar_edges=tuple(monstar_edges), signals=signals,
-                 entry=entries[0], num_counters=program.num_counters, instruction_entries=entries,
-                 init_counters=program.init_counters)
+def _router(counter):
+    """The location a remove1 on counter sends its monstar to."""
+    return f"R{counter}"
 
 
 # Opcodes of the lowered step table
@@ -238,7 +219,7 @@ def _lower(level: Level, in_flight=()):
             if isinstance(eff, Add1):
                 row = (_ADD, eff.counter, 0, out, 0)
             elif isinstance(eff, Remove1):
-                row = (_REMOVE, eff.counter, loc(f"R{eff.counter}"), out, 0)
+                row = (_REMOVE, eff.counter, loc(_router(eff.counter)), out, 0)
             else:  # OpenDoor
                 row = (_DOOR, index[eff.router], index[eff.branch], out, 0)
         elif isinstance(g, Branch):
@@ -446,7 +427,6 @@ def level_to_json(level: Level) -> str:
         "num_counters": level.num_counters,
         "gadgets": {gid: _tagged(g) for gid, g in sorted(level.gadgets.items())},
         "tim_edges": [{"from": gid, "exit": label, "to": dst} for (gid, label), dst in sorted(level.tim_edges.items())],
-        "monstar_edges": level.monstar_edges,
         "signals": {sig: _tagged(e) for sig, e in sorted(level.signals.items())},
         "instruction_entries": level.instruction_entries,
         "init_counters": level.init_counters,
@@ -455,8 +435,7 @@ def level_to_json(level: Level) -> str:
 
 
 def _tagged(x):
-    """A gadget or signal effect as a JSON object: its tag and its fields
-    (tuples dump as arrays)."""
+    """A gadget or signal effect as a JSON object: its tag and its fields."""
     key, name = _TAG_OF[type(x)]
     return {key: name, **{f: getattr(x, f) for f in _FIELDS[type(x)]}}
 
@@ -471,10 +450,10 @@ def level_from_json(text: str) -> Level:
     try:
         return Level(
             gadgets={gid: _untagged(g, "kind", "gadget kind") for gid, g in obj["gadgets"].items()},
-            tim_edges={(e["from"], e["exit"]): e["to"] for e in obj["tim_edges"]},
-            monstar_edges=tuple(tuple(e) if isinstance(e, list) else e for e in obj["monstar_edges"]),
+            tim_edges={(_id(e, "from", "tim edge"), _id(e, "exit", "tim edge")): _id(e, "to", "tim edge")
+                       for e in obj["tim_edges"]},
             signals={sig: _untagged(e, "effect", "signal effect") for sig, e in obj["signals"].items()},
-            entry=obj["entry"],
+            entry=_id(obj, "entry", "level"),
             num_counters=obj["num_counters"],
             instruction_entries=tuple(obj.get("instruction_entries", ())),
             init_counters=obj.get("init_counters"),
@@ -492,22 +471,22 @@ def _untagged(o, key, what):
         cls = _KINDS[key][name]
     except (KeyError, TypeError):  # TypeError: a list or object as the tag
         raise LevelFormatError(f"unknown {what} {name!r}") from None
-    if cls is TrapRouter:  # hashable doors; Level checks that each is a pair
-        return TrapRouter(tuple(tuple(d) if isinstance(d, list) else d for d in o["doors"]))
-    return cls(*[o[f] for f in _FIELDS[cls]])
+    return cls(*[o[f] if f == "counter" else _id(o, f, name) for f in _FIELDS[cls]])
+
+
+def _id(o, key, what):
+    """o[key], which names a gadget, an exit or a signal and so must be a string."""
+    if not isinstance(o[key], str):
+        raise LevelFormatError(f"{what} {key} {o[key]!r} is not a string")
+    return o[key]
 
 
 def level_to_dot(level: Level) -> str:
     """GraphViz export: player edges solid, monstar edges dashed. Gadget ids
     are stable so exports diff cleanly."""
     lines = ["digraph level {", "  rankdir=LR;"]
-    shapes = {
-        LeverPull: "box",
-        Branch: "diamond",
-        CounterStation: "cylinder",
-        TrapRouter: "trapezium",
-        Goal: "doublecircle",
-    }
+    shapes = {LeverPull: "box", Branch: "diamond", CounterStation: "cylinder", TrapRouter: "trapezium",
+              Goal: "doublecircle"}
     for gid, g in sorted(level.gadgets.items()):
         label = gid
         if isinstance(g, LeverPull):
@@ -517,7 +496,14 @@ def level_to_dot(level: Level) -> str:
         lines.append(f'  "{gid}" [shape={shapes[type(g)]}, label="{label}"];')
     for (src, exit_label), dst in sorted(level.tim_edges.items()):
         lines.append(f'  "{src}" -> "{dst}" [label="{exit_label}"];')
-    for src, dst in level.monstar_edges:
-        lines.append(f'  "{src}" -> "{dst}" [style=dashed];')
+    # monstar edges from the signals, by router: its stations, then its branches
+    removed = {e.counter for e in level.signals.values() if isinstance(e, Remove1)}
+    flow = {(_router(g.counter), 0, gid) for gid, g in level.gadgets.items()
+            if isinstance(g, CounterStation) and g.counter in removed}
+    flow |= {(e.router, 1, e.branch) for e in level.signals.values() if isinstance(e, OpenDoor)}
+    for router, door, other in sorted(flow):
+        src, dst = (router, other) if door else (other, router)
+        if src in level.gadgets and dst in level.gadgets:
+            lines.append(f'  "{src}" -> "{dst}" [style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ from braidbench import cli
 from braidbench.braidlike_tm import Configuration, parse_btm, successors
 from braidbench.cli import main
 from braidbench.counter_machine import parse_counter_program
-from braidbench.gadget_compiler import compile, level_to_json
+from braidbench.gadget_compiler import compile, level_from_json, level_to_json
 from braidbench.oracle_sim import Certificate, check_certificate, det_behavior_oracle, read_only_oracle
 from braidbench.tour_guide import GuideInvariantError, nondet_guide_bound
 from test_acceptance import CORPUS
@@ -219,6 +219,16 @@ def test_level_file_bytes_are_pinned(tmp_path, capsys):
     assert capsys.readouterr() == ("", "")
     assert level_path.read_bytes() == (data / "adder.level.json").read_bytes()
     assert dot_path.read_bytes() == (data / "adder.dot").read_bytes()
+
+
+def test_legacy_level_file_loads_to_the_same_level(capsys):
+    # the adder as cm-compile wrote it while routers listed their doors and
+    # the level its monstar_edges; both keys are now ignored on load
+    data = Path(__file__).parent / "data"
+    legacy = data / "adder.legacy.level.json"
+    assert level_from_json(legacy.read_text()) == level_from_json((data / "adder.level.json").read_text())
+    assert main(["level-dot", str(legacy)]) == 0
+    assert capsys.readouterr() == ((data / "adder.dot").read_text(), "")
 
 
 @pytest.mark.parametrize("command,name,text", [

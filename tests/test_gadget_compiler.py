@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -353,12 +354,10 @@ def json_levels(draw):
             edges += [{"from": gid, "exit": label, "to": draw(anywhere)} for label in ("monstar", "empty")]
         elif kind == "counter":
             gadgets[gid]["counter"] = draw(counter)
-        elif kind == "router":
-            gadgets[gid]["doors"] = []
     counts = st.lists(st.integers(0, 3), min_size=num_counters, max_size=num_counters)
     level = level_from_json(json.dumps({
         "entry": draw(anywhere), "num_counters": num_counters, "gadgets": gadgets, "tim_edges": edges,
-        "monstar_edges": [], "signals": signals, "init_counters": draw(counts)}))
+        "signals": signals, "init_counters": draw(counts)}))
     in_flight = draw(st.lists(st.sampled_from(sorted(KINDS) + ["R1", "Q"]), max_size=4))
     init = LevelConfig(draw(anywhere), tuple(draw(counts)), tuple(sorted(in_flight)), draw(st.integers(0, 2)))
     return level, init
@@ -500,9 +499,10 @@ def test_bisim_output_matches_reference_report(tmp_path, capsys, monkeypatch, mu
     assert capsys.readouterr().out == bisim_text(report)
 
 
-# --- level JSON must give every counter count and index as an int
+# --- level JSON: counters must be ints and ids strings; legacy keys are ignored
 
-def _int_edit(edit):
+def _level_edit(edit):
+    """The level JSON of a one-counter add, subb, halt program, edited in place by edit."""
     src = "counters 1\n0: add 0\n1: subb 0 0\n2: halt\n"
     obj = json.loads(level_to_json(compile(parse_counter_program(src))))
     edit(obj)
@@ -523,8 +523,8 @@ NON_INT_LEVELS = {
 }
 
 
-def assert_rejected(tmp_path, capsys, text):
-    with pytest.raises(LevelFormatError):
+def assert_rejected(tmp_path, capsys, text, match=None):
+    with pytest.raises(LevelFormatError, match=match):
         level_from_json(text)
     path = tmp_path / "l.json"
     path.write_text(text)
@@ -536,30 +536,16 @@ def assert_rejected(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("edit", NON_INT_LEVELS.values(), ids=NON_INT_LEVELS.keys())
 def test_level_rejects_non_int_counters(tmp_path, capsys, edit):
-    assert_rejected(tmp_path, capsys, _int_edit(edit))
+    assert_rejected(tmp_path, capsys, _level_edit(edit))
 
 
 def _doors(doors, signal="door1"):
-    """Router R0's doors, with the door signal renamed to signal."""
+    """Router R0's legacy doors, with the door signal renamed to signal."""
     def edit(o):
         o["signals"][signal] = o["signals"].pop("door1")
         o["gadgets"]["D1"]["signal"] = signal
         o["gadgets"]["R0"]["doors"] = doors
     return edit
-
-
-# each door must be a [signal, branch] pair of a declared signal and an existing gadget
-BAD_DOORS = {
-    "one-item": _doors([["door1"]]),
-    "three-items": _doors([["door1", "B1", "B1"]]),
-    "string": _doors(["sB"], signal="s"),  # not the door ("s", "B")
-    "missing-branch": _doors([["door1", "B9"]]),
-}
-
-
-@pytest.mark.parametrize("edit", BAD_DOORS.values(), ids=BAD_DOORS.keys())
-def test_level_rejects_malformed_router_doors(tmp_path, capsys, edit):
-    assert_rejected(tmp_path, capsys, _int_edit(edit))
 
 
 def _monstar_edges(edges):
@@ -568,15 +554,63 @@ def _monstar_edges(edges):
     return edit
 
 
-# each monstar edge must be a [from, to] pair of existing gadgets
-BAD_MONSTAR_EDGES = {
-    "string": _monstar_edges(["sa"]),  # not the edge ("s", "a")
-    "missing-gadget": _monstar_edges([["C0", "nowhere"]]),
-    "one-item": _monstar_edges([["x"]]),
-    "three-items": _monstar_edges([[1, 2, 3]]),
+# A router's doors and the level's monstar_edges are legacy keys: the
+# signals alone say where a monstar goes, so even these once-rejected values
+# load and run as the unedited level does.
+LEGACY_EDITS = {
+    "doors-one-item": _doors([["door1"]]),
+    "doors-three-items": _doors([["door1", "B1", "B1"]]),
+    "doors-string": _doors(["sB"], signal="s"),
+    "doors-missing-branch": _doors([["door1", "B9"]]),
+    "monstar-edges-string": _monstar_edges(["sa"]),
+    "monstar-edges-missing-gadget": _monstar_edges([["C0", "nowhere"]]),
+    "monstar-edges-one-item": _monstar_edges([["x"]]),
+    "monstar-edges-three-items": _monstar_edges([[1, 2, 3]]),
 }
 
 
-@pytest.mark.parametrize("edit", BAD_MONSTAR_EDGES.values(), ids=BAD_MONSTAR_EDGES.keys())
-def test_level_rejects_malformed_monstar_edges(tmp_path, capsys, edit):
-    assert_rejected(tmp_path, capsys, _int_edit(edit))
+@pytest.mark.parametrize("edit", LEGACY_EDITS.values(), ids=LEGACY_EDITS.keys())
+def test_level_ignores_legacy_monstar_flow_keys(tmp_path, capsys, edit):
+    runs = []
+    for text in (_level_edit(lambda o: None), _level_edit(edit)):
+        path = tmp_path / "l.json"
+        path.write_text(text)
+        assert main(["level-sim", str(path)]) == 0
+        runs.append((repr(level_run(level_from_json(text), 100)), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][1].out.startswith("solved")
+
+
+# A gadget or signal id must be a string; the error names the field and the value.
+NON_STRING_IDS = {
+    "entry": (lambda o: o.update(entry=["x"]), "level entry ['x']"),
+    "lever-signal": (lambda o: o["gadgets"]["L0"].update(signal=["x"]), "lever signal ['x']"),
+    "tim-edge-from": (lambda o: o["tim_edges"][0].update({"from": ["x"]}), "tim edge from ['x']"),
+    "tim-edge-exit": (lambda o: o["tim_edges"][0].update(exit={"x": 1}), "tim edge exit {'x': 1}"),
+    "tim-edge-to": (lambda o: o["tim_edges"][0].update(to=["x"]), "tim edge to ['x']"),
+    "door-router": (lambda o: o["signals"]["door1"].update(router=["x"]), "open-door router ['x']"),
+    "door-branch": (lambda o: o["signals"]["door1"].update(branch=3), "open-door branch 3"),
+}
+
+
+@pytest.mark.parametrize("edit,field", NON_STRING_IDS.values(), ids=NON_STRING_IDS.keys())
+def test_level_rejects_non_string_ids(tmp_path, capsys, edit, field):
+    assert_rejected(tmp_path, capsys, _level_edit(edit), match=re.escape(f"{field} is not a string"))
+
+
+# Each check that a level's ids name what it declares.
+MISSING_IDS = {
+    "entry": (lambda o: o.update(entry="nowhere"), "entry gadget 'nowhere' missing"),
+    "lever-signal": (lambda o: o["gadgets"]["L0"].update(signal="nope"), "lever signal 'nope' undeclared"),
+    "tim-edge-to": (lambda o: o["tim_edges"][0].update(to="nowhere"),
+                    "tim edge 'B1' -> 'nowhere' references a missing gadget"),
+    "door-router": (lambda o: o["signals"]["door1"].update(router="R9"),
+                    "signal 'door1' routes through a missing gadget"),
+    "door-branch": (lambda o: o["signals"]["door1"].update(branch="B9"),
+                    "signal 'door1' routes through a missing gadget"),
+}
+
+
+@pytest.mark.parametrize("edit,message", MISSING_IDS.values(), ids=MISSING_IDS.keys())
+def test_level_rejects_missing_ids(tmp_path, capsys, edit, message):
+    assert_rejected(tmp_path, capsys, _level_edit(edit), match=f"^{re.escape(message)}$")

@@ -12,6 +12,8 @@ from braidbench.braidlike_tm import (
     Write,
     successors,
 )
+from braidbench.counter_machine import cm_run, initial_config, parse_counter_program
+from braidbench.gadget_compiler import bisimulate, compile, level_run
 from braidbench.oracle_sim import (
     END,
     WALL,
@@ -22,7 +24,8 @@ from braidbench.oracle_sim import (
     reach_bfs,
     read_only_oracle,
 )
-from braidbench.tour_guide import decide_det_braidlike
+from braidbench.rewind_timeline import GameSpec, game_search
+from braidbench.tour_guide import compute_guide, decide_det_braidlike, decide_reachability
 from reference_bfs import tuple_halts, tuple_reach_bfs
 
 
@@ -187,6 +190,34 @@ def test_oracle_rejects_nondeterministic():
     spec = spec_of({}, 1, 1)
     with pytest.raises(ValueError):
         det_behavior_oracle(spec, 1, 1)
+
+
+PROGRAM = parse_counter_program("counters 1\n0: add 0\n1: halt\n")
+# two states, no transitions: the target is never reached
+STUCK = spec_of({}, 2, 1, target=1)
+GAME = GameSpec(("t0",), ("m0",), "m0", "t0", {}, frozenset({("m0", "t0")}))
+
+# Each call passes one argument that its function's guard refuses.
+BAD_ARGUMENTS = {
+    "cm_run-max_steps": (lambda: cm_run(PROGRAM, initial_config(PROGRAM), -1), "max_steps must be >= 0"),
+    "level_run-max_ticks": (lambda: level_run(compile(PROGRAM), -1), "max_ticks must be >= 0"),
+    "bisimulate-max_steps": (lambda: bisimulate(PROGRAM, -1), "max_steps must be >= 0"),
+    "reach_bfs-cell_cap": (lambda: reach_bfs(STUCK, 0), "cell_cap must be >= 1"),
+    "det_behavior_oracle-max_steps": (lambda: det_behavior_oracle(always_accept(), -1, 10), "max_steps and max_cells"),
+    "det_behavior_oracle-max_cells": (lambda: det_behavior_oracle(always_accept(), 10, -1), "max_steps and max_cells"),
+    "read_only_oracle-nondeterministic": (lambda: read_only_oracle(spec_of({}, 1, 1), ()),
+                                          "requires a deterministic machine"),
+    "game_search-max_len": (lambda: game_search(GAME, 0), "max_len must be >= 1"),
+    "compute_guide-nondeterministic": (lambda: compute_guide(None, 0, spec_of({}, 1, 1)),
+                                       "requires a deterministic machine"),
+    "decide_reachability-cell_cap": (lambda: decide_reachability(STUCK, 0), "cell_cap must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("call,message", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+def test_argument_guards_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # --- read_only_oracle ------------------------------------------------------
