@@ -28,7 +28,6 @@ from .braidlike_tm import (
     parse_btm,
     start_configuration,
     successors,
-    write_tape,
 )
 from .oracle_sim import (
     Certificate,

@@ -111,17 +111,6 @@ def symbol_at(tape: tuple, cell: int) -> int:
     return tape[cell] if cell < len(tape) else BLANK
 
 
-def write_tape(tape: tuple, head: int, symbol: int) -> tuple:
-    """The erase-right write rule: keep cells 0..head-1 (blanks materialize
-    if the head is past the end), place the symbol at the head, and erase
-    everything to its right. Returns the canonical tape."""
-    if symbol == BLANK:
-        return canonical_tape(tape[:head])
-    if head > len(tape):
-        return tape + (BLANK,) * (head - len(tape)) + (symbol,)
-    return tape[:head] + (symbol,)
-
-
 class TapeStore:
     """Hash-consed cons lists of symbols, for searches that step a tape zipper.
 
@@ -177,14 +166,20 @@ class TapeStore:
 
 def apply_action(c: Configuration, action, next_state: int):
     """Apply one action. Returns the successor Configuration, or None if the
-    move is stuck (MoveLeft at the left endpoint)."""
+    move is stuck (MoveLeft at the left endpoint). A write is the erase-right
+    rule: keep cells 0..head-1 (blanks materialize if the head is past the
+    end), place the symbol at the head, and erase everything to its right,
+    leaving the tape canonical."""
     if isinstance(action, MoveLeft):
-        if c.head == 0:
-            return None
-        return Configuration(next_state, c.head - 1, c.tape)
+        return None if c.head == 0 else Configuration(next_state, c.head - 1, c.tape)
     if isinstance(action, MoveRight):
         return Configuration(next_state, c.head + 1, c.tape)
-    return Configuration(next_state, c.head, write_tape(c.tape, c.head, action.symbol))
+    head, tape, symbol = c.head, c.tape, action.symbol
+    if symbol == BLANK:
+        return Configuration(next_state, head, canonical_tape(tape[:head]))
+    if head > len(tape):
+        tape += (BLANK,) * (head - len(tape))
+    return Configuration(next_state, head, tape[:head] + (symbol,))
 
 
 def successors(spec: MachineSpec, c: Configuration) -> list:

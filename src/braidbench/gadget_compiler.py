@@ -84,9 +84,6 @@ class Level:
     signals: dict  # signal id -> effect
     entry: str
     num_counters: int
-    # entry gadget per instruction index; index len(program) is the
-    # fall-through goal
-    instruction_entries: tuple = ()
     # occupancy per counter at the start; zeros if not given
     init_counters: tuple = None
 
@@ -154,9 +151,7 @@ def compile(program: CounterProgram) -> Level:
     itself: monstar present continues to pc+1, absent jumps to t. Halt and
     the implicit end become goals.
     """
-    # each instruction's entry gadget; the last is the fall-through goal
-    entries = tuple(f"G{i}" if isinstance(ins, Halt) else f"L{i}"
-                    for i, ins in enumerate(program.instructions)) + ("Gend",)
+    entries = _entries(program)
     # Stations exist for every counter so occupancies line up with the
     # machine's counter vector; routers only where something is removed.
     gadgets = {f"C{c}": CounterStation(c) for c in range(program.num_counters)}
@@ -177,7 +172,12 @@ def compile(program: CounterProgram) -> Level:
             gadgets[gid] = Goal()
     gadgets["Gend"] = Goal()
     return Level(gadgets=gadgets, tim_edges=tim_edges, signals=signals, entry=entries[0],
-                 num_counters=program.num_counters, instruction_entries=entries, init_counters=program.init_counters)
+                 num_counters=program.num_counters, init_counters=program.init_counters)
+
+
+def _entries(program: CounterProgram) -> tuple:
+    """Each instruction's entry gadget in compile's level; the last is the fall-through goal."""
+    return tuple(f"G{i}" if isinstance(ins, Halt) else f"L{i}" for i, ins in enumerate(program.instructions)) + ("Gend",)
 
 
 def _router(counter):
@@ -344,7 +344,7 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
     rows = lower_program(program)
     level = compile(program)
     table, index, names = _lower(level)
-    entries = [index[gid] for gid in level.instruction_entries]
+    entries = [index[gid] for gid in _entries(program)]
     is_entry = [False] * len(names)
     for e in entries:
         is_entry[e] = True
@@ -428,7 +428,6 @@ def level_to_json(level: Level) -> str:
         "gadgets": {gid: _tagged(g) for gid, g in sorted(level.gadgets.items())},
         "tim_edges": [{"from": gid, "exit": label, "to": dst} for (gid, label), dst in sorted(level.tim_edges.items())],
         "signals": {sig: _tagged(e) for sig, e in sorted(level.signals.items())},
-        "instruction_entries": level.instruction_entries,
         "init_counters": level.init_counters,
     }
     return json.dumps(obj, indent=2, sort_keys=True)
@@ -455,7 +454,6 @@ def level_from_json(text: str) -> Level:
             signals={sig: _untagged(e, "effect", "signal effect") for sig, e in obj["signals"].items()},
             entry=_id(obj, "entry", "level"),
             num_counters=obj["num_counters"],
-            instruction_entries=tuple(obj.get("instruction_entries", ())),
             init_counters=obj.get("init_counters"),
         )
     except KeyError as e:

@@ -2,8 +2,9 @@
 
 These compute no crossing summaries, so agreement with the deciders is a
 genuine cross-check. read_only_oracle steps `successors`, the step relation
-on tuple configurations; reach_bfs and det_behavior_oracle step TapeStore's
-mirror of it on zipped tapes, which a lockstep test pins to `successors`.
+on tuple configurations, which writes only through `apply_action`; reach_bfs
+and det_behavior_oracle, like decide_det_braidlike, step TapeStore's mirror
+of it on zipped tapes, which a lockstep test pins to `apply_action`.
 closed_ngram_proof is a sound abstract search that certifies the negative
 verdicts ("not-reached", "loop") at any cell cap; check_certificate replays
 its certificates.
@@ -22,10 +23,11 @@ from .braidlike_tm import (
     MoveLeft,
     MoveRight,
     TapeStore,
+    Write,
+    apply_action,
     canonical_tape,
     check_input,
     successors,
-    write_tape,
 )
 
 
@@ -106,10 +108,11 @@ def _witness(store: TapeStore, parents: dict, z: tuple) -> tuple:
     state, _, _ = path.pop()
     out = [Configuration(state, 0, ())]
     for state, left, right in reversed(path):
-        head, tape = out[-1].head, out[-1].tape
-        if store.size[left] == head:
-            tape = write_tape(tape, head, store.car[right])
-        out.append(Configuration(state, store.size[left], tape))
+        c, head = out[-1], store.size[left]
+        if head == c.head:
+            out.append(apply_action(c, Write(store.car[right]), state))
+        else:
+            out.append(Configuration(state, head, c.tape))
     return tuple(out)
 
 

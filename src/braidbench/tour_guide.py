@@ -11,6 +11,8 @@ the deciders below work.
 decide_det_braidlike is the one deterministic guide walk: on a read-only
 machine and an input it is Shepherdson's (1959) crossing-sequence
 construction, and DESTROY_ME extends it to writing machines on the blank tape.
+It steps TapeStore's zipper, as the oracles do; its guides read only the
+spec, so the oracles check them independently.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ from .braidlike_tm import (
     MachineSpec,
     MoveLeft,
     MoveRight,
+    TapeStore,
     Write,
     canonical_tape,
     check_input,
-    symbol_at,
-    write_tape,
 )
 from .oracle_sim import OracleVerdict, closed_ngram_proof, reach_bfs
 
@@ -118,10 +119,10 @@ def decide_det_braidlike(spec: MachineSpec, input_symbols=None) -> str:
     crossed, each kept with the state the head crossed it in. Rightward
     moves mint a guide; leftward moves consult the guide at the crossed
     boundary, dropping to concrete simulation only on a DESTROY_ME answer.
-    A write at cell j truncates tape and chain at j. Every (state, head,
-    tape) the walk visits is a configuration of the run, so a repeated one
-    is a loop. So is a freshly minted (guide, crossing state) pair equal to
-    an alive one when both were minted at cells at or past the input's end.
+    A write at cell j truncates tape and chain at j. Each zipped TapeStore
+    configuration the walk visits is one of the run, so a repeated one is a
+    loop. So is a freshly minted (guide, crossing state) pair equal to an
+    alive one when both were minted at cells at or past the input's end.
     That rule is sound only where everything right of both guides is blank:
     the head then crosses both boundaries in the same state, with the same
     summary to its left and the same blank tape to its right, so the
@@ -134,29 +135,29 @@ def decide_det_braidlike(spec: MachineSpec, input_symbols=None) -> str:
     """
     if not spec.deterministic:
         raise ValueError("decide_det_braidlike requires a deterministic machine")
-    if input_symbols is None:
-        tape = ()
-    elif spec.read_only:
-        tape = canonical_tape(check_input(spec, input_symbols))
-    else:
-        raise ValueError("decide_det_braidlike on an input requires a read-only machine")
-    n = len(tape)  # guides minted at cells >= n have only blanks to their right
-    state, head, tape_id = spec.start_state, 0, 0
-    tape_ids = {tape: 0}  # interned, so a step hashes the tape only when a write changes it
+    store = TapeStore(spec.num_symbols)
+    right = 0
+    if input_symbols is not None:
+        if not spec.read_only:
+            raise ValueError("decide_det_braidlike on an input requires a read-only machine")
+        for a in reversed(canonical_tape(check_input(spec, input_symbols))):
+            right = store.cons(a, right)
+    n = store.size[right]  # guides minted at cells >= n have only blanks to their right
+    z = (spec.start_state, 0, right)
     chain = []  # chain[k] = (guide, crossing state) at boundary (k, k+1)
     alive = set()  # chain pairs minted at cells >= n
     visited = set()
     while True:
+        state, left, right = z
         if state in spec.accept_states:
             return "accept"
+        head = store.size[left]
         if head > len(chain):
             raise GuideInvariantError("head beyond the end of the guide chain")
-        key = (state, head, tape_id)
-        if key in visited:
+        if z in visited:
             return "loop"
-        visited.add(key)
-        sym = symbol_at(tape, head)
-        succs = spec.transitions.get((state, sym), ())
+        visited.add(z)
+        succs = spec.transitions.get((state, store.car[right]), ())
         if not succs:
             return "reject"
         action, nxt = succs[0]
@@ -165,28 +166,26 @@ def decide_det_braidlike(spec: MachineSpec, input_symbols=None) -> str:
                 return "reject"  # stuck at the left endpoint
             r = chain[head - 1][0][nxt]
             if isinstance(r, int):
-                state = r  # summarized round trip; head stays put
+                z = (r, left, right)  # summarized round trip; head and tape stay put
             elif r == DESTROY_ME:  # proceed as if the guide didn't exist
-                state, head = nxt, head - 1
+                z = store.apply(z, action, nxt)
             else:
                 return r
         elif isinstance(action, MoveRight):
             if head < len(chain):
                 # A guide promised destruction before this crossing.
                 raise GuideInvariantError("destroy-me prophecy violated by a rightward crossing")
-            crossing = (compute_guide(chain[-1][0] if chain else None, sym, spec), nxt)
+            crossing = (compute_guide(chain[-1][0] if chain else None, store.car[right], spec), nxt)
             if head >= n:
                 if crossing in alive:
                     return "loop"  # the stretch between the two equal pairs repeats forever
                 alive.add(crossing)
             chain.append(crossing)
-            state, head = nxt, head + 1
+            z = store.apply(z, action, nxt)
         else:  # Write
-            tape = write_tape(tape, head, action.symbol)
-            tape_id = tape_ids.setdefault(tape, len(tape_ids))
             alive.difference_update(chain[head:])
             del chain[head:]
-            state = nxt
+            z = store.apply(z, action, nxt)
 
 
 def decide_reachability(spec: MachineSpec, cell_cap: int = None, max_explored: int = None) -> OracleVerdict:

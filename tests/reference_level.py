@@ -125,7 +125,8 @@ def ref_bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
     level = compile(program)
     cm = initial_config(program)
     lv = initial_level_config(level)
-    entries = set(level.instruction_entries)
+    # each instruction's entry gadget, as compile names it; the last is the fall-through goal
+    entries = [f"G{i}" if isinstance(ins, Halt) else f"L{i}" for i, ins in enumerate(program.instructions)] + ["Gend"]
     boundaries = []
     solved = False
     ok_all = True
@@ -137,7 +138,7 @@ def ref_bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
             BoundaryRecord(idx, cm.pc, cm.counters, SOLVED if solved else lv.tim_at, lv.counters, ok)
         )
 
-    record(0, lv.tim_at == level.instruction_entries[cm.pc] and lv.counters == cm.counters)
+    record(0, lv.tim_at == entries[cm.pc] and lv.counters == cm.counters)
     for k in range(1, max_steps + 1):
         if cm.halted:
             break
@@ -158,7 +159,7 @@ def ref_bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
         else:
             ok = (
                 not solved
-                and lv.tim_at == level.instruction_entries[cm.pc]
+                and lv.tim_at == entries[cm.pc]
                 and lv.counters == cm.counters
             )
         record(k, ok)

@@ -235,7 +235,7 @@ def test_legacy_level_file_loads_to_the_same_level(capsys):
     ("cm-compile", "p.cm", ADDER),
     ("level-dot", "l.json", level_to_json(compile(parse_counter_program(ADDER)))),
     ("game-to-btm", "g.game", GAME),
-])
+], ids=["cm-compile", "level-dot", "game-to-btm"])
 def test_output_file_matches_stdout(tmp_path, capsys, command, name, text):
     path = write(tmp_path, name, text)
     assert main([command, path]) == 0

@@ -67,11 +67,11 @@ def test_compile_subbranch_shape():
 
 
 def test_compile_records_instruction_entries():
+    # instruction i is entered at L<i>, or at G<i> for a halt, and the
+    # fall-through at Gend; bisimulate's boundaries stand at those entries
     p = CounterProgram(1, (Add(0), SubBranch(0, 0), Halt()))
-    level = compile(p)
-    assert len(level.instruction_entries) == 4
-    assert level.instruction_entries[0] == level.entry
-    assert level.instruction_entries[3] == "Gend"
+    assert [b.tim_at for b in bisimulate(p, 10).boundaries] == ["L0", "L1", "G2", SOLVED]
+    assert compile(CounterProgram(1, (Add(0),))).tim_edges[("L0", "out")] == "Gend"
 
 
 def test_level_step_goal_solves():
@@ -556,8 +556,10 @@ def _monstar_edges(edges):
 
 # A router's doors and the level's monstar_edges are legacy keys: the
 # signals alone say where a monstar goes, so even these once-rejected values
-# load and run as the unedited level does.
+# load and run as the unedited level does. So is instruction_entries, which
+# no run reads.
 LEGACY_EDITS = {
+    "instruction-entries-junk": lambda o: o.update(instruction_entries=[["x"], 5, "nowhere"]),
     "doors-one-item": _doors([["door1"]]),
     "doors-three-items": _doors([["door1", "B1", "B1"]]),
     "doors-string": _doors(["sB"], signal="s"),

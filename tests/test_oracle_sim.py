@@ -18,6 +18,7 @@ from braidbench.oracle_sim import (
     END,
     WALL,
     Certificate,
+    SearchBudgetExceeded,
     check_certificate,
     closed_ngram_proof,
     det_behavior_oracle,
@@ -65,9 +66,12 @@ def test_reach_requires_target():
 
 
 def test_reach_witness_replays():
+    # the draws with up to 3 symbols at cap 32 give witnesses that write a
+    # blank and write past a blank gap; a search over budget is skipped
     rng = random.Random(17)
-    for _ in range(100):
-        n, s = rng.randint(1, 3), rng.randint(1, 2)
+    writes = set()
+    for max_symbols, cap in [(2, 16)] * 100 + [(3, 32)] * 200:
+        n, s = rng.randint(1, 3), rng.randint(1, max_symbols)
         trans = {}
         for q in range(n):
             for a in range(s):
@@ -78,12 +82,18 @@ def test_reach_witness_replays():
                 if succs:
                     trans[(q, a)] = succs
         spec = spec_of(trans, n, s, target=rng.randrange(n))
-        res = reach_bfs(spec, 16)
+        try:
+            res = reach_bfs(spec, cap, max_explored=10 ** 4)
+        except SearchBudgetExceeded:
+            continue
         if res.kind != "reached":
             continue
         assert res.witness[-1].state == spec.target_state
         for cur, nxt in zip(res.witness, res.witness[1:]):
             assert any(x == nxt for x in successors(spec, cur))
+            if nxt.head == cur.head:
+                writes.add("blank" if len(nxt.tape) <= cur.head else "gap" if cur.head > len(cur.tape) else "cell")
+    assert writes == {"blank", "gap", "cell"}
 
 
 def test_reach_monotone_in_cap():

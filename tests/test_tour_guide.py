@@ -189,10 +189,11 @@ def test_det_decider_stuck_left_rejects():
 
 
 def test_det_decider_random_agreement():
-    # sampled version of the exhaustive acceptance run, at N up to 3
+    # sampled version of the exhaustive acceptance run, at N up to 3 and
+    # then up to 4 states and 3 symbols
     rng = random.Random(13)
-    for _ in range(400):
-        n, s = rng.randint(1, 3), rng.randint(1, 2)
+    for max_states, max_symbols in [(3, 2)] * 400 + [(4, 3)] * 400:
+        n, s = rng.randint(1, max_states), rng.randint(1, max_symbols)
         trans = {}
         for q in range(n):
             for a in range(s):
