@@ -170,16 +170,17 @@ def apply_action(c: Configuration, action, next_state: int):
     rule: keep cells 0..head-1 (blanks materialize if the head is past the
     end), place the symbol at the head, and erase everything to its right,
     leaving the tape canonical."""
-    if isinstance(action, MoveLeft):
-        return None if c.head == 0 else Configuration(next_state, c.head - 1, c.tape)
-    if isinstance(action, MoveRight):
-        return Configuration(next_state, c.head + 1, c.tape)
+    # tuple.__new__ skips the NamedTuple constructor's Python call, made once per step of a replay
+    if type(action) is MoveLeft:
+        return None if c.head == 0 else tuple.__new__(Configuration, (next_state, c.head - 1, c.tape))
+    if type(action) is MoveRight:
+        return tuple.__new__(Configuration, (next_state, c.head + 1, c.tape))
     head, tape, symbol = c.head, c.tape, action.symbol
     if symbol == BLANK:
-        return Configuration(next_state, head, canonical_tape(tape[:head]))
+        return tuple.__new__(Configuration, (next_state, head, canonical_tape(tape[:head])))
     if head > len(tape):
         tape += (BLANK,) * (head - len(tape))
-    return Configuration(next_state, head, tape[:head] + (symbol,))
+    return tuple.__new__(Configuration, (next_state, head, tape[:head] + (symbol,)))
 
 
 def successors(spec: MachineSpec, c: Configuration) -> list:

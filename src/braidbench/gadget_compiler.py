@@ -94,10 +94,10 @@ class Level:
         object.__setattr__(self, "init_counters", init)
         if len(init) != self.num_counters or not all(_is_int(v) and v >= 0 for v in init):
             raise LevelFormatError("init_counters must list one non-negative integer per counter")
-        if self.entry not in self.gadgets:
+        if _id("level entry", self.entry) not in self.gadgets:
             raise LevelFormatError(f"entry gadget {self.entry!r} missing")
         for gid, g in self.gadgets.items():
-            if isinstance(g, LeverPull) and g.signal not in self.signals:
+            if isinstance(g, LeverPull) and _id("lever signal", g.signal) not in self.signals:
                 raise LevelFormatError(f"lever signal {g.signal!r} undeclared")
             if isinstance(g, CounterStation):
                 self._check_counter(f"counter station {gid!r}", g.counter)
@@ -105,10 +105,11 @@ class Level:
                 if (gid, label) not in self.tim_edges:
                     raise LevelFormatError(f"gadget {gid!r} has no {label!r} exit")
         for (gid, _), target in self.tim_edges.items():
-            if gid not in self.gadgets or target not in self.gadgets:
+            if _id("tim edge from", gid) not in self.gadgets or _id("tim edge to", target) not in self.gadgets:
                 raise LevelFormatError(f"tim edge {gid!r} -> {target!r} references a missing gadget")
         for sig, eff in self.signals.items():
-            if isinstance(eff, OpenDoor) and (eff.router not in self.gadgets or eff.branch not in self.gadgets):
+            if isinstance(eff, OpenDoor) and (_id("open-door router", eff.router) not in self.gadgets
+                                              or _id("open-door branch", eff.branch) not in self.gadgets):
                 raise LevelFormatError(f"signal {sig!r} routes through a missing gadget")
             if isinstance(eff, (Add1, Remove1)):
                 self._check_counter(f"signal {sig!r}", eff.counter)
@@ -118,6 +119,13 @@ class Level:
             raise LevelFormatError(f"{what} names counter {counter!r}, not an integer")
         if not 0 <= counter < self.num_counters:
             raise LevelFormatError(f"{what} names counter {counter} out of range")
+
+
+def _id(what, value):
+    """value, which names a gadget, an exit or a signal and so must be a string."""
+    if not isinstance(value, str):
+        raise LevelFormatError(f"{what} {value!r} is not a string")
+    return value
 
 
 def _is_int(v):
@@ -447,12 +455,13 @@ def level_from_json(text: str) -> Level:
     if not isinstance(obj, dict):
         raise LevelFormatError("level JSON must be an object")
     try:
+        # ids are checked as they are read, so a tim edge's key is a string before it is hashed
         return Level(
             gadgets={gid: _untagged(g, "kind", "gadget kind") for gid, g in obj["gadgets"].items()},
-            tim_edges={(_id(e, "from", "tim edge"), _id(e, "exit", "tim edge")): _id(e, "to", "tim edge")
+            tim_edges={(_id("tim edge from", e["from"]), _id("tim edge exit", e["exit"])): _id("tim edge to", e["to"])
                        for e in obj["tim_edges"]},
             signals={sig: _untagged(e, "effect", "signal effect") for sig, e in obj["signals"].items()},
-            entry=_id(obj, "entry", "level"),
+            entry=_id("level entry", obj["entry"]),
             num_counters=obj["num_counters"],
             init_counters=obj.get("init_counters"),
         )
@@ -469,14 +478,7 @@ def _untagged(o, key, what):
         cls = _KINDS[key][name]
     except (KeyError, TypeError):  # TypeError: a list or object as the tag
         raise LevelFormatError(f"unknown {what} {name!r}") from None
-    return cls(*[o[f] if f == "counter" else _id(o, f, name) for f in _FIELDS[cls]])
-
-
-def _id(o, key, what):
-    """o[key], which names a gadget, an exit or a signal and so must be a string."""
-    if not isinstance(o[key], str):
-        raise LevelFormatError(f"{what} {key} {o[key]!r} is not a string")
-    return o[key]
+    return cls(*[o[f] if f == "counter" else _id(f"{name} {f}", o[f]) for f in _FIELDS[cls]])
 
 
 def level_to_dot(level: Level) -> str:

@@ -3,7 +3,8 @@ Turing machine.
 
 Recording a snapshot truncates the redo future — exactly the erase-right
 write rule — and seeking moves a cursor without erasing anything. `Timeline`
-is the tuple reference coding, with seeks bounded by a speed. The adapter
+is the tuple reference coding, with seeks bounded by a speed; like
+`Configuration` it is a plain tuple, `(snapshots, cursor)`. The adapter
 turns a toy game (enumerated time-dependent and time-immune state, player
 moves) into a nondeterministic braidlike machine whose tape is the timeline,
 whose head is the cursor, and whose target state fires when the goal holds.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .braidlike_tm import BLANK, MachineSpec, MOVE_LEFT, MOVE_RIGHT, TapeStore, Write
 from .oracle_sim import OracleVerdict, SearchBudgetExceeded
@@ -30,31 +32,43 @@ class GameParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class Timeline:
+class _Timeline(NamedTuple):
     snapshots: tuple  # snapshot i = world state at timestep i; never empty
     cursor: int
 
-    def __post_init__(self):
-        if not self.snapshots:
+
+class Timeline(_Timeline):
+    """A plain tuple (snapshots, cursor), like `Configuration`. Calling
+    `Timeline` checks that a snapshot is held and the cursor is on one;
+    `_replace` skips the checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, snapshots, cursor):
+        if not snapshots:
             raise ValueError("a timeline holds at least the initial snapshot")
-        if not (0 <= self.cursor < len(self.snapshots)):
+        if not (0 <= cursor < len(snapshots)):
             raise ValueError("cursor out of range")
+        return tuple.__new__(cls, (snapshots, cursor))
 
 
 def tl_record(t: Timeline, state) -> Timeline:
     """Append a snapshot after the cursor, deleting the redo future."""
-    snaps = t.snapshots[: t.cursor + 1] + (state,)
-    return Timeline(snaps, t.cursor + 1)
+    snapshots, cursor = t
+    # tuple.__new__ skips the constructor's checks, which a record always passes
+    return tuple.__new__(Timeline, (snapshots[: cursor + 1] + (state,), cursor + 1))
 
 
 def tl_seek(t: Timeline, delta: int, max_speed: int) -> Timeline:
     """Move the cursor by delta, clamped to the timeline. Snapshots are
     untouched: only recording erases."""
-    if abs(delta) > max_speed:
+    if not -max_speed <= delta <= max_speed:
         raise ValueError(f"seek of {delta} exceeds max speed {max_speed}")
-    cursor = min(max(t.cursor + delta, 0), len(t.snapshots) - 1)
-    return Timeline(t.snapshots, cursor)
+    snapshots, cursor = t
+    cursor += delta
+    last = len(snapshots) - 1
+    # tuple.__new__ skips the constructor's checks, which a clamped cursor always passes
+    return tuple.__new__(Timeline, (snapshots, 0 if cursor < 0 else last if cursor > last else cursor))
 
 
 @dataclass(frozen=True)
@@ -117,11 +131,17 @@ def game_search(g: GameSpec, max_len: int, max_explored: int = None) -> OracleVe
         here = (m, car[right])
         if here in goal:
             return OracleVerdict("winnable", explored)
-        nexts = [apply(apply(z, MOVE_RIGHT, m2), write, m2) for m2, write in records.get(here, ())
-                 if size[left] + 2 <= max_len]
+        moves = records.get(here)
+        if moves and size[left] + 2 <= max_len:
+            # a write sets the state, so one move right serves every record
+            pushed = apply(z, MOVE_RIGHT, m)
+            for m2, write in moves:
+                z2 = apply(pushed, write, m2)
+                if z2 not in visited:
+                    visited.add(z2)
+                    queue.append(z2)
         if left:
-            nexts.append(apply(z, MOVE_LEFT, m))
-        for z2 in nexts:
+            z2 = apply(z, MOVE_LEFT, m)
             if z2 not in visited:
                 visited.add(z2)
                 queue.append(z2)

@@ -132,6 +132,18 @@ def test_moves_shift_head():
     assert apply_action(c, MOVE_LEFT, 1).head == 0
 
 
+@pytest.mark.parametrize("c,action,expected", [
+    (Configuration(0, 1, (1,)), MOVE_LEFT, (1, 0, (1,))),
+    (Configuration(0, 1, (1,)), MOVE_RIGHT, (1, 2, (1,))),
+    (Configuration(0, 0, (1, 2, 1)), Write(2), (1, 0, (2,))),
+    (Configuration(0, 2, (1, 1, 1)), Write(BLANK), (1, 2, (1, 1))),
+    (Configuration(0, 3, (1,)), Write(1), (1, 3, (1, 0, 0, 1))),
+], ids=["left", "right", "write", "blank-write", "write-past-end"])
+def test_apply_action_returns_a_configuration(c, action, expected):
+    succ = apply_action(c, action, 1)
+    assert type(succ) is Configuration and succ == expected
+
+
 def test_canonical_tape():
     assert canonical_tape((1, 0, 2, 0, 0)) == (1, 0, 2)
     assert canonical_tape((0, 0)) == ()

@@ -26,6 +26,7 @@ from braidbench.gadget_compiler import (
     CounterStation,
     Goal,
     LeverPull,
+    Level,
     LevelConfig,
     LevelFormatError,
     OpenDoor,
@@ -598,6 +599,31 @@ NON_STRING_IDS = {
 @pytest.mark.parametrize("edit,field", NON_STRING_IDS.values(), ids=NON_STRING_IDS.keys())
 def test_level_rejects_non_string_ids(tmp_path, capsys, edit, field):
     assert_rejected(tmp_path, capsys, _level_edit(edit), match=re.escape(f"{field} is not a string"))
+
+
+# Level itself checks the ids it holds as values, so a Level built directly
+# names the field too, even for an unhashable value.
+DIRECT_NON_STRING_IDS = {
+    "entry": (lambda lv: Level(gadgets={}, tim_edges={}, signals={}, entry=["x"], num_counters=0),
+              "level entry ['x']"),
+    "lever-signal": (lambda lv: dataclasses.replace(lv, gadgets={**lv.gadgets, "L0": LeverPull(["x"])}),
+                     "lever signal ['x']"),
+    "tim-edge-from": (lambda lv: dataclasses.replace(lv, tim_edges={**lv.tim_edges, (("x",), "out"): "L1"}),
+                      "tim edge from ('x',)"),
+    "tim-edge-to": (lambda lv: dataclasses.replace(lv, tim_edges={**lv.tim_edges, ("L0", "out"): ["x"]}),
+                    "tim edge to ['x']"),
+    "door-router": (lambda lv: dataclasses.replace(lv, signals={**lv.signals, "door1": OpenDoor(["x"], "B1")}),
+                    "open-door router ['x']"),
+    "door-branch": (lambda lv: dataclasses.replace(lv, signals={**lv.signals, "door1": OpenDoor("R0", {"x": 1})}),
+                    "open-door branch {'x': 1}"),
+}
+
+
+@pytest.mark.parametrize("build,field", DIRECT_NON_STRING_IDS.values(), ids=DIRECT_NON_STRING_IDS.keys())
+def test_level_built_directly_rejects_non_string_ids(build, field):
+    level = compile(parse_counter_program("counters 1\n0: add 0\n1: subb 0 0\n2: halt\n"))
+    with pytest.raises(LevelFormatError, match=f"^{re.escape(field)} is not a string$"):
+        build(level)
 
 
 # Each check that a level's ids name what it declares.

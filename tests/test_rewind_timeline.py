@@ -57,6 +57,10 @@ def test_seek_clamps():
 def test_seek_speed_limit():
     with pytest.raises(ValueError):
         tl_seek(Timeline(("a",), 0), 3, 2)
+    with pytest.raises(ValueError):
+        tl_seek(Timeline(("a",), 0), -3, 2)
+    t = Timeline(("a", "b", "c"), 1)
+    assert tl_seek(t, 2, 2).cursor == 2 and tl_seek(t, -2, 2).cursor == 0
 
 
 def test_timeline_validation():
@@ -64,6 +68,15 @@ def test_timeline_validation():
         Timeline((), 0)
     with pytest.raises(ValueError):
         Timeline(("a",), 1)
+    with pytest.raises(ValueError):
+        Timeline(("a",), -1)
+
+
+def test_record_and_seek_return_timelines():
+    t = Timeline(("a", "b", "c"), 1)
+    for t2 in (tl_record(t, "x"), tl_seek(t, 1, 8), tl_seek(t, -5, 8), tl_seek(t, 7, 8)):
+        assert type(t2) is Timeline
+    assert t == (("a", "b", "c"), 1)  # a plain tuple, like Configuration
 
 
 def toy_game(goal_pairs, moves=None, max_speed=2):
