@@ -17,7 +17,15 @@ from . import counter_machine as cm
 from . import gadget_compiler as gc
 from . import rewind_timeline as rt
 from .braidlike_tm import format_btm, parse_btm
-from .oracle_sim import END, WALL, SearchBudgetExceeded, det_behavior_oracle, reach_bfs, read_only_oracle
+from .oracle_sim import (
+    DEFAULT_BUDGET,
+    END,
+    WALL,
+    SearchBudgetExceeded,
+    det_behavior_oracle,
+    reach_bfs,
+    read_only_oracle,
+)
 from .tour_guide import (
     GuideInvariantError,
     decide_det_braidlike,
@@ -26,9 +34,6 @@ from .tour_guide import (
     det_guide_bound,
     nondet_guide_bound,
 )
-
-DEFAULT_MAX_STEPS = 100_000
-
 
 class _UsageError(Exception):
     pass
@@ -43,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser():
     p = _Parser(prog="braidbench", description=__doc__.splitlines()[0])
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    p.add_argument("--max-steps", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--max-cells", type=int, default=None,
                    help="cell cap; defaults to the applicable guide bound + 1")
     p.add_argument("--trace", metavar="PATH", help="write the witness or certificate as JSON")

@@ -104,9 +104,11 @@ class Level:
             for label in _EXITS.get(type(g), ()):
                 if (gid, label) not in self.tim_edges:
                     raise LevelFormatError(f"gadget {gid!r} has no {label!r} exit")
-        for (gid, _), target in self.tim_edges.items():
+        for (gid, label), target in self.tim_edges.items():
             if _id("tim edge from", gid) not in self.gadgets or _id("tim edge to", target) not in self.gadgets:
                 raise LevelFormatError(f"tim edge {gid!r} -> {target!r} references a missing gadget")
+            if label not in _EXITS.get(type(self.gadgets[gid]), ()):
+                raise LevelFormatError(f"tim edge {gid!r} -> {target!r} leaves by {label!r}, no exit of its gadget")
         for sig, eff in self.signals.items():
             if isinstance(eff, OpenDoor) and (_id("open-door router", eff.router) not in self.gadgets
                                               or _id("open-door branch", eff.branch) not in self.gadgets):

@@ -35,6 +35,12 @@ class SearchBudgetExceeded(RuntimeError):
     """Raised when an explicit search outgrows its explored-node budget."""
 
 
+# How many configurations (or nodes) an explicit search may explore before it
+# raises SearchBudgetExceeded: the default max_explored of reach_bfs,
+# game_search and decide_reachability, and of the CLI's --max-steps.
+DEFAULT_BUDGET = 100_000
+
+
 WALL = "wall"  # pads a left window past cell 0
 END = "end"  # pads a right window past the end of the tape
 
@@ -57,13 +63,15 @@ class OracleVerdict:
     certificate: Certificate = None  # a closed n-gram set proving a negative verdict
 
 
-def reach_bfs(spec: MachineSpec, cell_cap: int, max_explored: int = None) -> OracleVerdict:
+def reach_bfs(spec: MachineSpec, cell_cap: int, max_explored: int = DEFAULT_BUDGET) -> OracleVerdict:
     """Breadth-first reachability of the target state from the blank tape.
 
     Configurations whose head or tape length exceeds cell_cap are discarded,
     which makes the search space finite. The "not-reached" verdict is exact
     only if the cap is at least the nondeterministic guide bound plus one;
-    cap_hit reports whether any configuration was actually discarded.
+    cap_hit reports whether any configuration was actually discarded. A
+    search that would explore more than max_explored configurations raises
+    SearchBudgetExceeded; pass a bigger int for a bigger search.
     The search keys and steps zipped configurations of a TapeStore, so each
     explored configuration costs O(1) time and memory whatever the length of
     its tape. The parents map, which also yields the witness, is the visited
@@ -83,7 +91,7 @@ def reach_bfs(spec: MachineSpec, cell_cap: int, max_explored: int = None) -> Ora
     while queue:
         z = queue.popleft()
         explored += 1
-        if max_explored is not None and explored > max_explored:
+        if explored > max_explored:
             raise SearchBudgetExceeded(f"reach_bfs exceeded {max_explored} configurations")
         if z[0] == spec.target_state:
             return OracleVerdict("reached", explored, _witness(store, parents, z), cap_hit)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .braidlike_tm import BLANK, MachineSpec, MOVE_LEFT, MOVE_RIGHT, TapeStore, Write
-from .oracle_sim import OracleVerdict, SearchBudgetExceeded
+from .oracle_sim import DEFAULT_BUDGET, OracleVerdict, SearchBudgetExceeded
 
 
 class GameParseError(ValueError):
@@ -100,9 +100,11 @@ class GameSpec:
                 raise ValueError(f"goal pair ({m!r}, {t!r}) outside the enumerations")
 
 
-def game_search(g: GameSpec, max_len: int, max_explored: int = None) -> OracleVerdict:
+def game_search(g: GameSpec, max_len: int, max_explored: int = DEFAULT_BUDGET) -> OracleVerdict:
     """BFS over (immune state, timeline) pairs with timelines of at most
     max_len snapshots: "winnable" or "not-winnable", with the nodes explored.
+    A search that would explore more than max_explored nodes raises
+    SearchBudgetExceeded.
     It steps the TapeStore zipper: a node is a triple (immune, left, right),
     a record a move right and a write, a seek one unit move left. Like the
     encoding, it reads neither max_speed nor the redo future: a record
@@ -125,7 +127,7 @@ def game_search(g: GameSpec, max_len: int, max_explored: int = None) -> OracleVe
     while queue:
         z = queue.popleft()
         explored += 1
-        if max_explored is not None and explored > max_explored:
+        if explored > max_explored:
             raise SearchBudgetExceeded(f"game_search exceeded {max_explored} nodes")
         m, left, right = z
         here = (m, car[right])
@@ -218,11 +220,11 @@ def parse_game(text: str) -> GameSpec:
     """Parse the game text format.
 
     `#` comments; `timed <names...>`; `immune <names...>`;
-    `start <immune> <timed>`; optional `speed <k>` (default 8);
+    `start <immune> <timed>`; optional `speed <k>` (else GameSpec's default);
     `move <immune> <timed> <immune'> <timed'>`; `goal <immune> <timed>`.
     """
     timed = immune = start = None
-    speed = 8
+    speed = {}  # max_speed, if a `speed` line gives it
     moves = {}
     goal = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -242,7 +244,7 @@ def parse_game(text: str) -> GameSpec:
         elif key == "speed":
             if len(words) != 2 or not words[1].isdecimal():
                 raise GameParseError(lineno, "expected `speed <k>`")
-            speed = int(words[1])
+            speed["max_speed"] = int(words[1])
         elif key == "move":
             if len(words) != 5:
                 raise GameParseError(lineno, "expected `move <immune> <timed> <immune'> <timed'>`")
@@ -263,7 +265,7 @@ def parse_game(text: str) -> GameSpec:
             init_timed=start[1],
             moves={k: tuple(v) for k, v in moves.items()},
             goal=frozenset(goal),
-            max_speed=speed,
+            **speed,
         )
     except ValueError as e:
         raise GameParseError(0, str(e))

@@ -26,7 +26,7 @@ from .braidlike_tm import (
     canonical_tape,
     check_input,
 )
-from .oracle_sim import OracleVerdict, closed_ngram_proof, reach_bfs
+from .oracle_sim import DEFAULT_BUDGET, OracleVerdict, closed_ngram_proof, reach_bfs
 
 
 class GuideInvariantError(RuntimeError):
@@ -188,7 +188,7 @@ def decide_det_braidlike(spec: MachineSpec, input_symbols=None) -> str:
             z = store.apply(z, action, nxt)
 
 
-def decide_reachability(spec: MachineSpec, cell_cap: int = None, max_explored: int = None) -> OracleVerdict:
+def decide_reachability(spec: MachineSpec, cell_cap: int = None, max_explored: int = DEFAULT_BUDGET) -> OracleVerdict:
     """Decide whether the machine can reach its target state.
 
     First closed_ngram_proof tries to prove the target unreachable at any
@@ -196,12 +196,13 @@ def decide_reachability(spec: MachineSpec, cell_cap: int = None, max_explored: i
     check_certificate replays. Only when no proof closes does an
     explicit-state BFS (reach_bfs) over canonical configurations run,
     capped by default at default_cell_cap(spec), the nondeterministic guide
-    bound plus one cell, and budgeted by max_explored. Its "reached" verdict
-    carries a witness that replays through `successors`. Only a BFS
-    "not-reached" verdict rests on the paper's bound on nondeterministic
-    tour guides: a run reaching the target exists iff one exists whose head
-    stays under the guide-count cap. This package computes no
-    nondeterministic guides, so it does not check that bound itself.
+    bound plus one cell, and budgeted by max_explored: past it, it raises
+    SearchBudgetExceeded. Its "reached" verdict carries a witness that
+    replays through `successors`. Only a BFS "not-reached" verdict rests on
+    the paper's bound on nondeterministic tour guides: a run reaching the
+    target exists iff one exists whose head stays under the guide-count
+    cap. This package computes no nondeterministic guides, so it does not
+    check that bound itself.
     """
     if cell_cap is None:
         cell_cap = default_cell_cap(spec)

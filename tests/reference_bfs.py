@@ -14,14 +14,15 @@ steps tuple Timelines with `tl_record` and `tl_seek` at the game's speed,
 and keys its visited set on (snapshots, cursor, immune). `game_search` seeks
 one cell at a time, so at speed 1 the two search in the same order: the
 kind and the explored count must match, and both must exceed the same
-budget. At a higher speed they reach the same nodes in another order, so
-the kind must match, and the explored count too when neither wins.
+budget, which defaults to `game_search`'s. At a higher speed they reach the
+same nodes in another order, so the kind must match, and the explored count
+too when neither wins.
 """
 
 from collections import deque
 
 from braidbench.braidlike_tm import start_configuration, successors
-from braidbench.oracle_sim import OracleVerdict, SearchBudgetExceeded
+from braidbench.oracle_sim import DEFAULT_BUDGET, OracleVerdict, SearchBudgetExceeded
 from braidbench.rewind_timeline import Timeline, tl_record, tl_seek
 
 
@@ -64,7 +65,7 @@ def tuple_halts(spec, max_steps):
     return False
 
 
-def tuple_game_search(g, max_len, max_explored=None):
+def tuple_game_search(g, max_len, max_explored=DEFAULT_BUDGET):
     start = (Timeline((g.init_timed,), 0), g.init_immune)
     visited = {(start[0].snapshots, start[0].cursor, g.init_immune)}
     queue = deque([start])
@@ -72,7 +73,7 @@ def tuple_game_search(g, max_len, max_explored=None):
     while queue:
         tl, m = queue.popleft()
         explored += 1
-        if max_explored is not None and explored > max_explored:
+        if explored > max_explored:
             raise SearchBudgetExceeded(f"game_search exceeded {max_explored} nodes")
         t = tl.snapshots[tl.cursor]
         if (m, t) in g.goal:

@@ -491,6 +491,12 @@ BAD_INPUTS = {
     "level-missing-exit": (
         ["level-sim", "{f}"], "l.json",
         _adder_level(lambda o: o["tim_edges"].clear()), "error:"),
+    "level-gadgets-list": (
+        ["level-sim", "{f}"], "l.json",
+        _adder_level(lambda o: o.update(gadgets=[])), "error: malformed level: "),
+    "level-tim-edge-not-an-object": (
+        ["level-sim", "{f}"], "l.json",
+        _adder_level(lambda o: o.update(tim_edges=[5])), "error: malformed level: "),
     "unwritable-trace": (["--trace", "{d}/missing/t.json", "btm-reach", "{f}"], "m.btm",
                          TRIVIAL_REACH, "error:"),
     "unwritable-output": (["cm-compile", "{f}", "-o", "{d}/missing/l.json"], "p.cm", ADDER, "error:"),

@@ -626,6 +626,34 @@ def test_level_built_directly_rejects_non_string_ids(build, field):
         build(level)
 
 
+# A tim edge leaves by an exit of its gadget's kind: a lever's "out", a
+# branch's "monstar" or "empty"; a goal, a station or a router has none.
+BAD_EXITS = {
+    "goal-bogus": ("G2", "bogus", "L0"),
+    "lever-monstar": ("L0", "monstar", "G2"),
+    "station-out": ("C0", "out", "L0"),
+    "router-empty": ("R0", "empty", "B1"),
+}
+
+
+@pytest.mark.parametrize("src,label,dst", BAD_EXITS.values(), ids=BAD_EXITS.keys())
+def test_level_rejects_tim_edges_off_the_gadgets_exits(tmp_path, capsys, src, label, dst):
+    text = f"tim edge {src!r} -> {dst!r} leaves by {label!r}, no exit of its gadget"
+    message = f"^{re.escape(text)}$"
+    edge = {"from": src, "exit": label, "to": dst}
+    assert_rejected(tmp_path, capsys, _level_edit(lambda o: o["tim_edges"].append(edge)), match=message)
+    level = compile(parse_counter_program("counters 1\n0: add 0\n1: subb 0 0\n2: halt\n"))
+    with pytest.raises(LevelFormatError, match=message):
+        dataclasses.replace(level, tim_edges={**level.tim_edges, (src, label): dst})
+
+
+def test_level_built_directly_rejects_a_non_string_exit():
+    # the loader rejects it as no string; a Level, as no exit
+    level = compile(parse_counter_program("counters 1\n0: add 0\n1: subb 0 0\n2: halt\n"))
+    with pytest.raises(LevelFormatError, match="^tim edge 'L0' -> 'G2' leaves by 5, no exit of its gadget$"):
+        dataclasses.replace(level, tim_edges={**level.tim_edges, ("L0", 5): "G2"})
+
+
 # Each check that a level's ids name what it declares.
 MISSING_IDS = {
     "entry": (lambda o: o.update(entry="nowhere"), "entry gadget 'nowhere' missing"),

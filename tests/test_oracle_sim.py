@@ -10,6 +10,7 @@ from braidbench.braidlike_tm import (
     MOVE_LEFT,
     MOVE_RIGHT,
     Write,
+    parse_btm,
     successors,
 )
 from braidbench.counter_machine import cm_run, initial_config, parse_counter_program
@@ -28,6 +29,7 @@ from braidbench.oracle_sim import (
 from braidbench.rewind_timeline import GameSpec, game_search
 from braidbench.tour_guide import compute_guide, decide_det_braidlike, decide_reachability
 from reference_bfs import tuple_halts, tuple_reach_bfs
+from test_cli import run_limited
 
 
 def spec_of(transitions, n, s, accept=(), target=None, det=False, start=0):
@@ -136,6 +138,33 @@ def test_reach_memory_per_configuration_is_flat():
         tracemalloc.stop()
     assert res.explored == 8193
     assert peak / res.explored < 1000, peak / res.explored
+
+
+# Never writes symbol 2, so its target 1 is unreachable; a 1-gram proof
+# settles it, but the BFS explores about 4 times more configurations per two
+# cells of cap: 37 811 at cap 12 and over 10**6 at cap 32.
+NEVER_WRITES_TWO = (
+    "states 3\nsymbols 3\nstart 0\naccept\ntarget 1\n"
+    "trans 0 0 write 1 0\ntrans 0 0 left 2\ntrans 0 1 right 0\ntrans 0 1 left 0\ntrans 0 2 left 0\n"
+    "trans 0 2 right 1\ntrans 1 1 right 2\ntrans 1 2 left 2\ntrans 1 2 left 1\ntrans 2 0 right 0\n"
+    "trans 2 0 right 2\ntrans 2 1 write 0 2\ntrans 2 1 right 0\ntrans 2 2 left 0\ntrans 2 2 right 1\n"
+)
+
+
+def test_reach_default_budget_bounds_the_search():
+    spec = parse_btm(NEVER_WRITES_TWO)
+    res = reach_bfs(spec, 12)
+    assert (res.kind, res.explored, res.cap_hit) == ("not-reached", 37811, True)
+    # without a default budget this search exhausted memory, so it runs in
+    # a subprocess with its address space capped
+    code = ("from braidbench import parse_btm\n"
+            "from braidbench.oracle_sim import SearchBudgetExceeded, reach_bfs\n"
+            "try:\n"
+            f"    reach_bfs(parse_btm({NEVER_WRITES_TWO!r}), 32)\n"
+            "except SearchBudgetExceeded as e:\n"
+            "    print(e)\n")
+    out = run_limited("-c", code)
+    assert (out.returncode, out.stdout) == (0, "reach_bfs exceeded 100000 configurations\n"), out.stderr
 
 
 # --- det_behavior_oracle ---------------------------------------------------

@@ -18,6 +18,7 @@ from braidbench.rewind_timeline import (
 )
 from braidbench.tour_guide import decide_reachability
 from reference_bfs import tuple_game_search
+from test_cli import run_limited
 
 
 def test_record_appends():
@@ -120,9 +121,11 @@ def games(draw):
     return GameSpec(timed, immune, immune[0], timed[0], moves, goal, max_speed=draw(st.integers(1, 10)))
 
 
-def _search_outcome(search, g, max_len, max_explored):
+def _search_outcome(search, g, max_len, *max_explored):
+    """The search's (kind, explored), or "budget exceeded"; with no
+    max_explored the search runs at its default budget."""
     try:
-        res = search(g, max_len, max_explored)
+        res = search(g, max_len, *max_explored)
     except SearchBudgetExceeded:
         return "budget exceeded"
     return res.kind, res.explored
@@ -132,13 +135,14 @@ def _search_outcome(search, g, max_len, max_explored):
 @given(g=games(), max_len=st.integers(1, 9), max_explored=st.none() | st.integers(1, 50))
 def test_game_search_matches_tuple_search(g, max_len, max_explored):
     # game_search seeks one cell at a time, so it visits the speed-1 tuple
-    # search's nodes in the same order
-    outcome = _search_outcome(game_search, g, max_len, max_explored)
-    assert outcome == _search_outcome(tuple_game_search, dataclasses.replace(g, max_speed=1), max_len, max_explored)
+    # search's nodes in the same order; a None draw passes no budget
+    budget = () if max_explored is None else (max_explored,)
+    outcome = _search_outcome(game_search, g, max_len, *budget)
+    assert outcome == _search_outcome(tuple_game_search, dataclasses.replace(g, max_speed=1), max_len, *budget)
     if max_explored is None:
         # at the game's own speed the node set is the same, in another order:
         # the verdict agrees, and so does an exhaustive search's node count
-        kind, explored = _search_outcome(tuple_game_search, g, max_len, None)
+        kind, explored = _search_outcome(tuple_game_search, g, max_len)
         assert kind == outcome[0]
         if kind == "not-winnable":
             assert explored == outcome[1]
@@ -154,8 +158,30 @@ def test_game_search_order_does_not_follow_the_speed():
     g = GameSpec(("t0", "t1"), ("m0", "m1"), "m0", "t0",
                  {("m0", "t0"): (("m0", "t1"),), ("m0", "t1"): (("m1", "t0"),), ("m1", "t1"): (("m0", "t0"),)},
                  frozenset({("m1", "t1")}), max_speed=2)
-    assert _search_outcome(game_search, g, 3, None) == ("winnable", 5)
-    assert _search_outcome(tuple_game_search, g, 3, None) == ("winnable", 6)
+    assert _search_outcome(game_search, g, 3) == ("winnable", 5)
+    assert _search_outcome(tuple_game_search, g, 3) == ("winnable", 6)
+
+
+# The bench's not-winnable shape: moves record only t0 and t1, and the goal
+# is on t2, so the search exhausts every timeline up to max_len.
+NOT_WINNABLE = GameSpec(("t0", "t1", "t2"), ("m0", "m1"), "m0", "t0",
+                        {(m, t): (("m0", "t0"), ("m1", "t1")) for m in ("m0", "m1") for t in ("t0", "t1")},
+                        frozenset({("m1", "t2")}))
+
+
+def test_game_search_default_budget():
+    assert _search_outcome(game_search, NOT_WINNABLE, 13) == ("not-winnable", 98305)
+    # at max_len 14 the search needs 212 993 nodes; it runs in a subprocess
+    # with its address space capped, so that a search without a budget
+    # cannot take the machine's memory
+    code = ("from braidbench.oracle_sim import SearchBudgetExceeded\n"
+            "from braidbench.rewind_timeline import GameSpec, game_search\n"
+            "try:\n"
+            f"    game_search({NOT_WINNABLE!r}, 14)\n"
+            "except SearchBudgetExceeded as e:\n"
+            "    print(e)\n")
+    out = run_limited("-c", code)
+    assert (out.returncode, out.stdout) == (0, "game_search exceeded 100000 nodes\n"), out.stderr
 
 
 def test_adapter_goal_at_start_target_in_one_step():
@@ -241,6 +267,11 @@ def test_parse_game_round_trip():
     assert g.max_speed == 2
     assert g.moves == {("m0", "t0"): (("m0", "t1"),)}
     assert g.goal == frozenset({("m0", "t1")})
+
+
+def test_parse_game_without_speed_takes_the_gamespec_default():
+    g = parse_game("timed t0 t1\nimmune m0\nstart m0 t0\nmove m0 t0 m0 t1\ngoal m0 t1\n")
+    assert g == GameSpec(("t0", "t1"), ("m0",), "m0", "t0", {("m0", "t0"): (("m0", "t1"),)}, frozenset({("m0", "t1")}))
 
 
 def test_parse_game_errors():

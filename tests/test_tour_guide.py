@@ -8,6 +8,7 @@ from braidbench.braidlike_tm import (
     MOVE_LEFT,
     MOVE_RIGHT,
     Write,
+    parse_btm,
 )
 from braidbench.oracle_sim import check_certificate, det_behavior_oracle, reach_bfs, read_only_oracle
 from braidbench.tour_guide import (
@@ -22,6 +23,7 @@ from braidbench.tour_guide import (
     nondet_guide_bound,
 )
 from reference_bfs import tuple_reach_bfs
+from test_cli import run_limited
 
 
 def spec_of(transitions, n, s, accept=(), target=None, det=False, start=0):
@@ -272,3 +274,43 @@ def test_reachability_target_seen_mid_excursion():
     res = decide_reachability(spec)
     assert res.kind == "reached"
     assert res.witness[-1].state == 1
+
+
+def blocks(m, p, phase):
+    """The block family as .btm text: 2m + p + 3 states, 3 symbols. After a
+    marker 2, the W states write m-cell blocks of 1s and can stop at a block's
+    end; the p V states then walk left over the 1s counting mod p, and the
+    one at `phase` writes 2 onto the marker into the target. The blocks make
+    the walk a multiple of m long, so with p = m phase 0 is reachable and
+    phase 1 is not. No n-gram proof with n <= 3 closes on any member."""
+    w = [2 + 2 * i for i in range(m)]
+    end = w[-1] + 1  # the last write state
+    v = [end + 1 + j for j in range(p)]
+    target = v[-1] + 1
+    trans = [(0, 0, "write 2", 1), (1, 2, "right", w[0])]
+    for i, q in enumerate(w):
+        trans.append((q, 0, "write 1", q + 1))
+        if i < m - 1:
+            trans.append((q + 1, 1, "right", w[i + 1]))
+    trans += [(end, 1, "right", w[0]), (end, 1, "left", v[1 % p])]
+    trans += [(v[j], 1, "left", v[(j + 1) % p]) for j in range(p)]
+    trans.append((v[phase], 2, "write 2", target))
+    return (f"states {target + 1}\nsymbols 3\nstart 0\naccept\ntarget {target}\n"
+            + "".join(f"trans {q} {a} {action} {nxt}\n" for q, a, action, nxt in trans))
+
+
+def test_reachability_default_budget_on_the_block_family():
+    res = decide_reachability(parse_btm(blocks(2, 2, 0)))
+    assert (res.kind, res.explored, res.certificate) == ("reached", 12, None)
+    # phase 1 is unreachable but no proof closes, so the BFS runs to the
+    # default cap, a 124-bit number: without a default budget it never
+    # returned, so it runs in a subprocess with its address space capped
+    code = ("from braidbench import parse_btm\n"
+            "from braidbench.oracle_sim import SearchBudgetExceeded\n"
+            "from braidbench.tour_guide import decide_reachability\n"
+            "try:\n"
+            f"    decide_reachability(parse_btm({blocks(2, 2, 1)!r}))\n"
+            "except SearchBudgetExceeded as e:\n"
+            "    print(e)\n")
+    out = run_limited("-c", code)
+    assert (out.returncode, out.stdout) == (0, "reach_bfs exceeded 100000 configurations\n"), out.stderr
