@@ -229,13 +229,14 @@ def _dispatch(args) -> int:
         spec = parse_btm(_read(args.file))
         if spec.target_state is None:
             raise _UsageError("btm-reach needs a machine with a declared target state")
-        default_cap = default_cell_cap(spec)
-        cap = args.max_cells if args.max_cells is not None else default_cap
+        cap = args.max_cells
         res = decide_reachability(spec, cell_cap=cap, max_explored=args.max_steps)
-        if res.kind == "not-reached" and res.cap_hit and cap < default_cap:  # only reach_bfs hits a cap
-            bound = _decimal(default_cap) or f"of {default_cap.bit_length()} bits"
-            print(f"warning: cell cap {cap} is below the exact bound {bound}; "
-                  "a not-reached verdict is only bounded", file=sys.stderr)
+        if res.kind == "not-reached" and res.cap_hit and cap is not None:  # only reach_bfs hits a cap
+            default_cap = default_cell_cap(spec)  # only here: it has about N² bits for N states
+            if cap < default_cap:
+                bound = _decimal(default_cap) or f"of {default_cap.bit_length()} bits"
+                print(f"warning: cell cap {cap} is below the exact bound {bound}; "
+                      "a not-reached verdict is only bounded", file=sys.stderr)
         _emit(args, _search_payload(args, res), _search_text(res, f"explored {res.explored} configurations"))
         return 0
 

@@ -8,12 +8,16 @@ is the tuple reference coding, with seeks bounded by a speed; like
 turns a toy game (enumerated time-dependent and time-immune state, player
 moves) into a nondeterministic braidlike machine whose tape is the timeline,
 whose head is the cursor, and whose target state fires when the goal holds.
-`game_search` steps the same graph on zipped tapes of a TapeStore. Both
+`game_search` steps the same graph on interned lists of a TapeStore. Both
 make only left seeks, one cell at a time: a record leaves the cursor at the
 timeline's end and seeking leaves the immune state alone, so a seek of any
 speed, in either direction, lands where left seeks from the end do, and the
-seek speed changes no verdict. The encoding's reachability search and
-`game_search` share the tape layer but not the search.
+seek speed changes no verdict. Nothing then reads a snapshot right of the
+cursor before a record erases it: the redo future is dead state, and a
+timeline under left seeks is a stack of the snapshots up to the cursor,
+which a record pushes and a seek pops. `game_search` keys its nodes on that
+stack alone. The encoding's reachability search and `game_search` share the
+tape layer but not the search.
 """
 
 from __future__ import annotations
@@ -105,48 +109,47 @@ def game_search(g: GameSpec, max_len: int, max_explored: int = DEFAULT_BUDGET) -
     max_len snapshots: "winnable" or "not-winnable", with the nodes explored.
     A search that would explore more than max_explored nodes raises
     SearchBudgetExceeded.
-    It steps the TapeStore zipper: a node is a triple (immune, left, right),
-    a record a move right and a write, a seek one unit move left. Like the
-    encoding, it reads neither max_speed nor the redo future: a record
-    leaves the cursor at the end and seeking leaves the immune state alone,
-    so any seek lands where left seeks from the end do. A unit right seek
-    would lead back to the node this one was first reached from, so
-    `explored` is that of a unit-seek BFS both ways; a speed-k search
-    differs only in order."""
+    Like the encoding, it reads neither max_speed nor the redo future: a
+    record leaves the cursor at the end and seeking leaves the immune state
+    alone, so any seek lands where left seeks from the end do, and a record
+    erases the redo future before anything reads it. So a node is a pair
+    (immune, past), where `past` is the interned TapeStore list of snapshots
+    0..cursor, nearest first: a stack that a record pushes and a unit left
+    seek pops. Timelines with equal pasts have the same successors apart
+    from their redo futures, so merging them changes no verdict, and
+    `explored` is at most that of a unit-seek BFS over whole timelines."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     sym = {t: i + 1 for i, t in enumerate(g.timed_states)}
     store = TapeStore(len(sym) + 1)
-    apply, car, size = store.apply, store.car, store.size
-    records = {(m, sym[t]): [(m2, Write(sym[t2])) for m2, t2 in outs] for (m, t), outs in g.moves.items()}
+    cons, car, cdr, size = store.cons, store.car, store.cdr, store.size
+    records = {(m, sym[t]): [(m2, sym[t2]) for m2, t2 in outs] for (m, t), outs in g.moves.items()}
     goal = {(m, sym[t]) for m, t in g.goal}
-    start = (g.init_immune, 0, store.cons(sym[g.init_timed], 0))
+    start = (g.init_immune, cons(sym[g.init_timed], 0))
     visited = {start}
     queue = deque([start])
     explored = 0
     while queue:
-        z = queue.popleft()
+        m, past = queue.popleft()
         explored += 1
         if explored > max_explored:
             raise SearchBudgetExceeded(f"game_search exceeded {max_explored} nodes")
-        m, left, right = z
-        here = (m, car[right])
+        here = (m, car[past])
         if here in goal:
             return OracleVerdict("winnable", explored)
         moves = records.get(here)
-        if moves and size[left] + 2 <= max_len:
-            # a write sets the state, so one move right serves every record
-            pushed = apply(z, MOVE_RIGHT, m)
-            for m2, write in moves:
-                z2 = apply(pushed, write, m2)
-                if z2 not in visited:
-                    visited.add(z2)
-                    queue.append(z2)
-        if left:
-            z2 = apply(z, MOVE_LEFT, m)
-            if z2 not in visited:
-                visited.add(z2)
-                queue.append(z2)
+        if moves and size[past] < max_len:
+            for m2, s in moves:
+                succ = (m2, cons(s, past))
+                if succ not in visited:
+                    visited.add(succ)
+                    queue.append(succ)
+        past = cdr[past]
+        if past:
+            succ = (m, past)
+            if succ not in visited:
+                visited.add(succ)
+                queue.append(succ)
     return OracleVerdict("not-winnable", explored)
 
 

@@ -192,20 +192,21 @@ def decide_reachability(spec: MachineSpec, cell_cap: int = None, max_explored: i
     """Decide whether the machine can reach its target state.
 
     First closed_ngram_proof tries to prove the target unreachable at any
-    cell cap; its "not-reached" verdict carries a certificate that
-    check_certificate replays. Only when no proof closes does an
-    explicit-state BFS (reach_bfs) over canonical configurations run,
-    capped by default at default_cell_cap(spec), the nondeterministic guide
-    bound plus one cell, and budgeted by max_explored: past it, it raises
-    SearchBudgetExceeded. Its "reached" verdict carries a witness that
-    replays through `successors`. Only a BFS "not-reached" verdict rests on
-    the paper's bound on nondeterministic tour guides: a run reaching the
-    target exists iff one exists whose head stays under the guide-count
-    cap. This package computes no nondeterministic guides, so it does not
-    check that bound itself.
+    cell cap, so it needs none; its "not-reached" verdict carries a
+    certificate that check_certificate replays. Only when no proof closes
+    does an explicit-state BFS (reach_bfs) over canonical configurations
+    run, capped by default at default_cell_cap(spec), the nondeterministic
+    guide bound plus one cell, and budgeted by max_explored: past it, it
+    raises SearchBudgetExceeded. Its "reached" verdict carries a witness
+    that replays through `successors`. Only a BFS "not-reached" verdict
+    rests on the paper's bound on nondeterministic tour guides: a run
+    reaching the target exists iff one exists whose head stays under the
+    guide-count cap. This package computes no nondeterministic guides, so it
+    does not check that bound itself.
     """
-    if cell_cap is None:
-        cell_cap = default_cell_cap(spec)
-    if cell_cap < 1:
+    if cell_cap is not None and cell_cap < 1:
         raise ValueError("cell_cap must be >= 1")
-    return closed_ngram_proof(spec, "not-reached") or reach_bfs(spec, cell_cap, max_explored=max_explored)
+    # the default cap is computed only for the BFS: it has about N² bits for
+    # N states, too many to build for a large machine that a proof settles
+    return closed_ngram_proof(spec, "not-reached") or reach_bfs(
+        spec, default_cell_cap(spec) if cell_cap is None else cell_cap, max_explored=max_explored)

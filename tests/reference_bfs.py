@@ -9,14 +9,19 @@ exactly.
 `tuple_halts` simulates a deterministic machine on tuple Configurations,
 so a "loop" certificate can be held against a run that halts.
 
-`tuple_game_search` is the same kind of baseline for `game_search`: it
-steps tuple Timelines with `tl_record` and `tl_seek` at the game's speed,
-and keys its visited set on (snapshots, cursor, immune). `game_search` seeks
-one cell at a time, so at speed 1 the two search in the same order: the
-kind and the explored count must match, and both must exceed the same
-budget, which defaults to `game_search`'s. At a higher speed they reach the
-same nodes in another order, so the kind must match, and the explored count
-too when neither wins.
+`tuple_past_search` is the same kind of baseline for `game_search`: it
+steps tuple Timelines with `tl_record` and unit left seeks `tl_seek(tl, -1,
+1)`, and keys its visited set on (snapshots[:cursor + 1], immune), the past
+that `game_search` keys on, so the redo future a queued Timeline carries is
+whichever its first path left. It searches in the same order, so the kind
+and the explored count must match, and both must exceed the same budget,
+which defaults to `game_search`'s.
+
+`tuple_game_search` steps whole tuple Timelines, redo future included,
+with records and seeks of every delta up to the game's speed, both ways,
+and keys on (snapshots, cursor, immune). It reaches the same pasts in
+another order over more nodes, so the verdict must match `game_search`'s,
+and when neither wins its explored count is at least `game_search`'s.
 """
 
 from collections import deque
@@ -87,6 +92,31 @@ def tuple_game_search(g, max_len, max_explored=DEFAULT_BUDGET):
                 nexts.append((tl_seek(tl, delta, g.max_speed), m))
         for tl2, m2 in nexts:
             key = (tl2.snapshots, tl2.cursor, m2)
+            if key not in visited:
+                visited.add(key)
+                queue.append((tl2, m2))
+    return OracleVerdict("not-winnable", explored)
+
+
+def tuple_past_search(g, max_len, max_explored=DEFAULT_BUDGET):
+    start = Timeline((g.init_timed,), 0)
+    visited = {(start.snapshots, g.init_immune)}
+    queue = deque([(start, g.init_immune)])
+    explored = 0
+    while queue:
+        tl, m = queue.popleft()
+        explored += 1
+        if explored > max_explored:
+            raise SearchBudgetExceeded(f"game_search exceeded {max_explored} nodes")
+        t = tl.snapshots[tl.cursor]
+        if (m, t) in g.goal:
+            return OracleVerdict("winnable", explored)
+        nexts = []
+        if tl.cursor + 2 <= max_len:
+            nexts.extend((tl_record(tl, t2), m2) for m2, t2 in g.moves.get((m, t), ()))
+        nexts.append((tl_seek(tl, -1, 1), m))  # at cursor 0 it stays put, a node already visited
+        for tl2, m2 in nexts:
+            key = (tl2.snapshots[: tl2.cursor + 1], m2)
             if key not in visited:
                 visited.add(key)
                 queue.append((tl2, m2))

@@ -420,6 +420,14 @@ def test_btm_reach_right_writer_default_cap(tmp_path):
     assert (out.returncode, out.stdout) == (0, "not-reached (explored 49155)\n"), out.stderr
 
 
+def test_btm_reach_settles_a_large_machine_without_its_guide_bound(tmp_path):
+    # no transitions, so a 1-gram proof settles it; the default cap, the
+    # guide bound of 10^10 bits, once took the subprocess's memory first
+    path = write(tmp_path, "big.btm", "states 100000\nsymbols 1\nstart 0\naccept\ntarget 1\n")
+    out = run_limited("-m", "braidbench.cli", "btm-reach", path)
+    assert (out.returncode, out.stdout) == (0, "not-reached (closed 1-gram set, 1 windows)\n"), out.stderr
+
+
 WALKER = ("states 21\nsymbols 1\nstart 0\naccept\ntarget 20\n"
           + "".join(f"trans {q} 0 right {q + 1}\n" for q in range(20)))
 

@@ -17,7 +17,7 @@ from braidbench.rewind_timeline import (
     tl_seek,
 )
 from braidbench.tour_guide import decide_reachability
-from reference_bfs import tuple_game_search
+from reference_bfs import tuple_game_search, tuple_past_search
 from test_cli import run_limited
 
 
@@ -134,18 +134,21 @@ def _search_outcome(search, g, max_len, *max_explored):
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(g=games(), max_len=st.integers(1, 9), max_explored=st.none() | st.integers(1, 50))
 def test_game_search_matches_tuple_search(g, max_len, max_explored):
-    # game_search seeks one cell at a time, so it visits the speed-1 tuple
-    # search's nodes in the same order; a None draw passes no budget
+    # game_search keys a node on its past and seeks one cell left at a
+    # time, as the tuple past search does, so the two visit the same nodes
+    # in the same order; a None draw passes no budget
     budget = () if max_explored is None else (max_explored,)
     outcome = _search_outcome(game_search, g, max_len, *budget)
-    assert outcome == _search_outcome(tuple_game_search, dataclasses.replace(g, max_speed=1), max_len, *budget)
+    assert outcome == _search_outcome(tuple_past_search, g, max_len, *budget)
     if max_explored is None:
-        # at the game's own speed the node set is the same, in another order:
-        # the verdict agrees, and so does an exhaustive search's node count
+        # the two-way search over whole timelines at the game's own speed
+        # reaches the same pasts in another order: the verdict agrees, and
+        # an exhaustive search counts every redo future that the past-only
+        # search merges away
         kind, explored = _search_outcome(tuple_game_search, g, max_len)
         assert kind == outcome[0]
         if kind == "not-winnable":
-            assert explored == outcome[1]
+            assert outcome[1] <= explored
         # the encoding on a max_len-cell tape reaches its target iff the game is winnable
         reached = reach_bfs(build_braidlike_from_game(g), max_len).kind == "reached"
         assert reached == (outcome[0] == "winnable")
@@ -153,12 +156,14 @@ def test_game_search_matches_tuple_search(g, max_len, max_explored):
 
 def test_game_search_order_does_not_follow_the_speed():
     # from m1 on t0 t1 t0 at cursor 2, the speed-2 tuple search queues the
-    # seek of -2 before the seek of -1 that wins; game_search seeks one cell
-    # at a time, so it never queues the first and wins one node sooner
+    # seek of -2 before the seek of -1 that wins; the speed-1 search does
+    # not, but still queues the right seek off t0 t1 at cursor 0; game_search
+    # seeks only left, one cell at a time, and wins a node sooner again
     g = GameSpec(("t0", "t1"), ("m0", "m1"), "m0", "t0",
                  {("m0", "t0"): (("m0", "t1"),), ("m0", "t1"): (("m1", "t0"),), ("m1", "t1"): (("m0", "t0"),)},
                  frozenset({("m1", "t1")}), max_speed=2)
-    assert _search_outcome(game_search, g, 3) == ("winnable", 5)
+    assert _search_outcome(game_search, g, 3) == ("winnable", 4)
+    assert _search_outcome(tuple_game_search, dataclasses.replace(g, max_speed=1), 3) == ("winnable", 5)
     assert _search_outcome(tuple_game_search, g, 3) == ("winnable", 6)
 
 
@@ -169,15 +174,24 @@ NOT_WINNABLE = GameSpec(("t0", "t1", "t2"), ("m0", "m1"), "m0", "t0",
                         frozenset({("m1", "t2")}))
 
 
+@pytest.mark.parametrize("max_len", range(1, 13))
+def test_game_search_counts_pasts_not_timelines(max_len):
+    # a node is an immune state and a past: t0, then up to L - 1 records
+    # of t0 (to m0) or t1 (to m1). A past shorter than L pairs with either
+    # immune state (a record, then a seek back), a full one only with the
+    # state its last record set: 2·(2^(L-1) - 1) + 2^(L-1) nodes
+    assert _search_outcome(game_search, NOT_WINNABLE, max_len) == ("not-winnable", 3 * 2 ** (max_len - 1) - 2)
+
+
 def test_game_search_default_budget():
-    assert _search_outcome(game_search, NOT_WINNABLE, 13) == ("not-winnable", 98305)
-    # at max_len 14 the search needs 212 993 nodes; it runs in a subprocess
+    assert _search_outcome(game_search, NOT_WINNABLE, 16) == ("not-winnable", 98302)
+    # at max_len 17 the search needs 196 606 nodes; it runs in a subprocess
     # with its address space capped, so that a search without a budget
     # cannot take the machine's memory
     code = ("from braidbench.oracle_sim import SearchBudgetExceeded\n"
             "from braidbench.rewind_timeline import GameSpec, game_search\n"
             "try:\n"
-            f"    game_search({NOT_WINNABLE!r}, 14)\n"
+            f"    game_search({NOT_WINNABLE!r}, 17)\n"
             "except SearchBudgetExceeded as e:\n"
             "    print(e)\n")
     out = run_limited("-c", code)
