@@ -33,7 +33,13 @@ from .tour_guide import (
     default_cell_cap,
     det_guide_bound,
     nondet_guide_bound,
+    nondet_guide_bound_bits,
 )
+
+# Bounds of more bits are never built for a message: Python prints at most
+# 4300 digits of an int in decimal by default, about 14 300 bits.
+_DECIMAL_BITS = 2 ** 16
+
 
 class _UsageError(Exception):
     pass
@@ -232,10 +238,15 @@ def _dispatch(args) -> int:
         cap = args.max_cells
         res = decide_reachability(spec, cell_cap=cap, max_explored=args.max_steps)
         if res.kind == "not-reached" and res.cap_hit and cap is not None:  # only reach_bfs hits a cap
-            default_cap = default_cell_cap(spec)  # only here: it has about N² bits for N states
-            if cap < default_cap:
-                bound = _decimal(default_cap) or f"of {default_cap.bit_length()} bits"
-                print(f"warning: cell cap {cap} is below the exact bound {bound}; "
+            # the exact cap has about N² bits for N states: build it only to
+            # print it, or to compare it with a cap of as many bits
+            bits = nondet_guide_bound_bits(spec.num_states)  # default_cell_cap(spec).bit_length()
+            below, bound = True, None  # a cap of fewer bits is below it
+            if bits <= max(_DECIMAL_BITS, cap.bit_length()):
+                default_cap = default_cell_cap(spec)
+                below, bound = cap < default_cap, _decimal(default_cap)
+            if below:
+                print(f"warning: cell cap {cap} is below the exact bound {bound or f'of {bits} bits'}; "
                       "a not-reached verdict is only bounded", file=sys.stderr)
         _emit(args, _search_payload(args, res), _search_text(res, f"explored {res.explored} configurations"))
         return 0
@@ -245,7 +256,14 @@ def _dispatch(args) -> int:
         if args.input is not None:
             res = read_only_oracle(spec, _parse_input(args.input))
         else:
-            cap = args.max_cells if args.max_cells is not None else default_cell_cap(spec)
+            cap = args.max_cells
+            if cap is None:
+                # no search within the budget reaches max_steps + 1 cells, so
+                # a bigger default cap changes nothing; a nondeterministic
+                # bound of more bits than that is not built
+                cap = args.max_steps + 1
+                if spec.target_state is None or nondet_guide_bound_bits(spec.num_states) <= cap.bit_length():
+                    cap = min(cap, default_cell_cap(spec))
             if spec.target_state is not None:
                 res = reach_bfs(spec, cap, max_explored=args.max_steps)
             else:

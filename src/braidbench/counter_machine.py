@@ -107,21 +107,69 @@ def cm_run(program: CounterProgram, init: CounterConfig, max_steps: int) -> RunR
     rows = lower_program(program)
     pc, counters = init.pc, list(init.counters)
     steps = 0
+    seen = {}
     while steps < max_steps and pc is not None:
         row = rows[pc]
         steps += 1
         if row is None:
-            pc = None
+            nxt = None
         elif row[0]:
             counters[row[1]] += 1
-            pc = row[2]
+            nxt = row[2]
         elif counters[row[1]]:
             counters[row[1]] -= 1
-            pc = row[2]
+            nxt = row[2]
         else:
-            pc = row[3]
+            nxt = row[3]
+        if nxt is not None and nxt <= pc:  # a back edge
+            steps = jump_loop(seen, nxt, steps, (counters,), max_steps)
+        pc = nxt
     c = init if steps == 0 else CounterConfig(pc, tuple(counters), init.steps + steps)
     return RunResult("budget" if pc is not None else "halted", c)
+
+
+def jump_loop(seen: dict, at, count: int, vecs: tuple, limit: int) -> int:
+    """Jump whole iterations of the loop that has just come back to `at`:
+    update the lists in vecs in place and return the new count, at most
+    limit.
+
+    The lists hold every value a zero test reads, and a step changes each
+    value by at most 1. seen maps each arrival point to the count and
+    values of its last arrival, and is updated here. Say the last arrival
+    at `at` was p steps ago at u, and the values are now v = u + d. A value
+    with d = 0 replays exactly. One with d != 0 stayed above zero through
+    the iteration if u > p, and stays above zero through the next k if each
+    starts above p, v + (j - 1) d > p for j = 1..k. Then no zero test can
+    differ, so the next k iterations repeat this one: they add k d to each
+    value and k p to the count. The steps near zero and the budget's
+    remainder are left to the caller.
+    """
+    now = tuple(map(tuple, vecs))
+    last = seen.get(at)
+    seen[at] = (count, now)
+    if last is None:
+        return count
+    before, u = last
+    p = count - before
+    k = (limit - count) // p
+    moved = []
+    for vec, us, vs in zip(vecs, u, now):
+        if us != vs:
+            for i, (a, b) in enumerate(zip(us, vs)):
+                if b < a:
+                    k = min(k, (b - p - 1) // (a - b) + 1)
+                elif a == b:
+                    continue
+                elif a <= p:
+                    return count
+                moved.append((vec, i, b - a))
+    if k <= 0:
+        return count
+    for vec, i, d in moved:
+        vec[i] += k * d
+    count += k * p
+    seen[at] = (count, tuple(map(tuple, vecs)))
+    return count
 
 
 def parse_counter_program(text: str) -> CounterProgram:

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from .counter_machine import Add, CounterProgram, Halt, SubBranch, lower_program
+from .counter_machine import Add, CounterProgram, Halt, SubBranch, jump_loop, lower_program
 
 
 class LevelFormatError(ValueError):
@@ -242,11 +242,13 @@ def _lower(level: Level, in_flight=()):
 
 def _run(table, pos, counters, flight, ticks, max_ticks):
     """The level interpreter: tick from gadget number pos, updating the
-    counters list and the per-location monstar counts in flight in place.
+    counters list and the per-location monstar counts in flight in place,
+    and jump whole iterations of its loops (`jump_loop`).
 
     Stops at a goal or at max_ticks ticks.
     Returns (pos, ticks, solved); a solved run counts the goal's tick.
     """
+    seen = {}
     while ticks < max_ticks:
         op, a, b, out, alt = table[pos]
         if op == _REMOVE:
@@ -254,26 +256,29 @@ def _run(table, pos, counters, flight, ticks, max_ticks):
                 counters[a] -= 1
                 flight[b] += 1
             # at zero the freed bunny dies on the spikes: no token moves
-            pos = out
+            nxt = out
         elif op == _DOOR:
             if flight[a]:
                 flight[a] -= 1
                 flight[b] += 1
-            pos = out
+            nxt = out
         elif op == _BRANCH:
             if flight[pos]:
                 flight[pos] -= 1  # jump on the monstar, killing it
-                pos = out
+                nxt = out
             else:
-                pos = alt
+                nxt = alt
         elif op == _ADD:
             counters[a] += 1
-            pos = out
+            nxt = out
         elif op == _GOAL:
             return pos, ticks + 1, True
         else:
             raise LevelFormatError(a)
         ticks += 1
+        if nxt <= pos:  # a back edge
+            ticks = jump_loop(seen, nxt, ticks, (counters, flight), max_ticks)
+        pos = nxt
     return pos, ticks, False
 
 
@@ -345,7 +350,9 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
     (`lower_program`), then ticks of the lowered level table up to the next
     instruction entry. The instruction step repeats `cm_run`'s and the
     ticks repeat `_run`'s, inlined because the two calls per instruction
-    cost about 40% of the time. The lockstep tests with
+    cost about 40% of the time. Neither copy jumps loop iterations
+    (`jump_loop`): a boundary is recorded after every instruction, so
+    every instruction is stepped. The lockstep tests with
     `tests/reference_level.py`, on compiled and on miscompiled levels, pin
     each copy to the reference semantics.
     """

@@ -55,6 +55,14 @@ def nondet_guide_bound(n_states: int) -> int:
     return (2 ** (n_states + 4)) ** n_states * n_states * (n_states + 1)
 
 
+def nondet_guide_bound_bits(n_states: int) -> int:
+    """The bit length of nondet_guide_bound(n_states), 2^(N(N+4)) times
+    N(N+1), without building the bound, which has about N² bits."""
+    if n_states < 1:
+        raise ValueError("need at least one state")
+    return n_states * (n_states + 4) + (n_states * (n_states + 1)).bit_length()
+
+
 def default_cell_cap(spec: MachineSpec) -> int:
     """The applicable guide bound plus one cell: the nondeterministic bound
     for a machine with a target state, the deterministic bound otherwise.

@@ -14,7 +14,7 @@ from braidbench.braidlike_tm import Configuration, parse_btm, successors
 from braidbench.cli import main
 from braidbench.counter_machine import parse_counter_program
 from braidbench.gadget_compiler import compile, level_from_json, level_to_json
-from braidbench.oracle_sim import Certificate, check_certificate, det_behavior_oracle, read_only_oracle
+from braidbench.oracle_sim import Certificate, check_certificate, det_behavior_oracle, reach_bfs, read_only_oracle
 from braidbench.tour_guide import GuideInvariantError, nondet_guide_bound
 from test_acceptance import CORPUS
 
@@ -426,6 +426,40 @@ def test_btm_reach_settles_a_large_machine_without_its_guide_bound(tmp_path):
     path = write(tmp_path, "big.btm", "states 100000\nsymbols 1\nstart 0\naccept\ntarget 1\n")
     out = run_limited("-m", "braidbench.cli", "btm-reach", path)
     assert (out.returncode, out.stdout) == (0, "not-reached (closed 1-gram set, 1 windows)\n"), out.stderr
+
+
+def test_btm_reach_warns_below_a_bound_too_big_to_build(tmp_path):
+    # the parity machine padded to 100 000 states: its BFS stops at the
+    # 9-cell cap, and the warning names the bound of 10^10 bits by its length
+    path = write(tmp_path, "p.btm", "states 100000\n" + PARITY)
+    out = run_limited("-m", "braidbench.cli", "--max-cells", "9", "btm-reach", path)
+    assert (out.returncode, out.stdout) == (0, "not-reached (explored 39 configurations)\n"), out.stderr
+    assert out.stderr == ("warning: cell cap 9 is below the exact bound of 10000400034 bits; "
+                          "a not-reached verdict is only bounded\n")
+
+
+def test_btm_oracle_searches_a_large_machine_without_its_guide_bound(tmp_path):
+    # no search within the budget of --max-steps configurations reaches
+    # max-steps + 1 cells, so the oracle's default cap stops there
+    path = write(tmp_path, "big.btm", "states 100000\nsymbols 1\nstart 0\naccept\ntarget 1\n")
+    out = run_limited("-m", "braidbench.cli", "btm-oracle", path)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "not-reached (explored 1)\n", "")
+
+
+def test_btm_oracle_default_cap_stops_past_the_budget(tmp_path, capsys, monkeypatch):
+    caps = []
+
+    def bfs(spec, cell_cap, max_explored):
+        caps.append(cell_cap)
+        return reach_bfs(spec, cell_cap, max_explored=max_explored)
+
+    monkeypatch.setattr(cli, "reach_bfs", bfs)
+    path = write(tmp_path, "rw.btm", RIGHT_WRITER)
+    # the 2-state nondet bound is 24 576, so the exact cap is 24 577
+    for steps, cap in [(10, 11), (24575, 24576), (24576, 24577), (10 ** 6, 24577)]:
+        assert main(["--max-steps", str(steps), "btm-oracle", path]) == 0
+        capsys.readouterr()
+        assert caps.pop() == cap
 
 
 WALKER = ("states 21\nsymbols 1\nstart 0\naccept\ntarget 20\n"

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 import re
+import time
 from unittest import mock
 
 import pytest
@@ -12,8 +13,10 @@ from braidbench import gadget_compiler
 from braidbench.cli import main
 from braidbench.counter_machine import (
     Add,
+    CounterConfig,
     CounterProgram,
     Halt,
+    RunResult,
     SubBranch,
     cm_run,
     cm_step,
@@ -29,6 +32,7 @@ from braidbench.gadget_compiler import (
     Level,
     LevelConfig,
     LevelFormatError,
+    LevelRunResult,
     OpenDoor,
     SOLVED,
     bisimulate,
@@ -320,6 +324,56 @@ def test_long_run_lockstep_with_reference(p, budget):
     assert outcome(bisimulate, p, budget) == outcome(ref_bisimulate, p, budget)
     c = initial_config(p)
     assert outcome(cm_run, p, c, budget) == outcome(ref_cm_run, p, c, budget)
+    level = compile(p)
+    for init in (initial_level_config(level, (0,) * p.num_counters), None):
+        assert outcome(level_run, level, 3 * budget + 1, init) == outcome(ref_level_run, level, 3 * budget + 1, init)
+
+
+# Each iteration takes two units off counter 0 and puts one back, so the
+# second zero test of an iteration reads one less than the first: a jump
+# may only go as far as iterations whose every test stays above zero.
+DIP = "counters 2\n0: subb 0 4\n1: subb 0 4\n2: add 0\n3: subb 1 0\n4: halt\n"
+
+
+def test_jumps_stop_where_a_dip_inside_the_loop_reaches_zero():
+    for c0 in range(40):
+        p = parse_counter_program(DIP.replace("counters 2", f"counters 2\ninit {c0} 0"))
+        level = compile(p)
+        for budget in (5, 37, 10 ** 4):
+            assert outcome(cm_run, p, initial_config(p), budget) == outcome(ref_cm_run, p, initial_config(p), budget)
+            assert outcome(level_run, level, 3 * budget + 1) == outcome(ref_level_run, level, 3 * budget + 1)
+
+
+@pytest.mark.parametrize("a,b", [(4, 3), (400, 300), (10 ** 9 + 7, 10 ** 9 - 3)])
+def test_transfer_drain_runs_exactly_at_scale(a, b):
+    # TRANSFER_DRAIN from (a, b, 0) moves a into b in 3a + 1 steps, drains
+    # a + b in 2(a + b) + 1 and halts in 1; its level takes 7 ticks a unit
+    # moved, 6 a unit drained, 3 to leave each loop and 1 at the goal
+    start = time.perf_counter()
+    p = dataclasses.replace(TRANSFER_DRAIN, init_counters=(a, b, 0))
+    steps, ticks = 5 * a + 2 * b + 3, 13 * a + 6 * b + 7
+    assert ticks <= 3 * steps + 1
+    level = compile(p)
+    j, i = a // 2, (a + b) // 2  # transfer units done, drain units done
+    expected = [
+        (cm_run, (p, initial_config(p), 10 ** 12), RunResult("halted", CounterConfig(None, (0, 0, 0), steps))),
+        (cm_run, (p, initial_config(p), 3 * j + 1),
+         RunResult("budget", CounterConfig(1, (a - j - 1, b + j, 0), 3 * j + 1))),
+        (cm_run, (p, initial_config(p), 3 * a + 1 + 2 * i),
+         RunResult("budget", CounterConfig(3, (0, a + b - i, 0), 3 * a + 1 + 2 * i))),
+        (level_run, (level, 3 * steps + 1), LevelRunResult("solved", ticks)),
+        (level_run, (level, 10 ** 12), LevelRunResult("solved", ticks)),
+        (level_run, (level, 7 * j + 2), LevelRunResult("budget", 7 * j + 2, LevelConfig(
+            "B0", (a - j - 1, b + j, 0), ("B0",), 7 * j + 2))),
+        (level_run, (level, 7 * a + 3 + 6 * i + 4), LevelRunResult("budget", 7 * a + 3 + 6 * i + 4, LevelConfig(
+            "D4", (0, a + b - i - 1, 0), (), 7 * a + 3 + 6 * i + 4))),
+    ]
+    for f, args, result in expected:
+        assert f(*args) == result
+    assert time.perf_counter() - start < 1
+    if a < 10 ** 3:
+        for f, args, result in expected:
+            assert {cm_run: ref_cm_run, level_run: ref_level_run}[f](*args) == result
 
 
 # Gadget ids of hand-built levels, with the kinds each may take. A level may
@@ -331,11 +385,11 @@ KINDS = {"R0": ["router", "lever", "branch"], "B0": ["branch", "branch", "counte
 
 
 @st.composite
-def json_levels(draw):
+def json_levels(draw, count=st.integers(0, 3)):
     """A hand-built level JSON, loaded, and a config to start it from. The
     player may reach a station or router, a Remove1 may name a router the
     level lacks, and the start may hold monstars in flight, several at one
-    place and at ids that are not gadgets."""
+    place and at ids that are not gadgets. Counters are drawn from count."""
     num_counters = draw(st.integers(1, 2))
     ids = draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=2, max_size=6, unique=True))
     anywhere, counter = st.sampled_from(ids), st.integers(0, num_counters - 1)
@@ -355,7 +409,7 @@ def json_levels(draw):
             edges += [{"from": gid, "exit": label, "to": draw(anywhere)} for label in ("monstar", "empty")]
         elif kind == "counter":
             gadgets[gid]["counter"] = draw(counter)
-    counts = st.lists(st.integers(0, 3), min_size=num_counters, max_size=num_counters)
+    counts = st.lists(count, min_size=num_counters, max_size=num_counters)
     level = level_from_json(json.dumps({
         "entry": draw(anywhere), "num_counters": num_counters, "gadgets": gadgets, "tim_edges": edges,
         "signals": signals, "init_counters": draw(counts)}))
@@ -371,6 +425,15 @@ def test_json_level_lockstep_with_reference(case, budget):
     for start in (None, init):
         assert outcome(level_run, level, budget, start) == outcome(ref_level_run, level, budget, start)
     assert_level_steps_agree(level, init, budget)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(case=json_levels(count=st.integers(0, 3) | st.integers(100, 400)),
+       budget=st.just(10 ** 4) | st.integers(0, 10 ** 4))
+def test_json_level_long_run_lockstep_with_reference(case, budget):
+    level, init = case
+    for start in (None, init):
+        assert outcome(level_run, level, budget, start) == outcome(ref_level_run, level, budget, start)
 
 
 # --- bisimulate must fail on a miscompiled level
@@ -458,6 +521,25 @@ def test_miscompiled_level_lockstep_with_reference(p, data, budget):
     mutant = mutated(*data.draw(mutations(compile(p))))
     with mock.patch.object(gadget_compiler, "compile", mutant), mock.patch.object(reference_level, "compile", mutant):
         assert outcome(bisimulate, p, budget) == outcome(ref_bisimulate, p, budget)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(p=loop_programs(), data=st.data(), budget=st.just(10 ** 4) | st.integers(0, 10 ** 4))
+def test_miscompiled_level_long_run_lockstep_with_reference(p, data, budget):
+    # level_run jumps loop iterations, also on a miscompiled level and from
+    # a start with monstars in flight
+    try:
+        level = mutated(*data.draw(mutations(compile(p))))(p)
+    except LevelFormatError:  # two mutations of one lever that no level can hold
+        return
+    ids = sorted(level.gadgets)
+    counters = data.draw(st.lists(st.integers(0, 400), min_size=3, max_size=3))
+    in_flight = data.draw(st.lists(st.sampled_from(ids + ["Q"]), max_size=4))
+    start = LevelConfig(data.draw(st.sampled_from(ids)), tuple(counters), tuple(sorted(in_flight)),
+                        data.draw(st.integers(0, 2)))
+    for init in (None, start):
+        for ticks in (budget, 3 * budget + 1):
+            assert outcome(level_run, level, ticks, init) == outcome(ref_level_run, level, ticks, init)
 
 
 # --- the bisim command's output, byte for byte, from the reference report

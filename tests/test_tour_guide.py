@@ -21,6 +21,7 @@ from braidbench.tour_guide import (
     decide_reachability,
     det_guide_bound,
     nondet_guide_bound,
+    nondet_guide_bound_bits,
 )
 from reference_bfs import tuple_reach_bfs
 from test_cli import run_limited
@@ -47,6 +48,14 @@ def test_nondet_guide_bound_values():
 def test_nondet_bound_dominates_det_bound():
     for n in range(1, 8):
         assert nondet_guide_bound(n) >= det_guide_bound(n)
+
+
+def test_nondet_guide_bound_bits_is_the_bounds_bit_length():
+    for n in range(1, 80):
+        assert nondet_guide_bound_bits(n) == nondet_guide_bound(n).bit_length()
+    assert nondet_guide_bound_bits(100_000) == 10_000_400_034  # a bound too big to build
+    with pytest.raises(ValueError):
+        nondet_guide_bound_bits(0)
 
 
 def test_bounds_reject_zero_states():
