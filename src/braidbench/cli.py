@@ -56,7 +56,7 @@ def _build_parser():
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--max-steps", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--max-cells", type=int, default=None,
-                   help="cell cap; defaults to the applicable guide bound + 1")
+                   help="cell cap; defaults to min(applicable guide bound, --max-steps) + 1")
     p.add_argument("--trace", metavar="PATH", help="write the witness or certificate as JSON")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -151,12 +151,16 @@ def _search_text(res, detail):
     return f"{res.kind} ({detail})"
 
 
-def _decimal(n):
-    """n in decimal, or None if Python refuses to convert that many digits."""
-    try:
-        return str(n)
-    except ValueError:
-        return None
+def _nondet_decimal(n_states, plus=0):
+    """nondet_guide_bound(n_states) + plus in decimal, or None if Python
+    refuses to convert that many digits. A bound of more than _DECIMAL_BITS
+    bits is never built."""
+    if nondet_guide_bound_bits(n_states) <= _DECIMAL_BITS:
+        try:
+            return str(nondet_guide_bound(n_states) + plus)
+        except ValueError:
+            pass
+    return None
 
 
 def _parse_input(text):
@@ -237,17 +241,11 @@ def _dispatch(args) -> int:
             raise _UsageError("btm-reach needs a machine with a declared target state")
         cap = args.max_cells
         res = decide_reachability(spec, cell_cap=cap, max_explored=args.max_steps)
-        if res.kind == "not-reached" and res.cap_hit and cap is not None:  # only reach_bfs hits a cap
-            # the exact cap has about N² bits for N states: build it only to
-            # print it, or to compare it with a cap of as many bits
-            bits = nondet_guide_bound_bits(spec.num_states)  # default_cell_cap(spec).bit_length()
-            below, bound = True, None  # a cap of fewer bits is below it
-            if bits <= max(_DECIMAL_BITS, cap.bit_length()):
-                default_cap = default_cell_cap(spec)
-                below, bound = cap < default_cap, _decimal(default_cap)
-            if below:
-                print(f"warning: cell cap {cap} is below the exact bound {bound or f'of {bits} bits'}; "
-                      "a not-reached verdict is only bounded", file=sys.stderr)
+        # only reach_bfs hits a cap; a cap below the exact one leaves its not-reached bounded
+        if res.kind == "not-reached" and res.cap_hit and cap is not None and cap < default_cell_cap(spec, cap):
+            bound = _nondet_decimal(spec.num_states, 1) or f"of {nondet_guide_bound_bits(spec.num_states)} bits"
+            print(f"warning: cell cap {cap} is below the exact bound {bound}; "
+                  "a not-reached verdict is only bounded", file=sys.stderr)
         _emit(args, _search_payload(args, res), _search_text(res, f"explored {res.explored} configurations"))
         return 0
 
@@ -256,14 +254,7 @@ def _dispatch(args) -> int:
         if args.input is not None:
             res = read_only_oracle(spec, _parse_input(args.input))
         else:
-            cap = args.max_cells
-            if cap is None:
-                # no search within the budget reaches max_steps + 1 cells, so
-                # a bigger default cap changes nothing; a nondeterministic
-                # bound of more bits than that is not built
-                cap = args.max_steps + 1
-                if spec.target_state is None or nondet_guide_bound_bits(spec.num_states) <= cap.bit_length():
-                    cap = min(cap, default_cell_cap(spec))
+            cap = default_cell_cap(spec, args.max_steps) if args.max_cells is None else args.max_cells
             if spec.target_state is not None:
                 res = reach_bfs(spec, cap, max_explored=args.max_steps)
             else:
@@ -274,10 +265,10 @@ def _dispatch(args) -> int:
     if args.command == "bounds":
         if args.states < 1:
             raise _UsageError("--states must be >= 1")
-        det, nondet = det_guide_bound(args.states), nondet_guide_bound(args.states)
-        if _decimal(nondet) is None:  # the det bound is the smaller one
+        if _nondet_decimal(args.states) is None:  # the det bound is the smaller one
             raise _UsageError(f"the nondet bound for {args.states} states has "
-                              f"{nondet.bit_length()} bits, too many to print in decimal")
+                              f"{nondet_guide_bound_bits(args.states)} bits, too many to print in decimal")
+        det, nondet = det_guide_bound(args.states), nondet_guide_bound(args.states)
         payload = {"command": args.command, "det": det, "nondet": nondet}
         _emit(args, payload, f"det={det} nondet={nondet}")
         return 0

@@ -142,7 +142,7 @@ SOLVED = "solved"
 class LevelConfig:
     tim_at: str
     counters: tuple  # occupancy per counter index
-    in_flight: tuple  # sorted location ids (routers and branch slots) holding a monstar
+    in_flight: tuple  # sorted (location id, monstars) pairs of the routers and branch slots holding any
     ticks: int = 0
 
 
@@ -217,7 +217,7 @@ def _lower(level: Level, in_flight=()):
             names.append(name)
         return index[name]
 
-    for name in in_flight:
+    for name, _ in in_flight:
         loc(name)
     table = []
     for gid, g in level.gadgets.items():
@@ -300,12 +300,12 @@ def level_run(level: Level, max_ticks: int, init: LevelConfig = None) -> LevelRu
     table, index, names = _lower(level, c.in_flight)
     counters = list(c.counters)
     flight = [0] * len(names)
-    for name in c.in_flight:
-        flight[index[name]] += 1
+    for name, count in c.in_flight:
+        flight[index[name]] += count
     pos, ticks, solved = _run(table, index[c.tim_at], counters, flight, c.ticks, max_ticks)
     if solved:
         return LevelRunResult("solved", ticks)
-    in_flight = sorted(names[i] for i, n in enumerate(flight) for _ in range(n))
+    in_flight = sorted((names[i], n) for i, n in enumerate(flight) if n)
     return LevelRunResult("budget", ticks, LevelConfig(names[pos], tuple(counters), tuple(in_flight), ticks))
 
 

@@ -304,46 +304,31 @@ def _close_ngrams(spec: MachineSpec, kind: str, n: int, grams: tuple, grow: bool
 
 
 def read_only_oracle(spec: MachineSpec, input_symbols) -> OracleVerdict:
-    """Exact simulation of a deterministic read-only machine on an input.
-
-    Within the input region (head <= n+1) a repeated (state, head) pair is a
-    proven loop. Beyond it the tape is uniformly blank, so the walk is
-    input-independent: some state repeats within N steps, and the repeat's
-    net head displacement settles the excursion. Displacement >= 0 means the
-    head can never come back (the same cycle replays at equal-or-greater
-    positions), so the machine loops; displacement < 0 means the head drifts
-    back to the region boundary, so we simply keep stepping until it does.
-    Always terminates. The run steps `successors` on tuple configurations;
-    the tape never changes, so a configuration stands for its (state, head).
+    """Exact simulation of a deterministic read-only machine on an input of
+    length n. It steps `successors` on tuple configurations, and a repeated
+    one is a proven loop; so is reaching cell n + N, for N states. Cells >= n
+    are blank, so from the last visit to cell n before that, the walk
+    depends only on its state. Of its N + 1 states there and at its first
+    arrivals at cells n+1, ..., n+N, two are equal, at cells n+i < n+j; the
+    stretch between them never goes left of cell n, so it repeats j - i
+    cells further right, forever. So a run that halts never passes cell
+    n + N - 1, and the simulation always ends. explored counts the steps.
     """
     if not spec.deterministic:
         raise ValueError("read_only_oracle requires a deterministic machine")
     if not spec.read_only:
         raise ValueError("read_only_oracle requires a read-only machine")
     input_symbols = check_input(spec, input_symbols)
-    n = len(input_symbols)
+    far = len(input_symbols) + spec.num_states  # cell n + N
     c = Configuration(spec.start_state, 0, canonical_tape(input_symbols))
     seen = set()
-    explored = 0
     while True:
         if c.state in spec.accept_states:
-            return OracleVerdict("accept", explored)
-        if c.head <= n + 1:
-            if c in seen:
-                return OracleVerdict("loop", explored)
-            seen.add(c)
-            # each blank excursion analyzes its state cycle afresh
-            first_seen = {}
-            drifting_home = False
-        elif not drifting_home:
-            if c.state in first_seen:
-                if c.head >= first_seen[c.state]:
-                    return OracleVerdict("loop", explored)
-                drifting_home = True  # ride the leftward drift back to n+1
-            else:
-                first_seen[c.state] = c.head
+            return OracleVerdict("accept", len(seen))
+        if c.head >= far or c in seen:
+            return OracleVerdict("loop", len(seen))
         succs = successors(spec, c)
         if not succs:
-            return OracleVerdict("reject", explored)
+            return OracleVerdict("reject", len(seen))
+        seen.add(c)
         c = succs[0]
-        explored += 1

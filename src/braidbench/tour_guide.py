@@ -63,13 +63,23 @@ def nondet_guide_bound_bits(n_states: int) -> int:
     return n_states * (n_states + 4) + (n_states * (n_states + 1)).bit_length()
 
 
-def default_cell_cap(spec: MachineSpec) -> int:
-    """The applicable guide bound plus one cell: the nondeterministic bound
-    for a machine with a target state, the deterministic bound otherwise.
-    decide_reachability and the btm-reach and btm-oracle commands default
-    to it."""
-    bound = nondet_guide_bound if spec.target_state is not None else det_guide_bound
-    return bound(spec.num_states) + 1
+def default_cell_cap(spec: MachineSpec, budget: int = DEFAULT_BUDGET) -> int:
+    """The default cell cap of a search of at most budget configurations:
+    min(guide bound, budget) + 1, and at least 1, with the nondeterministic
+    guide bound for a machine with a target state, the deterministic otherwise.
+
+    No search within the budget reaches budget + 1 cells: a breadth-first
+    search expands a configuration at depth d only after d others, and a
+    step adds at most one cell. So a nondeterministic bound of more bits
+    than budget + 1, which has about N² bits for N states, is never built.
+    """
+    if spec.target_state is None:
+        bound = det_guide_bound(spec.num_states)
+    elif nondet_guide_bound_bits(spec.num_states) <= (budget + 1).bit_length():
+        bound = nondet_guide_bound(spec.num_states)
+    else:  # the bound is above budget + 1
+        bound = budget
+    return max(min(bound, budget), 0) + 1
 
 
 def compute_guide(left, cell_symbol: int, spec: MachineSpec) -> tuple:
@@ -203,18 +213,17 @@ def decide_reachability(spec: MachineSpec, cell_cap: int = None, max_explored: i
     cell cap, so it needs none; its "not-reached" verdict carries a
     certificate that check_certificate replays. Only when no proof closes
     does an explicit-state BFS (reach_bfs) over canonical configurations
-    run, capped by default at default_cell_cap(spec), the nondeterministic
-    guide bound plus one cell, and budgeted by max_explored: past it, it
-    raises SearchBudgetExceeded. Its "reached" verdict carries a witness
-    that replays through `successors`. Only a BFS "not-reached" verdict
-    rests on the paper's bound on nondeterministic tour guides: a run
+    run, budgeted by max_explored: past it, it raises SearchBudgetExceeded.
+    Its "reached" verdict carries a witness that replays through
+    `successors`. Its cap defaults to default_cell_cap(spec, max_explored),
+    min(nondeterministic guide bound, max_explored) + 1 cells. That is
+    exact: by the paper's bound on nondeterministic tour guides, a run
     reaching the target exists iff one exists whose head stays under the
-    guide-count cap. This package computes no nondeterministic guides, so it
-    does not check that bound itself.
+    guide-count cap, and no search within the budget reaches max_explored
+    + 1 cells. This package computes no nondeterministic guides, so it does
+    not check that bound itself.
     """
     if cell_cap is not None and cell_cap < 1:
         raise ValueError("cell_cap must be >= 1")
-    # the default cap is computed only for the BFS: it has about N² bits for
-    # N states, too many to build for a large machine that a proof settles
     return closed_ngram_proof(spec, "not-reached") or reach_bfs(
-        spec, default_cell_cap(spec) if cell_cap is None else cell_cap, max_explored=max_explored)
+        spec, default_cell_cap(spec, max_explored) if cell_cap is None else cell_cap, max_explored=max_explored)

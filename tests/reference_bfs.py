@@ -6,8 +6,10 @@ tape store nor the zipper with `reach_bfs`. It searches in the same order,
 so the verdict, the explored count, cap_hit and the witness must all match
 exactly.
 
-`tuple_halts` simulates a deterministic machine on tuple Configurations,
-so a "loop" certificate can be held against a run that halts.
+`tuple_run` simulates a deterministic machine on tuple Configurations
+from an input, so a "loop" certificate can be held against a run that
+halts (`tuple_halts`), and `read_only_oracle`'s verdicts and step counts
+against a plain run.
 
 `tuple_past_search` is the same kind of baseline for `game_search`: it
 steps tuple Timelines with `tl_record` and unit left seeks `tl_seek(tl, -1,
@@ -26,7 +28,7 @@ and when neither wins its explored count is at least `game_search`'s.
 
 from collections import deque
 
-from braidbench.braidlike_tm import start_configuration, successors
+from braidbench.braidlike_tm import Configuration, canonical_tape, start_configuration, successors
 from braidbench.oracle_sim import DEFAULT_BUDGET, OracleVerdict, SearchBudgetExceeded
 from braidbench.rewind_timeline import Timeline, tl_record, tl_seek
 
@@ -55,19 +57,29 @@ def tuple_reach_bfs(spec, cell_cap):
     return OracleVerdict("not-reached", explored, None, cap_hit)
 
 
-def tuple_halts(spec, max_steps):
-    """Whether the deterministic machine halts within max_steps steps from
-    the blank tape: it enters an accept state, or it has no successor (a
-    missing transition or a stuck left move)."""
-    c = start_configuration(spec)
-    for _ in range(max_steps + 1):
+def tuple_run(spec, max_steps, input_symbols=()):
+    """Run the deterministic machine for at most max_steps steps from the
+    input: ("accept" or "reject", steps taken, the farthest cell the head
+    reached), or None if it has not halted. It halts when it enters an
+    accept state or has no successor (a missing transition or a stuck left
+    move)."""
+    c = Configuration(spec.start_state, 0, canonical_tape(input_symbols))
+    peak = 0
+    for steps in range(max_steps + 1):
+        peak = max(peak, c.head)
         if c.state in spec.accept_states:
-            return True
+            return "accept", steps, peak
         succs = successors(spec, c)
         if not succs:
-            return True
+            return "reject", steps, peak
         c = succs[0]
-    return False
+    return None
+
+
+def tuple_halts(spec, max_steps):
+    """Whether the deterministic machine halts within max_steps steps from
+    the blank tape."""
+    return tuple_run(spec, max_steps) is not None
 
 
 def tuple_game_search(g, max_len, max_explored=DEFAULT_BUDGET):

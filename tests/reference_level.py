@@ -14,6 +14,8 @@ same `LevelFormatError` message, also on miscompiled levels: they patch
 it by name.
 """
 
+from collections import Counter
+
 from braidbench.counter_machine import Add, CounterConfig, CounterProgram, Halt, RunResult, initial_config
 from braidbench.gadget_compiler import (
     SOLVED,
@@ -73,7 +75,9 @@ def ref_level_step(level: Level, c: LevelConfig):
     LevelConfig, or SOLVED when the player stands at a goal."""
     g = level.gadgets[c.tim_at]
     counters = list(c.counters)
-    in_flight = list(c.in_flight)
+    in_flight = Counter()
+    for loc, count in c.in_flight:
+        in_flight[loc] += count
     if isinstance(g, Goal):
         return SOLVED
     if isinstance(g, LeverPull):
@@ -83,22 +87,22 @@ def ref_level_step(level: Level, c: LevelConfig):
         elif isinstance(eff, Remove1):
             if counters[eff.counter] > 0:
                 counters[eff.counter] -= 1
-                in_flight.append(f"R{eff.counter}")
+                in_flight[f"R{eff.counter}"] += 1
             # at zero the freed bunny dies on the spikes: no token moves
         else:  # OpenDoor
-            if eff.router in in_flight:
-                in_flight.remove(eff.router)
-                in_flight.append(eff.branch)
+            if in_flight[eff.router]:
+                in_flight[eff.router] -= 1
+                in_flight[eff.branch] += 1
         nxt = level.tim_edges[(c.tim_at, "out")]
     elif isinstance(g, Branch):
-        if c.tim_at in in_flight:
-            in_flight.remove(c.tim_at)  # jump on the monstar, killing it
+        if in_flight[c.tim_at]:
+            in_flight[c.tim_at] -= 1  # jump on the monstar, killing it
             nxt = level.tim_edges[(c.tim_at, "monstar")]
         else:
             nxt = level.tim_edges[(c.tim_at, "empty")]
     else:
         raise LevelFormatError(f"player cannot stand at {c.tim_at!r} ({type(g).__name__})")
-    return LevelConfig(nxt, tuple(counters), tuple(sorted(in_flight)), c.ticks + 1)
+    return LevelConfig(nxt, tuple(counters), tuple(sorted((+in_flight).items())), c.ticks + 1)
 
 
 def ref_level_run(level: Level, max_ticks: int, init: LevelConfig = None) -> LevelRunResult:

@@ -13,7 +13,7 @@ from braidbench import cli
 from braidbench.braidlike_tm import Configuration, parse_btm, successors
 from braidbench.cli import main
 from braidbench.counter_machine import parse_counter_program
-from braidbench.gadget_compiler import compile, level_from_json, level_to_json
+from braidbench.gadget_compiler import compile, level_from_json, level_run, level_to_json
 from braidbench.oracle_sim import Certificate, check_certificate, det_behavior_oracle, reach_bfs, read_only_oracle
 from braidbench.tour_guide import GuideInvariantError, nondet_guide_bound
 from test_acceptance import CORPUS
@@ -173,7 +173,7 @@ def test_btm_reach_warns_only_beside_a_bounded_verdict(tmp_path, capsys, btm, ca
 def test_btm_reach_bounded_verdict_at_the_bound_is_not_warned(tmp_path, capsys, monkeypatch):
     # a BFS at the exact cap cannot finish on the parity machine, so the
     # exact cap is taken to be 9 here
-    monkeypatch.setattr(cli, "default_cell_cap", lambda spec: 9)
+    monkeypatch.setattr(cli, "default_cell_cap", lambda spec, budget: 9)
     assert main(["--max-cells", "9", "btm-reach", write(tmp_path, "p.btm", "states 9\n" + PARITY)]) == 0
     assert capsys.readouterr() == ("not-reached (explored 39 configurations)\n", "")
 
@@ -444,6 +444,31 @@ def test_btm_oracle_searches_a_large_machine_without_its_guide_bound(tmp_path):
     path = write(tmp_path, "big.btm", "states 100000\nsymbols 1\nstart 0\naccept\ntarget 1\n")
     out = run_limited("-m", "braidbench.cli", "btm-oracle", path)
     assert (out.returncode, out.stdout, out.stderr) == (0, "not-reached (explored 1)\n", "")
+
+
+def test_bounds_too_big_to_print_is_not_built():
+    # the nondet bound of 10^10 bits is refused by its bit length; building
+    # it once took the subprocess's memory first
+    out = run_limited("-m", "braidbench.cli", "bounds", "--states", "100000")
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr == ("error: the nondet bound for 100000 states has 10000400034 bits, "
+                          "too many to print in decimal\n")
+
+
+PILE_UP = json.dumps({
+    "entry": "L0", "num_counters": 1, "gadgets": {"L0": {"kind": "lever", "signal": "s"}},
+    "tim_edges": [{"from": "L0", "exit": "out", "to": "L0"}],
+    "signals": {"s": {"effect": "remove1", "counter": 0}}, "init_counters": [10 ** 8]})
+
+
+def test_level_sim_counts_piled_up_monstars(tmp_path):
+    # the lever sends 10^8 monstars to one router in one jump; one id per
+    # monstar once took the subprocess's memory first
+    path = write(tmp_path, "pile.json", PILE_UP)
+    out = run_limited("-m", "braidbench.cli", "--max-steps", str(10 ** 12), "level-sim", path)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "budget: ticks=1000000000000\n", "")
+    res = level_run(level_from_json(PILE_UP), 10 ** 12)
+    assert res.config.counters == (0,) and res.config.in_flight == (("R0", 10 ** 8),)
 
 
 def test_btm_oracle_default_cap_stops_past_the_budget(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@ import json
 import random
 import re
 import time
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -101,9 +102,9 @@ def test_level_step_remove_spawns_monstar():
     level = compile(CounterProgram(1, (SubBranch(0, 1), Halt())))
     c = initial_level_config(level, (2,))
     c = level_step(level, c)  # remove lever
-    assert c.counters == (1,) and c.in_flight == ("R0",)
+    assert c.counters == (1,) and c.in_flight == (("R0", 1),)
     c = level_step(level, c)  # door lever routes the monstar to the branch
-    assert c.in_flight == ("B0",)
+    assert c.in_flight == (("B0", 1),)
     c = level_step(level, c)  # branch: monstar present, slot cleared
     assert c.in_flight == ()
     assert c.tim_at == "G1"
@@ -251,6 +252,11 @@ def outcome(f, *args):
         return f"LevelFormatError: {e}"
 
 
+def flight_pairs(ids):
+    """LevelConfig.in_flight for one monstar at each id in the list."""
+    return tuple(sorted(Counter(ids).items()))
+
+
 def assert_level_steps_agree(level, c, ticks):
     for _ in range(ticks):
         got = outcome(level_step, level, c)
@@ -364,7 +370,7 @@ def test_transfer_drain_runs_exactly_at_scale(a, b):
         (level_run, (level, 3 * steps + 1), LevelRunResult("solved", ticks)),
         (level_run, (level, 10 ** 12), LevelRunResult("solved", ticks)),
         (level_run, (level, 7 * j + 2), LevelRunResult("budget", 7 * j + 2, LevelConfig(
-            "B0", (a - j - 1, b + j, 0), ("B0",), 7 * j + 2))),
+            "B0", (a - j - 1, b + j, 0), (("B0", 1),), 7 * j + 2))),
         (level_run, (level, 7 * a + 3 + 6 * i + 4), LevelRunResult("budget", 7 * a + 3 + 6 * i + 4, LevelConfig(
             "D4", (0, a + b - i - 1, 0), (), 7 * a + 3 + 6 * i + 4))),
     ]
@@ -414,7 +420,7 @@ def json_levels(draw, count=st.integers(0, 3)):
         "entry": draw(anywhere), "num_counters": num_counters, "gadgets": gadgets, "tim_edges": edges,
         "signals": signals, "init_counters": draw(counts)}))
     in_flight = draw(st.lists(st.sampled_from(sorted(KINDS) + ["R1", "Q"]), max_size=4))
-    init = LevelConfig(draw(anywhere), tuple(draw(counts)), tuple(sorted(in_flight)), draw(st.integers(0, 2)))
+    init = LevelConfig(draw(anywhere), tuple(draw(counts)), flight_pairs(in_flight), draw(st.integers(0, 2)))
     return level, init
 
 
@@ -535,7 +541,7 @@ def test_miscompiled_level_long_run_lockstep_with_reference(p, data, budget):
     ids = sorted(level.gadgets)
     counters = data.draw(st.lists(st.integers(0, 400), min_size=3, max_size=3))
     in_flight = data.draw(st.lists(st.sampled_from(ids + ["Q"]), max_size=4))
-    start = LevelConfig(data.draw(st.sampled_from(ids)), tuple(counters), tuple(sorted(in_flight)),
+    start = LevelConfig(data.draw(st.sampled_from(ids)), tuple(counters), flight_pairs(in_flight),
                         data.draw(st.integers(0, 2)))
     for init in (None, start):
         for ticks in (budget, 3 * budget + 1):

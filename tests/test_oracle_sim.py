@@ -28,7 +28,7 @@ from braidbench.oracle_sim import (
 )
 from braidbench.rewind_timeline import GameSpec, game_search
 from braidbench.tour_guide import compute_guide, decide_det_braidlike, decide_reachability
-from reference_bfs import tuple_halts, tuple_reach_bfs
+from reference_bfs import tuple_halts, tuple_reach_bfs, tuple_run
 from test_cli import run_limited
 
 
@@ -337,6 +337,57 @@ def test_read_only_terminates_random_machines():
         res = read_only_oracle(spec, inp)
         assert res.kind in ("accept", "reject", "loop")
         assert res.explored < 10 ** 5
+
+
+def staircase(n):
+    """N states that walk N - 1 cells right into the blank region, then left
+    to the wall, where the stuck move rejects."""
+    trans = {(q, 0): ((MOVE_RIGHT, q + 1),) for q in range(n - 1)}
+    trans[(n - 1, 0)] = ((MOVE_LEFT, n - 1),)
+    return spec_of(trans, n, 1, det=True)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_read_only_staircase_halts_at_the_last_cell_before_n_plus_N(n):
+    # on the empty input the head turns at cell N - 1 = n + N - 1, the
+    # farthest cell of a run that halts: stopping one cell lower says loop
+    spec = staircase(n)
+    res = read_only_oracle(spec, ())
+    assert (res.kind, decide_det_braidlike(spec, ())) == ("reject", "reject")
+    assert tuple_run(spec, 100) == ("reject", res.explored, n - 1)
+
+
+@st.composite
+def read_only_cases(draw):
+    """A deterministic read-only machine, 1-4 states and 1-3 symbols, with
+    at most one accept state, and an input of length 0-7."""
+    n, s = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    step = st.tuples(st.sampled_from([MOVE_LEFT, MOVE_RIGHT]), st.integers(0, n - 1))
+    trans = {}
+    for key in ((q, a) for q in range(n) for a in range(s)):
+        succ = draw(st.none() | step)
+        if succ is not None:
+            trans[key] = (succ,)
+    spec = spec_of(trans, n, s, accept=draw(st.sets(st.integers(0, n - 1), max_size=1)), det=True)
+    return spec, tuple(draw(st.lists(st.integers(0, s - 1), max_size=7)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(case=read_only_cases())
+def test_read_only_oracle_matches_the_guide_walk_and_a_plain_run(case):
+    """decide_det_braidlike gives the same verdict. A plain run halts the
+    same way after explored steps, without passing cell n + N - 1; on a
+    loop it has not halted after far more steps than a halting run of
+    distinct configurations below cell n + N can take."""
+    spec, inp = case
+    res = read_only_oracle(spec, inp)
+    assert res.kind == decide_det_braidlike(spec, inp)
+    run = tuple_run(spec, 10_000, inp)
+    if res.kind == "loop":
+        assert run is None
+    else:
+        assert run[:2] == (res.kind, res.explored)
+        assert run[2] < len(inp) + spec.num_states
 
 
 # --- closed_ngram_proof and check_certificate ------------------------------

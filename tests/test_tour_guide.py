@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from braidbench.braidlike_tm import (
     MachineSpec,
@@ -10,7 +11,14 @@ from braidbench.braidlike_tm import (
     Write,
     parse_btm,
 )
-from braidbench.oracle_sim import check_certificate, det_behavior_oracle, reach_bfs, read_only_oracle
+from braidbench.oracle_sim import (
+    SearchBudgetExceeded,
+    check_certificate,
+    closed_ngram_proof,
+    det_behavior_oracle,
+    reach_bfs,
+    read_only_oracle,
+)
 from braidbench.tour_guide import (
     ACCEPT,
     DESTROY_ME,
@@ -19,12 +27,13 @@ from braidbench.tour_guide import (
     compute_guide,
     decide_det_braidlike,
     decide_reachability,
+    default_cell_cap,
     det_guide_bound,
     nondet_guide_bound,
     nondet_guide_bound_bits,
 )
 from reference_bfs import tuple_reach_bfs
-from test_cli import run_limited
+from test_cli import RIGHT_WRITER, run_limited
 
 
 def spec_of(transitions, n, s, accept=(), target=None, det=False, start=0):
@@ -257,6 +266,49 @@ def test_reachability_matches_bfs_random():
         assert res.kind == base.kind
         if res.certificate is not None:
             assert check_certificate(spec, "not-reached", res.certificate)
+
+
+def test_default_cell_cap_is_the_bound_or_the_budget_plus_one():
+    reach, walk = spec_of({}, 1, 1, target=0), spec_of({}, 2, 1)
+    # the 1-state nondet bound is 64 and the 2-state det bound 72
+    for budget, cap in [(-1, 1), (0, 1), (63, 64), (64, 65), (65, 65), (10 ** 30, 65)]:
+        assert default_cell_cap(reach, budget) == cap
+    assert default_cell_cap(walk, 71) == 72 and default_cell_cap(walk) == 73
+
+
+@st.composite
+def reach_specs(draw):
+    """A machine with a target, 1-2 states and 1-2 symbols, with up to two
+    moves or writes per (state, symbol)."""
+    n, s = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    step = st.tuples(st.sampled_from([MOVE_LEFT, MOVE_RIGHT] + [Write(a) for a in range(s)]),
+                     st.integers(0, n - 1))
+    trans = {}
+    for key in ((q, a) for q in range(n) for a in range(s)):
+        succs = tuple(dict.fromkeys(draw(st.lists(step, max_size=2))))
+        if succs:
+            trans[key] = succs
+    return spec_of(trans, n, s, target=draw(st.integers(0, n - 1)))
+
+
+def outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except SearchBudgetExceeded as e:
+        return f"SearchBudgetExceeded: {e}"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(spec=reach_specs(), budget=st.sampled_from([1, 63, 64, 65, 66, 24576, 24577, 24578]))
+@example(spec=parse_btm(RIGHT_WRITER), budget=66)  # its BFS runs past any budget
+@example(spec=parse_btm(RIGHT_WRITER), budget=24576)
+def test_reachability_default_cap_matches_the_exact_bound(spec, budget):
+    # the exact cap is the nondet bound + 1: 65 cells for 1 state, 24 577
+    # for 2; the BFS at the default cap also runs where a proof closes
+    exact = nondet_guide_bound(spec.num_states) + 1
+    bfs = outcome(reach_bfs, spec, exact, max_explored=budget)
+    assert outcome(reach_bfs, spec, default_cell_cap(spec, budget), max_explored=budget) == bfs
+    assert outcome(decide_reachability, spec, max_explored=budget) == (closed_ngram_proof(spec, "not-reached") or bfs)
 
 
 def test_reachability_witness_ends_at_target():
