@@ -6,8 +6,8 @@ on tuple configurations, which writes only through `apply_action`; reach_bfs
 and det_behavior_oracle, like decide_det_braidlike, step TapeStore's mirror
 of it on zipped tapes, which a lockstep test pins to `apply_action`.
 closed_ngram_proof is a sound abstract search that certifies the negative
-verdicts ("not-reached", "loop") at any cell cap; check_certificate replays
-its certificates.
+verdicts ("not-reached", "loop") at any cell cap; check_certificate checks
+a certificate by one pass of that search.
 """
 
 from __future__ import annotations
@@ -176,37 +176,43 @@ def closed_ngram_proof(spec: MachineSpec, kind: str) -> OracleVerdict:
     (state, head cell, n cells left of the head, n cells right of it),
     nearest first. Left of cell 0 it holds WALL; past the end of the
     canonical tape it holds END, which therefore only ends a window. Two
-    sets collect the n-grams of the left and right half-tapes, from
-    {WALL^n} and {END^n}, and grow until they are closed. By induction over
-    a run, every reachable configuration's window is visited, and every
+    sets hold n-grams of the left and right half-tapes. A pass walks the
+    windows reachable from the blank start with both sets frozen; the sets
+    are closed if every n-gram it pushes is in them. Then, by induction over
+    a run, every reachable configuration's window is walked, and every
     n-gram of its two half-tapes, at any offset, is in the sets:
     - The blank start's window is (q0, blank, WALL^n, END^n).
     - A write of b sets the head cell to b and keeps the left half. It
       erases the right half, whose window becomes END^n. Writing blank also
       strips trailing blanks, but cells past the end read blank anyway.
-    - A right move pushes the head cell onto the left half. Its one new
-      n-gram, the head cell then the first n-1 of the left window, is
-      added. The new head cell is the right window's first (blank for END).
-      The new right window is the old right half's n-gram at offset 1, so
-      it is one of the set's n-grams extending the old window's last n-1
-      cells; the search pulls in every such n-gram.
+    - A right move pushes the head cell onto the left half: its one new
+      n-gram is the head cell then the first n-1 of the left window. The new
+      head cell is the right window's first (blank for END). The new right
+      window is the old right half's n-gram at offset 1, so it is one of the
+      set's n-grams extending the old window's last n-1 cells; the pass
+      pulls in every such n-gram.
     - A left move is stuck iff the left window starts with WALL. Otherwise
       it pushes the head cell onto the right half (as END if it is blank in
-      front of END, since a trailing blank is no cell), adds that n-gram,
-      and pulls in the new left window the same way.
-    So if no visited window is in the target state (or halts), no run
-    enters it (or halts), at any cell cap. There are at most
-    states * (S+2)^(2n+1) windows, so the search always ends. The verdict's
-    explored count is the number of windows; check_certificate replays the
-    certificate.
+      front of END, since a trailing blank is no cell) and pulls in the new
+      left window the same way.
+    So if no walked window is in the target state (or halts), no run enters
+    it (or halts), at any cell cap.
+    The proof repeats check_certificate's pass from {WALL^n} and {END^n},
+    each time adding what it pushed, until it pushes no new n-gram (Kleene
+    iteration). So check_certificate accepts every certificate it returns,
+    and its sets are the least closed ones. A set holds at most (S+1)^n
+    n-grams and a pass walks at most states * (S+2)^(2n+1) windows, so it
+    always ends. The verdict's explored count is the last pass's number of
+    windows.
     """
     _check_kind(spec, kind)
     for n in NGRAM_SIZES:
-        grams = ({(WALL,) * n}, {(END,) * n})
-        windows = _close_ngrams(spec, kind, n, grams, grow=True)
-        if windows is not None:
-            left, right = grams
-            return OracleVerdict(kind, windows, certificate=Certificate(n, frozenset(left), frozenset(right)))
+        left, right = frozenset({(WALL,) * n}), frozenset({(END,) * n})
+        while (walked := _ngram_pass(spec, kind, n, left, right)) is not None:
+            windows, pushed_left, pushed_right = walked
+            if pushed_left <= left and pushed_right <= right:
+                return OracleVerdict(kind, windows, certificate=Certificate(n, left, right))
+            left, right = left | pushed_left, right | pushed_right
     return None
 
 
@@ -214,8 +220,8 @@ def check_certificate(spec: MachineSpec, kind: str, certificate: Certificate) ->
     """Whether the certificate proves the `kind` verdict for spec, as
     closed_ngram_proof's argument needs: its n-grams are n cells long over
     the machine's symbols (and WALL on the left, END on the right), it holds
-    WALL^n and END^n, and one pass of the search with both sets frozen
-    visits no target (or halting) window and pushes no n-gram outside them.
+    WALL^n and END^n, and one pass with both sets frozen walks no target (or
+    halting) window and pushes no n-gram outside them.
     """
     _check_kind(spec, kind)
     n, left, right = certificate
@@ -228,7 +234,9 @@ def check_certificate(spec: MachineSpec, kind: str, certificate: Certificate) ->
         for gram in found:
             if len(gram) != n or not all(x == pad or x in symbols for x in gram):
                 return False
-    return _close_ngrams(spec, kind, n, (set(left), set(right)), grow=False) is not None
+    left, right = frozenset(left), frozenset(right)
+    walked = _ngram_pass(spec, kind, n, left, right)
+    return walked is not None and walked[1] <= left and walked[2] <= right
 
 
 def _check_kind(spec: MachineSpec, kind: str):
@@ -238,34 +246,25 @@ def _check_kind(spec: MachineSpec, kind: str):
         raise ValueError("a not-reached proof needs a declared target state")
 
 
-def _close_ngrams(spec: MachineSpec, kind: str, n: int, grams: tuple, grow: bool):
-    """The abstract search: the number of windows reachable from the blank
-    start, or None if one is in the target state (kind "not-reached") or
-    halts (kind "loop"), or, with grow False, pushes an n-gram missing from
-    its set. grams is (left set, right set); with grow True every pushed
-    n-gram is added to it, so the sets end closed. A move that pulls from a
-    set waits on its prefix, and an n-gram added later wakes it."""
+def _ngram_pass(spec: MachineSpec, kind: str, n: int, left: frozenset, right: frozenset):
+    """One pass of the abstract search with the n-gram sets left and right
+    frozen: (number of windows reachable from the blank start, n-grams pushed
+    onto the left half, n-grams pushed onto the right half), or None if a
+    window is in the target state (kind "not-reached") or halts (kind "loop").
+    A move pulls its new window from the set on the side it moves towards."""
     halting = kind == "loop"
     stop = spec.accept_states if halting else (spec.target_state,)
     ends = (END,) * n
     extend = ({}, {})  # per set: an (n-1)-cell prefix -> last cells of its n-grams
-    waiting = ({}, {})  # per set: a prefix -> the moves pulling an n-gram that extends it
-    for index, found in zip(extend, grams):
-        for gram in found:
+    for index, grams in zip(extend, (left, right)):
+        for gram in grams:
             index.setdefault(gram[:-1], []).append(gram[-1])
+    pushes = (set(), set())
     start = (spec.start_state, BLANK, (WALL,) * n, ends)
     seen = {start}
     todo = [start]
-
-    def visit(side, state, cell, pushed, prefix, last):
-        pulled = prefix + (last,)
-        w = (state, cell, pulled, pushed) if side == 0 else (state, cell, pushed, pulled)
-        if w not in seen:
-            seen.add(w)
-            todo.append(w)
-
     while todo:
-        state, cell, left, right = todo.pop()
+        state, cell, lw, rw = todo.pop()
         if state in stop:
             return None
         moves = spec.transitions.get((state, cell), ())
@@ -273,34 +272,26 @@ def _close_ngrams(spec: MachineSpec, kind: str, n: int, grams: tuple, grow: bool
             return None
         for action, nxt in moves:
             if isinstance(action, MoveRight):
-                # pull the right window, push the head cell onto the left half
-                side, prefix, head = 1, right[1:], BLANK if right[0] == END else right[0]
-                pushed = (cell,) + left[:-1]
+                # push the head cell onto the left half, pull the right window
+                pushed = (cell,) + lw[:-1]
+                pushes[0].add(pushed)
+                head = BLANK if rw[0] == END else rw[0]
+                new = [(nxt, head, pushed, rw[1:] + (last,)) for last in extend[1].get(rw[1:], ())]
             elif isinstance(action, MoveLeft):
-                if left[0] == WALL:  # stuck at cell 0
+                if lw[0] == WALL:  # stuck at cell 0
                     if halting:
                         return None
                     continue
-                side, prefix, head = 0, left[1:], left[0]
-                pushed = (END if cell == BLANK and right[0] == END else cell,) + right[:-1]
+                pushed = (END if cell == BLANK and rw[0] == END else cell,) + rw[:-1]
+                pushes[1].add(pushed)
+                new = [(nxt, lw[0], lw[1:] + (last,), pushed) for last in extend[0].get(lw[1:], ())]
             else:
-                w = (nxt, action.symbol, left, ends)
+                new = [(nxt, action.symbol, lw, ends)]
+            for w in new:
                 if w not in seen:
                     seen.add(w)
                     todo.append(w)
-                continue
-            into = 1 - side
-            if pushed not in grams[into]:
-                if not grow:
-                    return None
-                grams[into].add(pushed)
-                extend[into].setdefault(pushed[:-1], []).append(pushed[-1])
-                for move in waiting[into].get(pushed[:-1], ()):
-                    visit(into, *move, pushed[-1])
-            waiting[side].setdefault(prefix, []).append((nxt, head, pushed, prefix))
-            for last in extend[side].get(prefix, ()):
-                visit(side, nxt, head, pushed, prefix, last)
-    return len(seen)
+    return len(seen), *pushes
 
 
 def read_only_oracle(spec: MachineSpec, input_symbols) -> OracleVerdict:

@@ -425,6 +425,18 @@ def test_proof_pulls_back_what_it_pushed():
     assert closed_ngram_proof(spec, "not-reached") is None
 
 
+def test_proof_pushes_a_trailing_blank_as_end():
+    # walks between cells 0 and 1 of the blank tape forever. A left move
+    # off cell 1 pushes a blank in front of END, which is no cell, so it
+    # pushes END and the right set stays {END}.
+    spec = spec_of({(0, 0): ((MOVE_RIGHT, 1),), (1, 0): ((MOVE_LEFT, 2),), (2, 0): ((MOVE_RIGHT, 1),)},
+                   3, 1, det=True)
+    res = closed_ngram_proof(spec, "loop")
+    assert res.explored == 4
+    assert res.certificate == Certificate(1, frozenset({(WALL,), (BLANK,)}), frozenset({(END,)}))
+    assert check_certificate(spec, "loop", res.certificate)
+
+
 def test_proof_refuses_what_halts_or_reaches():
     stuck = spec_of({(0, 0): ((MOVE_LEFT, 0),)}, 1, 1, det=True)
     assert closed_ngram_proof(stuck, "loop") is None
@@ -445,14 +457,14 @@ def test_check_certificate_rejects_malformed():
         closed_ngram_proof(spec, "not-reached")  # no target
 
 
-ACTIONS = st.sampled_from([MOVE_LEFT, MOVE_RIGHT, Write(0), Write(1)])
+ACTIONS = st.sampled_from([MOVE_LEFT, MOVE_RIGHT, Write(0), Write(1), Write(2)])
 
 
 @st.composite
 def machines(draw):
     """A deterministic machine without a target, or a nondeterministic one
-    with a target: 1-3 states, 1-2 symbols."""
-    n, s = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    with a target: 1-4 states, 1-3 symbols."""
+    n, s = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     det = draw(st.booleans())
     step = st.tuples(ACTIONS.filter(lambda a: not isinstance(a, Write) or a.symbol < s), st.integers(0, n - 1))
     trans = {}
