@@ -281,33 +281,40 @@ def _dispatch(args) -> int:
     if args.command == "bisim":
         program = cm.parse_counter_program(_read(args.file))
         report = gc.bisimulate(program, args.max_steps)
+        verdict = "pass" if report.passed else "fail"
+        jumps = [r for r in report.boundaries if type(r) is gc.JumpRecord]
+        count = len(report.boundaries) - len(jumps) + sum(j.k * j.steps for j in jumps)
         payload = {
             "command": args.command,
-            "verdict": "pass" if report.passed else "fail",
+            "verdict": verdict,
             "cm_halted": report.cm_halted,
             "level_solved": report.level_solved,
             "steps": report.steps,
             "ticks": report.ticks,
             "boundaries": [
+                {"index": r.index, "k": r.k, "steps": r.steps, "ticks": r.ticks, "d": list(r.d)}
+                if type(r) is gc.JumpRecord else
                 {
-                    "index": b.index,
-                    "pc": b.cm_pc,
-                    "counters": list(b.cm_counters),
-                    "tim_at": b.tim_at,
-                    "occupancies": list(b.occupancies),
-                    "ok": b.ok,
+                    "index": r.index,
+                    "pc": r.cm_pc,
+                    "counters": list(r.cm_counters),
+                    "tim_at": r.tim_at,
+                    "occupancies": list(r.occupancies),
+                    "ok": r.ok,
                 }
-                for b in report.boundaries
+                for r in report.boundaries
             ],
         }
         text = None
         if args.format == "text":
-            lines = [f"{payload['verdict']}: "
-                     f"{len(report.boundaries)} boundaries, halted={report.cm_halted} solved={report.level_solved}"]
-            for b in report.boundaries:
-                mark = "ok" if b.ok else "MISMATCH"
-                lines.append(f"  [{b.index}] pc={b.cm_pc} counters={list(b.cm_counters)} "
-                             f"tim={b.tim_at} occ={list(b.occupancies)} {mark}")
+            lines = [f"{verdict}: {count} boundaries, halted={report.cm_halted} solved={report.level_solved}"]
+            for r in report.boundaries:
+                if type(r) is gc.JumpRecord:
+                    lines.append(f"  jump x{r.k} after [{r.index}]: {r.steps} steps, {r.ticks} ticks, d={list(r.d)}")
+                else:
+                    mark = "ok" if r.ok else "MISMATCH"
+                    lines.append(f"  [{r.index}] pc={r.cm_pc} counters={list(r.cm_counters)} "
+                                 f"tim={r.tim_at} occ={list(r.occupancies)} {mark}")
             text = "\n".join(lines)
         _emit(args, payload, text)
         return 0

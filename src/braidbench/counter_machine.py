@@ -7,6 +7,7 @@ A program counter that walks past the last instruction halts implicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 
 class CMParseError(ValueError):
@@ -143,28 +144,37 @@ def jump_loop(seen: dict, at, count: int, vecs: tuple, limit: int) -> int:
     differ, so the next k iterations repeat this one: they add k d to each
     value and k p to the count. The steps near zero and the budget's
     remainder are left to the caller.
+
+    The first arrival records only the count, and the values are first
+    copied at the second, so a loop left after one iteration copies
+    nothing and one left after two compares nothing; a comparison stops at
+    the first value that may reach zero.
     """
-    now = tuple(map(tuple, vecs))
     last = seen.get(at)
-    seen[at] = (count, now)
     if last is None:
+        seen[at] = (count, None)
         return count
+    now = tuple(map(tuple, vecs))
+    seen[at] = (count, now)
     before, u = last
+    if u is None:
+        return count
     p = count - before
     k = (limit - count) // p
-    moved = []
-    for vec, us, vs in zip(vecs, u, now):
-        if us != vs:
-            for i, (a, b) in enumerate(zip(us, vs)):
-                if b < a:
-                    k = min(k, (b - p - 1) // (a - b) + 1)
-                elif a == b:
-                    continue
-                elif a <= p:
-                    return count
-                moved.append((vec, i, b - a))
     if k <= 0:
         return count
+    moved = []
+    for j, vs in enumerate(now):
+        us = u[j]
+        if us != vs:
+            for i, d in enumerate(map(sub, vs, us)):
+                if d:
+                    v = vs[i]
+                    if v <= p or v - d <= p:  # the next iteration may reach zero
+                        return count
+                    if d < 0:
+                        k = min(k, (v - p - 1) // -d + 1)
+                    moved.append((vecs[j], i, d))
     for vec, i, d in moved:
         vec[i] += k * d
     count += k * p

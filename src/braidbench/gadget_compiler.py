@@ -318,8 +318,8 @@ def level_step(level: Level, c: LevelConfig):
 
 
 class BoundaryRecord(NamedTuple):
-    """A plain tuple: bisimulate builds one per instruction, and a tuple
-    builds several times faster than a frozen dataclass."""
+    """A plain tuple: bisimulate builds one per instruction it steps, and a
+    tuple builds several times faster than a frozen dataclass."""
 
     index: int
     cm_pc: object  # instruction index or None once halted
@@ -329,10 +329,22 @@ class BoundaryRecord(NamedTuple):
     ok: bool
 
 
+class JumpRecord(NamedTuple):
+    """After boundary `index`, k more iterations of a loop, each a repeat of
+    the last `steps` boundaries (earlier jumps written out) with every
+    counter moved by d, and each taking `ticks` ticks."""
+
+    index: int
+    k: int
+    steps: int
+    ticks: int
+    d: tuple
+
+
 @dataclass(frozen=True)
 class BisimReport:
     passed: bool
-    boundaries: tuple
+    boundaries: tuple  # BoundaryRecords, and a JumpRecord for each jump
     cm_halted: bool
     level_solved: bool
     ticks: int
@@ -350,11 +362,22 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
     (`lower_program`), then ticks of the lowered level table up to the next
     instruction entry. The instruction step repeats `cm_run`'s and the
     ticks repeat `_run`'s, inlined because the two calls per instruction
-    cost about 40% of the time. Neither copy jumps loop iterations
-    (`jump_loop`): a boundary is recorded after every instruction, so
-    every instruction is stepped. The lockstep tests with
+    cost about 40% of the time. The lockstep tests with
     `tests/reference_level.py`, on compiled and on miscompiled levels, pin
     each copy to the reference semantics.
+
+    Like `cm_run` and `_run`, it jumps whole loop iterations through
+    `jump_loop`, at each back edge of the program, keyed on the pc, while
+    every boundary so far has passed. A passing boundary has the level's
+    counters equal to the machine's, so from the last arrival at the pc
+    both sides moved by the same d, and the vector `jump_loop` compares is
+    the machine's counters and the monstars in flight. Its clock is the
+    ticks: a tick, like a step, moves each of these values by at most 1,
+    and a step takes at least one tick, so where `jump_loop` finds that the
+    next k iterations repeat on the tick clock they repeat on both sides.
+    A jump is capped at the iterations whose steps fit in max_steps, sets
+    the level's counters to the machine's, and is reported as a JumpRecord:
+    k repeats of the last iteration's boundaries, every one of them passed.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
@@ -373,6 +396,9 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
     ok_all = ok
     record = tuple.__new__  # BoundaryRecord(...) through its NamedTuple __new__ is slower
     boundaries = [record(BoundaryRecord, (0, pc, tuple(cm_counters), names[pos], tuple(counters), ok))]
+    seen, arrived = {}, {}  # jump_loop's record of each back edge's target, and its (steps, ticks)
+    vecs = (cm_counters, flight)
+    back = False
     while steps < max_steps and pc is not None:
         row = rows[pc]
         steps += 1
@@ -385,6 +411,7 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
             cm_counters[row[1]] -= 1
             pc = row[2]
         else:
+            back = row[3] <= pc  # the only step that can go back
             pc = row[3]
         # tick the level to the next instruction entry, or all the way to
         # solved when the machine just halted (the goal needs its own tick);
@@ -431,6 +458,24 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
             steps, pc, cm_tuple, SOLVED if solved else names[pos], cm_tuple if same else tuple(counters), ok)))
         if solved:
             break
+        if back:
+            back = False
+            if not ok_all:
+                continue
+            last = arrived.get(pc)
+            arrived[pc] = (steps, ticks)
+            if last is None:  # jump_loop first hears of a loop at its second arrival: short loops stay cheap
+                continue
+            p_steps, p_ticks = steps - last[0], ticks - last[1]
+            after = jump_loop(seen, pc, ticks, vecs, ticks + (max_steps - steps) // p_steps * p_ticks)
+            if after != ticks:
+                k = (after - ticks) // p_ticks
+                boundaries.append(JumpRecord(steps, k, p_steps, p_ticks,
+                                             tuple((v - u) // k for u, v in zip(cm_tuple, cm_counters))))
+                steps += k * p_steps
+                ticks = after
+                counters[:] = cm_counters
+                arrived[pc] = (steps, ticks)
     ok_all = ok_all and ((pc is None) == solved)
     return BisimReport(ok_all, tuple(boundaries), pc is None, solved, ticks, steps)
 

@@ -11,9 +11,12 @@ library. The lockstep properties in `tests/test_gadget_compiler.py`
 require equal results, field by field and boundary by boundary, and the
 same `LevelFormatError` message, also on miscompiled levels: they patch
 `compile` here as well as in `gadget_compiler`, since this module imports
-it by name.
+it by name. `bisimulate` reports the loop iterations it jumps as
+`JumpRecord`s; `expand` writes out the boundaries each one stands for, and
+the properties compare the expanded report with `ref_bisimulate`'s.
 """
 
+import dataclasses
 from collections import Counter
 
 from braidbench.counter_machine import Add, CounterConfig, CounterProgram, Halt, RunResult, initial_config
@@ -24,6 +27,7 @@ from braidbench.gadget_compiler import (
     BoundaryRecord,
     Branch,
     Goal,
+    JumpRecord,
     Level,
     LevelConfig,
     LevelFormatError,
@@ -171,3 +175,22 @@ def ref_bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
             break
     ok_all = ok_all and (cm.halted == solved)
     return BisimReport(ok_all, tuple(boundaries), cm.halted, solved, lv.ticks + (1 if solved else 0), cm.steps)
+
+
+def expand(report: BisimReport) -> BisimReport:
+    """The report with each JumpRecord replaced by the boundaries it stands
+    for: k repeats of the last `steps` boundaries written out before it,
+    the i-th with its index moved by i * steps and its counters and
+    occupancies by i * d."""
+    out = []
+    for r in report.boundaries:
+        if not isinstance(r, JumpRecord):
+            out.append(r)
+            continue
+        last = out[len(out) - r.steps:]
+        for i in range(1, r.k + 1):
+            for b in last:
+                out.append(b._replace(index=b.index + i * r.steps,
+                                      cm_counters=tuple(v + i * d for v, d in zip(b.cm_counters, r.d)),
+                                      occupancies=tuple(v + i * d for v, d in zip(b.occupancies, r.d))))
+    return dataclasses.replace(report, boundaries=tuple(out))

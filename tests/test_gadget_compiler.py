@@ -29,13 +29,16 @@ from braidbench.gadget_compiler import (
     Branch,
     CounterStation,
     Goal,
+    JumpRecord,
     LeverPull,
     Level,
     LevelConfig,
     LevelFormatError,
     LevelRunResult,
     OpenDoor,
+    Remove1,
     SOLVED,
+    TrapRouter,
     bisimulate,
     compile,
     initial_level_config,
@@ -45,7 +48,7 @@ from braidbench.gadget_compiler import (
     level_to_dot,
     level_to_json,
 )
-from reference_level import ref_bisimulate, ref_cm_run, ref_cm_step, ref_level_run, ref_level_step
+from reference_level import expand, ref_bisimulate, ref_cm_run, ref_cm_step, ref_level_run, ref_level_step
 from test_acceptance import CORPUS
 
 
@@ -252,6 +255,11 @@ def outcome(f, *args):
         return f"LevelFormatError: {e}"
 
 
+def expanded_bisimulate(program, max_steps):
+    """bisimulate's report with its jumps written out as boundaries."""
+    return expand(bisimulate(program, max_steps))
+
+
 def flight_pairs(ids):
     """LevelConfig.in_flight for one monstar at each id in the list."""
     return tuple(sorted(Counter(ids).items()))
@@ -279,7 +287,7 @@ def programs(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(p=programs(), budget=st.sampled_from([0, 1, 2]) | st.integers(0, 40))
 def test_program_lockstep_with_reference(p, budget):
-    assert outcome(bisimulate, p, budget) == outcome(ref_bisimulate, p, budget)
+    assert outcome(expanded_bisimulate, p, budget) == outcome(ref_bisimulate, p, budget)
     c = initial_config(p)
     assert outcome(cm_run, p, c, budget) == outcome(ref_cm_run, p, c, budget)
     for _ in range(budget):
@@ -327,7 +335,7 @@ TRANSFER_DRAIN = CounterProgram(3, (SubBranch(0, 3), Add(1), SubBranch(2, 0), Su
 @example(p=TRANSFER_DRAIN, budget=10 ** 4)
 @example(p=TRANSFER_DRAIN, budget=2000)
 def test_long_run_lockstep_with_reference(p, budget):
-    assert outcome(bisimulate, p, budget) == outcome(ref_bisimulate, p, budget)
+    assert outcome(expanded_bisimulate, p, budget) == outcome(ref_bisimulate, p, budget)
     c = initial_config(p)
     assert outcome(cm_run, p, c, budget) == outcome(ref_cm_run, p, c, budget)
     level = compile(p)
@@ -380,6 +388,22 @@ def test_transfer_drain_runs_exactly_at_scale(a, b):
     if a < 10 ** 3:
         for f, args, result in expected:
             assert {cm_run: ref_cm_run, level_run: ref_level_run}[f](*args) == result
+
+
+def test_bisimulate_transfer_drain_jumps_at_scale():
+    # TRANSFER_DRAIN from 10^9 and 10^9 - 3 under a 10^12 budget: the
+    # closed forms of test_transfer_drain_runs_exactly_at_scale, from a
+    # report of a few dozen records
+    start = time.perf_counter()
+    a, b = 10 ** 9, 10 ** 9 - 3
+    report = bisimulate(dataclasses.replace(TRANSFER_DRAIN, init_counters=(a, b, 0)), 10 ** 12)
+    assert time.perf_counter() - start < 1
+    assert (report.passed, report.cm_halted, report.level_solved) == (True, True, True)
+    assert (report.steps, report.ticks) == (5 * a + 2 * b + 3, 13 * a + 6 * b + 7)
+    jumps = [r for r in report.boundaries if isinstance(r, JumpRecord)]
+    assert [(j.steps, j.ticks, j.d) for j in jumps] == [(3, 7, (-1, 1, 0)), (2, 6, (0, -1, 0))]
+    assert len(report.boundaries) < 100
+    assert len(report.boundaries) - len(jumps) + sum(j.k * j.steps for j in jumps) == report.steps + 1
 
 
 # Gadget ids of hand-built levels, with the kinds each may take. A level may
@@ -526,18 +550,21 @@ def mutations(draw, level):
 def test_miscompiled_level_lockstep_with_reference(p, data, budget):
     mutant = mutated(*data.draw(mutations(compile(p))))
     with mock.patch.object(gadget_compiler, "compile", mutant), mock.patch.object(reference_level, "compile", mutant):
-        assert outcome(bisimulate, p, budget) == outcome(ref_bisimulate, p, budget)
+        assert outcome(expanded_bisimulate, p, budget) == outcome(ref_bisimulate, p, budget)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)
 @given(p=loop_programs(), data=st.data(), budget=st.just(10 ** 4) | st.integers(0, 10 ** 4))
 def test_miscompiled_level_long_run_lockstep_with_reference(p, data, budget):
-    # level_run jumps loop iterations, also on a miscompiled level and from
-    # a start with monstars in flight
+    # level_run and bisimulate jump loop iterations, also on a miscompiled
+    # level and from a start with monstars in flight
+    mutant = mutated(*data.draw(mutations(compile(p))))
     try:
-        level = mutated(*data.draw(mutations(compile(p))))(p)
+        level = mutant(p)
     except LevelFormatError:  # two mutations of one lever that no level can hold
         return
+    with mock.patch.object(gadget_compiler, "compile", mutant), mock.patch.object(reference_level, "compile", mutant):
+        assert outcome(expanded_bisimulate, p, budget) == outcome(ref_bisimulate, p, budget)
     ids = sorted(level.gadgets)
     counters = data.draw(st.lists(st.integers(0, 400), min_size=3, max_size=3))
     in_flight = data.draw(st.lists(st.sampled_from(ids + ["Q"]), max_size=4))
@@ -548,23 +575,62 @@ def test_miscompiled_level_long_run_lockstep_with_reference(p, data, budget):
             assert outcome(level_run, level, ticks, init) == outcome(ref_level_run, level, ticks, init)
 
 
+# The first loop moves counter 0 into counter 1; the second drains counter 1.
+TRANSFER_THEN_DRAIN = "counters 3\n0: subb 0 3\n1: add 1\n2: subb 2 0\n3: subb 1 5\n4: subb 2 3\n5: halt\n"
+
+
+def count_in_flight(level):
+    """TRANSFER_THEN_DRAIN's level, wired to keep a copy of counter 1 in
+    monstars at R1: each pass of the first loop removes and re-adds a unit
+    of counter 1, leaving its monstar at R1, and each pass of the second
+    loop sends one more monstar from R1 to a dead end before the door, so
+    the branch is fed from that pile, which runs out exactly when the
+    counter does. Every boundary passes, and only the monstars in flight
+    carry the pile from one loop to the other."""
+    gadgets = {**level.gadgets, "X": LeverPull("pile"), "Y": LeverPull("unpile"), "Z": LeverPull("spill"),
+               "RX": TrapRouter()}
+    signals = {**level.signals, "pile": Remove1(1), "unpile": Add1(1), "spill": OpenDoor("R1", "RX")}
+    edges = {**level.tim_edges, ("L1", "out"): "X", ("X", "out"): "Y", ("Y", "out"): "L2",
+             ("L3", "out"): "Z", ("Z", "out"): "D3"}
+    return dataclasses.replace(level, gadgets=gadgets, signals=signals, tim_edges=edges)
+
+
+@pytest.mark.parametrize("a", [3, 60, 400])
+def test_bisimulate_jumps_the_monstars_in_flight(monkeypatch, a):
+    p = parse_counter_program(TRANSFER_THEN_DRAIN.replace("counters 3", f"counters 3\ninit {a} 0 0"))
+    mutant = mutated((count_in_flight,))
+    monkeypatch.setattr(gadget_compiler, "compile", mutant)
+    monkeypatch.setattr(reference_level, "compile", mutant)
+    report = bisimulate(p, 10 ** 4)
+    assert report.passed and report.cm_halted
+    assert repr(expand(report)) == repr(ref_bisimulate(p, 10 ** 4))
+    assert len([r for r in report.boundaries if isinstance(r, JumpRecord)]) == (2 if a > 20 else 0)
+
+
 # --- the bisim command's output, byte for byte, from the reference report
 
 def bisim_json(report):
+    def record(b):
+        if isinstance(b, JumpRecord):
+            return {"index": b.index, "k": b.k, "steps": b.steps, "ticks": b.ticks, "d": list(b.d)}
+        return {"index": b.index, "pc": b.cm_pc, "counters": list(b.cm_counters), "tim_at": b.tim_at,
+                "occupancies": list(b.occupancies), "ok": b.ok}
     return json.dumps({
         "command": "bisim", "verdict": "pass" if report.passed else "fail", "cm_halted": report.cm_halted,
         "level_solved": report.level_solved, "steps": report.steps, "ticks": report.ticks,
-        "boundaries": [{"index": b.index, "pc": b.cm_pc, "counters": list(b.cm_counters), "tim_at": b.tim_at,
-                        "occupancies": list(b.occupancies), "ok": b.ok} for b in report.boundaries],
+        "boundaries": [record(b) for b in report.boundaries],
     }, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def bisim_text(report):
-    out = (f"{'pass' if report.passed else 'fail'}: {len(report.boundaries)} boundaries, "
+    out = (f"{'pass' if report.passed else 'fail'}: {len(expand(report).boundaries)} boundaries, "
            f"halted={report.cm_halted} solved={report.level_solved}\n")
     for b in report.boundaries:
-        out += (f"  [{b.index}] pc={b.cm_pc} counters={list(b.cm_counters)} tim={b.tim_at} "
-                f"occ={list(b.occupancies)} {'ok' if b.ok else 'MISMATCH'}\n")
+        if isinstance(b, JumpRecord):
+            out += f"  jump x{b.k} after [{b.index}]: {b.steps} steps, {b.ticks} ticks, d={list(b.d)}\n"
+        else:
+            out += (f"  [{b.index}] pc={b.cm_pc} counters={list(b.cm_counters)} tim={b.tim_at} "
+                    f"occ={list(b.occupancies)} {'ok' if b.ok else 'MISMATCH'}\n")
     return out
 
 
@@ -579,7 +645,9 @@ def test_bisim_output_matches_reference_report(tmp_path, capsys, monkeypatch, mu
         monkeypatch.setattr(reference_level, "compile", mutant)
     path = tmp_path / "p.cm"
     path.write_text(src)
-    report = ref_bisimulate(parse_counter_program(src), 300)
+    program = parse_counter_program(src)
+    report = bisimulate(program, 300)
+    assert repr(expand(report)) == repr(ref_bisimulate(program, 300))
     assert main(["--format", "json", "--max-steps", "300", "bisim", str(path)]) == 0
     out = capsys.readouterr().out
     assert json.loads(out) == json.loads(bisim_json(report))
