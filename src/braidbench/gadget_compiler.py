@@ -71,7 +71,10 @@ _KINDS = {
     "effect": {"add1": Add1, "remove1": Remove1, "open-door": OpenDoor},
 }
 _TAG_OF = {cls: (key, name) for key, kinds in _KINDS.items() for name, cls in kinds.items()}
-_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _TAG_OF}
+# each class's fields as level_from_json reads them: a field and the prefix
+# of its not-a-string message, None for a counter, which Level checks
+_READS = {cls: tuple((f.name, None if f.name == "counter" else f"{name} {f.name}") for f in fields(cls))
+          for cls, (_, name) in _TAG_OF.items()}
 
 # the exits a tick takes from each gadget kind the player can stand on
 _EXITS = {LeverPull: ("out",), Branch: ("monstar", "empty")}
@@ -100,7 +103,7 @@ class Level:
             if isinstance(g, LeverPull) and _id("lever signal", g.signal) not in self.signals:
                 raise LevelFormatError(f"lever signal {g.signal!r} undeclared")
             if isinstance(g, CounterStation):
-                self._check_counter(f"counter station {gid!r}", g.counter)
+                self._check_counter(g.counter, "counter station", gid)
             for label in _EXITS.get(type(g), ()):
                 if (gid, label) not in self.tim_edges:
                     raise LevelFormatError(f"gadget {gid!r} has no {label!r} exit")
@@ -114,13 +117,14 @@ class Level:
                                               or _id("open-door branch", eff.branch) not in self.gadgets):
                 raise LevelFormatError(f"signal {sig!r} routes through a missing gadget")
             if isinstance(eff, (Add1, Remove1)):
-                self._check_counter(f"signal {sig!r}", eff.counter)
+                self._check_counter(eff.counter, "signal", sig)
 
-    def _check_counter(self, what, counter):
+    def _check_counter(self, counter, what, key):
+        """Raise unless counter indexes a counter of the level; the message names what and key."""
         if not _is_int(counter):
-            raise LevelFormatError(f"{what} names counter {counter!r}, not an integer")
+            raise LevelFormatError(f"{what} {key!r} names counter {counter!r}, not an integer")
         if not 0 <= counter < self.num_counters:
-            raise LevelFormatError(f"{what} names counter {counter} out of range")
+            raise LevelFormatError(f"{what} {key!r} names counter {counter} out of range")
 
 
 def _id(what, value):
@@ -484,21 +488,25 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
 # Serialization
 
 def level_to_json(level: Level) -> str:
+    """The level as one line of JSON with sorted keys and tim edges, so equal
+    levels give equal text. It is compact because an indent would make
+    `json` use its pure-Python encoder; level_from_json reads any
+    whitespace, so indented files still load."""
     obj = {
         "entry": level.entry,
         "num_counters": level.num_counters,
-        "gadgets": {gid: _tagged(g) for gid, g in sorted(level.gadgets.items())},
+        "gadgets": {gid: _tagged(g) for gid, g in level.gadgets.items()},
         "tim_edges": [{"from": gid, "exit": label, "to": dst} for (gid, label), dst in sorted(level.tim_edges.items())],
-        "signals": {sig: _tagged(e) for sig, e in sorted(level.signals.items())},
+        "signals": {sig: _tagged(e) for sig, e in level.signals.items()},
         "init_counters": level.init_counters,
     }
-    return json.dumps(obj, indent=2, sort_keys=True)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _tagged(x):
     """A gadget or signal effect as a JSON object: its tag and its fields."""
     key, name = _TAG_OF[type(x)]
-    return {key: name, **{f: getattr(x, f) for f in _FIELDS[type(x)]}}
+    return {key: name, **vars(x)}
 
 
 def level_from_json(text: str) -> Level:
@@ -532,7 +540,7 @@ def _untagged(o, key, what):
         cls = _KINDS[key][name]
     except (KeyError, TypeError):  # TypeError: a list or object as the tag
         raise LevelFormatError(f"unknown {what} {name!r}") from None
-    return cls(*[o[f] if f == "counter" else _id(f"{name} {f}", o[f]) for f in _FIELDS[cls]])
+    return cls(*[o[f] if prefix is None else _id(prefix, o[f]) for f, prefix in _READS[cls]])
 
 
 def level_to_dot(level: Level) -> str:

@@ -231,6 +231,21 @@ def test_legacy_level_file_loads_to_the_same_level(capsys):
     assert capsys.readouterr() == ((data / "adder.dot").read_text(), "")
 
 
+def test_indented_level_file_runs_like_the_compact_one(capsys):
+    # the adder as cm-compile wrote it, indented, before it wrote one compact line
+    data = Path(__file__).parent / "data"
+    indented, compact = data / "adder.indented.level.json", data / "adder.level.json"
+    assert level_from_json(indented.read_text()) == level_from_json(compact.read_text())
+    printed = {}
+    for path in (indented, compact):
+        for command in ("level-sim", "level-dot"):
+            assert main([command, str(path)]) == 0
+            printed[path.name, command] = capsys.readouterr()
+    assert printed[indented.name, "level-sim"].out.startswith("solved")
+    for command in ("level-sim", "level-dot"):
+        assert printed[indented.name, command] == printed[compact.name, command]
+
+
 @pytest.mark.parametrize("command,name,text", [
     ("cm-compile", "p.cm", ADDER),
     ("level-dot", "l.json", level_to_json(compile(parse_counter_program(ADDER)))),

@@ -466,6 +466,17 @@ def test_json_level_long_run_lockstep_with_reference(case, budget):
         assert outcome(level_run, level, budget, start) == outcome(ref_level_run, level, budget, start)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(level=json_levels().map(lambda case: case[0]) | programs().map(compile))
+def test_level_json_is_one_line_that_round_trips(level):
+    text = level_to_json(level)
+    assert "\n" not in text
+    assert level_from_json(text) == level
+    assert level_to_json(level_from_json(text)) == text
+    # an indented copy, as earlier versions wrote, loads to the same level
+    assert level_to_json(level_from_json(json.dumps(json.loads(text), indent=2))) == text
+
+
 # --- bisimulate must fail on a miscompiled level
 
 def swap_branch_exits(level, branch):
@@ -666,21 +677,30 @@ def _level_edit(edit):
     return json.dumps(obj)
 
 
+# Every counter index and count must be a JSON integer; each case with its message.
 NON_INT_LEVELS = {
-    "add1-counter-float": lambda o: o["signals"]["add0"].update(counter=0.0),
-    "add1-counter-bool": lambda o: o["signals"]["add0"].update(counter=False),
-    "remove1-counter-float": lambda o: o["signals"]["sub1"].update(counter=0.0),
-    "remove1-counter-bool": lambda o: o["signals"]["sub1"].update(counter=False),
-    "station-counter-float": lambda o: o["gadgets"]["C0"].update(counter=0.0),
-    "station-counter-bool": lambda o: o["gadgets"]["C0"].update(counter=False),
-    "init-fraction": lambda o: o.update(init_counters=[1.5]),
-    "init-bool": lambda o: o.update(init_counters=[True]),
-    "num-counters-bool": lambda o: o.update(num_counters=True),
-    "num-counters-float": lambda o: o.update(num_counters=1.0),
+    "add1-counter-float": (lambda o: o["signals"]["add0"].update(counter=0.0),
+                           "signal 'add0' names counter 0.0, not an integer"),
+    "add1-counter-bool": (lambda o: o["signals"]["add0"].update(counter=False),
+                          "signal 'add0' names counter False, not an integer"),
+    "remove1-counter-float": (lambda o: o["signals"]["sub1"].update(counter=0.0),
+                              "signal 'sub1' names counter 0.0, not an integer"),
+    "remove1-counter-bool": (lambda o: o["signals"]["sub1"].update(counter=False),
+                             "signal 'sub1' names counter False, not an integer"),
+    "station-counter-float": (lambda o: o["gadgets"]["C0"].update(counter=0.0),
+                              "counter station 'C0' names counter 0.0, not an integer"),
+    "station-counter-bool": (lambda o: o["gadgets"]["C0"].update(counter=False),
+                             "counter station 'C0' names counter False, not an integer"),
+    "init-fraction": (lambda o: o.update(init_counters=[1.5]),
+                      "init_counters must list one non-negative integer per counter"),
+    "init-bool": (lambda o: o.update(init_counters=[True]),
+                  "init_counters must list one non-negative integer per counter"),
+    "num-counters-bool": (lambda o: o.update(num_counters=True), "num_counters True is not an integer"),
+    "num-counters-float": (lambda o: o.update(num_counters=1.0), "num_counters 1.0 is not an integer"),
 }
 
 
-def assert_rejected(tmp_path, capsys, text, match=None):
+def assert_rejected(tmp_path, capsys, text, match):
     with pytest.raises(LevelFormatError, match=match):
         level_from_json(text)
     path = tmp_path / "l.json"
@@ -691,9 +711,62 @@ def assert_rejected(tmp_path, capsys, text, match=None):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("edit", NON_INT_LEVELS.values(), ids=NON_INT_LEVELS.keys())
-def test_level_rejects_non_int_counters(tmp_path, capsys, edit):
-    assert_rejected(tmp_path, capsys, _level_edit(edit))
+@pytest.mark.parametrize("edit,message", NON_INT_LEVELS.values(), ids=NON_INT_LEVELS.keys())
+def test_level_rejects_non_int_counters(tmp_path, capsys, edit, message):
+    assert_rejected(tmp_path, capsys, _level_edit(edit), match=f"^{re.escape(message)}$")
+
+
+# A counter index on a station, an add1 or a remove1: where it sits in the
+# JSON, and how to swap it into a Level built in Python.
+COUNTER_HOLDERS = {
+    "station": (lambda o: o["gadgets"]["C0"],
+                lambda lv, c: dataclasses.replace(lv, gadgets={**lv.gadgets, "C0": CounterStation(c)})),
+    "add1": (lambda o: o["signals"]["add0"],
+             lambda lv, c: dataclasses.replace(lv, signals={**lv.signals, "add0": Add1(c)})),
+    "remove1": (lambda o: o["signals"]["sub1"],
+                lambda lv, c: dataclasses.replace(lv, signals={**lv.signals, "sub1": Remove1(c)})),
+}
+BAD_COUNTERS = {
+    "station-string": ("station", "0", "counter station 'C0' names counter '0', not an integer"),
+    "station-past-end": ("station", 1, "counter station 'C0' names counter 1 out of range"),
+    "station-negative": ("station", -1, "counter station 'C0' names counter -1 out of range"),
+    "add1-list": ("add1", [0], "signal 'add0' names counter [0], not an integer"),
+    "add1-past-end": ("add1", 1, "signal 'add0' names counter 1 out of range"),
+    "add1-negative": ("add1", -1, "signal 'add0' names counter -1 out of range"),
+    "remove1-null": ("remove1", None, "signal 'sub1' names counter None, not an integer"),
+    "remove1-past-end": ("remove1", 1, "signal 'sub1' names counter 1 out of range"),
+    "remove1-negative": ("remove1", -1, "signal 'sub1' names counter -1 out of range"),
+}
+
+
+@pytest.mark.parametrize("holder,counter,message", BAD_COUNTERS.values(), ids=BAD_COUNTERS.keys())
+def test_level_counter_messages_are_pinned(tmp_path, capsys, holder, counter, message):
+    in_json, in_python = COUNTER_HOLDERS[holder]
+    match = f"^{re.escape(message)}$"
+    assert_rejected(tmp_path, capsys, _level_edit(lambda o: in_json(o).update(counter=counter)), match=match)
+    level = compile(parse_counter_program("counters 1\n0: add 0\n1: subb 0 0\n2: halt\n"))
+    with pytest.raises(LevelFormatError, match=match):
+        in_python(level, counter)
+
+
+# A tagged object whose tag names no kind, or that lacks a field of its kind.
+BAD_TAGS = {
+    "junction": (lambda o: o["gadgets"].update(J={"kind": "junction"}), "unknown gadget kind 'junction'"),
+    "no-kind": (lambda o: o["gadgets"].update(J={"signal": "add0"}), "unknown gadget kind None"),
+    "list-kind": (lambda o: o["gadgets"].update(J={"kind": ["lever"]}), "unknown gadget kind ['lever']"),
+    "teleport": (lambda o: o["signals"].update(t={"effect": "teleport"}), "unknown signal effect 'teleport'"),
+    "object-effect": (lambda o: o["signals"].update(t={"effect": {}}), "unknown signal effect {}"),
+    "lever-without-signal": (lambda o: o["gadgets"]["L0"].pop("signal"), "missing field 'signal'"),
+    "station-without-counter": (lambda o: o["gadgets"]["C0"].pop("counter"), "missing field 'counter'"),
+    "door-without-branch": (lambda o: o["signals"]["door1"].pop("branch"), "missing field 'branch'"),
+    "gadget-list": (lambda o: o["gadgets"].update(J=["lever"]),
+                    "malformed level: 'list' object has no attribute 'get'"),
+}
+
+
+@pytest.mark.parametrize("edit,message", BAD_TAGS.values(), ids=BAD_TAGS.keys())
+def test_level_rejects_bad_tags(tmp_path, capsys, edit, message):
+    assert_rejected(tmp_path, capsys, _level_edit(edit), match=f"^{re.escape(message)}$")
 
 
 def _doors(doors, signal="door1"):
@@ -754,7 +827,7 @@ NON_STRING_IDS = {
 
 @pytest.mark.parametrize("edit,field", NON_STRING_IDS.values(), ids=NON_STRING_IDS.keys())
 def test_level_rejects_non_string_ids(tmp_path, capsys, edit, field):
-    assert_rejected(tmp_path, capsys, _level_edit(edit), match=re.escape(f"{field} is not a string"))
+    assert_rejected(tmp_path, capsys, _level_edit(edit), match=f"^{re.escape(field)} is not a string$")
 
 
 # Level itself checks the ids it holds as values, so a Level built directly
