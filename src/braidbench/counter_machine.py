@@ -107,6 +107,7 @@ def cm_run(program: CounterProgram, init: CounterConfig, max_steps: int) -> RunR
         raise ValueError("max_steps must be >= 0")
     rows = lower_program(program)
     pc, counters = init.pc, list(init.counters)
+    dips = [0] * len(counters)  # jump_loop's decrement count per counter
     steps = 0
     seen = {}
     while steps < max_steps and pc is not None:
@@ -119,31 +120,36 @@ def cm_run(program: CounterProgram, init: CounterConfig, max_steps: int) -> RunR
             nxt = row[2]
         elif counters[row[1]]:
             counters[row[1]] -= 1
+            dips[row[1]] += 1
             nxt = row[2]
         else:
             nxt = row[3]
         if nxt is not None and nxt <= pc:  # a back edge
-            steps = jump_loop(seen, nxt, steps, (counters,), max_steps)
+            steps = jump_loop(seen, nxt, steps, (counters,), (dips,), max_steps)
         pc = nxt
     c = init if steps == 0 else CounterConfig(pc, tuple(counters), init.steps + steps)
     return RunResult("budget" if pc is not None else "halted", c)
 
 
-def jump_loop(seen: dict, at, count: int, vecs: tuple, limit: int) -> int:
+def jump_loop(seen: dict, at, count: int, vecs: tuple, dips: tuple, limit: int) -> int:
     """Jump whole iterations of the loop that has just come back to `at`:
-    update the lists in vecs in place and return the new count, at most
-    limit.
+    update the lists in vecs and dips in place and return the new count, at
+    most limit.
 
-    The lists hold every value a zero test reads, and a step changes each
-    value by at most 1. seen maps each arrival point to the count and
-    values of its last arrival, and is updated here. Say the last arrival
-    at `at` was p steps ago at u, and the values are now v = u + d. A value
-    with d = 0 replays exactly. One with d != 0 stayed above zero through
-    the iteration if u > p, and stays above zero through the next k if each
-    starts above p, v + (j - 1) d > p for j = 1..k. Then no zero test can
-    differ, so the next k iterations repeat this one: they add k d to each
-    value and k p to the count. The steps near zero and the budget's
-    remainder are left to the caller.
+    The lists in vecs hold every value a zero test reads. dips holds a list
+    of the same length beside each, and the caller adds 1 to a value's entry
+    there whenever the value goes down, by 1 at a time; a jump adds the
+    decrements of the iterations it skips. seen maps each arrival point to
+    the count, values and decrement counts of its last arrival, and is
+    updated here. Say the last arrival at `at` was p steps ago at u, and the
+    values are now v = u + d after D decrements. A value with d = 0 replays
+    exactly. One with d != 0 never dipped below u - D in the iteration, so
+    it stayed above zero if u > D, and it stays above zero through the next
+    k if each starts above D, v + (j - 1) d > D for j = 1..k. Then no zero
+    test can differ, so the next k iterations repeat this one: they add k d
+    to each value, k D to its decrement count and k p to the count. The
+    last iteration or so before a value reaches zero, and the budget's
+    remainder, are left to the caller.
 
     The first arrival records only the count, and the values are first
     copied at the second, so a loop left after one iteration copies
@@ -154,7 +160,8 @@ def jump_loop(seen: dict, at, count: int, vecs: tuple, limit: int) -> int:
     if last is None:
         seen[at] = (count, None)
         return count
-    now = tuple(map(tuple, vecs))
+    lists = vecs + dips
+    now = tuple(map(tuple, lists))  # the values, then their decrement counts
     seen[at] = (count, now)
     before, u = last
     if u is None:
@@ -163,22 +170,29 @@ def jump_loop(seen: dict, at, count: int, vecs: tuple, limit: int) -> int:
     k = (limit - count) // p
     if k <= 0:
         return count
+    n = len(vecs)
     moved = []
-    for j, vs in enumerate(now):
-        us = u[j]
+    for j in range(n):
+        vs, us = now[j], u[j]
         if us != vs:
+            ds, dus = now[n + j], u[n + j]
             for i, d in enumerate(map(sub, vs, us)):
                 if d:
-                    v = vs[i]
-                    if v <= p or v - d <= p:  # the next iteration may reach zero
+                    v, dip = vs[i], ds[i] - dus[i]
+                    if v <= dip or v - d <= dip:  # the next iteration may reach zero
                         return count
                     if d < 0:
-                        k = min(k, (v - p - 1) // -d + 1)
+                        k = min(k, (v - dip - 1) // -d + 1)
                     moved.append((vecs[j], i, d))
     for vec, i, d in moved:
         vec[i] += k * d
+    for j in range(n, 2 * n):
+        if now[j] != u[j]:
+            ds = lists[j]
+            for i, dip in enumerate(map(sub, now[j], u[j])):
+                ds[i] += k * dip
     count += k * p
-    seen[at] = (count, tuple(map(tuple, vecs)))
+    seen[at] = (count, tuple(map(tuple, lists)))
     return count
 
 

@@ -93,6 +93,8 @@ class Level:
     def __post_init__(self):
         if not _is_int(self.num_counters):
             raise LevelFormatError(f"num_counters {self.num_counters!r} is not an integer")
+        if self.num_counters < 0:
+            raise LevelFormatError(f"num_counters {self.num_counters} is negative")
         init = (0,) * self.num_counters if self.init_counters is None else tuple(self.init_counters)
         object.__setattr__(self, "init_counters", init)
         if len(init) != self.num_counters or not all(_is_int(v) and v >= 0 for v in init):
@@ -247,28 +249,34 @@ def _lower(level: Level, in_flight=()):
 def _run(table, pos, counters, flight, ticks, max_ticks):
     """The level interpreter: tick from gadget number pos, updating the
     counters list and the per-location monstar counts in flight in place,
-    and jump whole iterations of its loops (`jump_loop`).
+    and jump whole iterations of its loops (`jump_loop`, with a decrement
+    count per counter and per location: a remove, a door and a kill).
 
     Stops at a goal or at max_ticks ticks.
     Returns (pos, ticks, solved); a solved run counts the goal's tick.
     """
     seen = {}
+    vecs = counters, flight
+    dips = counter_dips, flight_dips = [0] * len(counters), [0] * len(flight)
     while ticks < max_ticks:
         op, a, b, out, alt = table[pos]
         if op == _REMOVE:
             if counters[a] > 0:
                 counters[a] -= 1
+                counter_dips[a] += 1
                 flight[b] += 1
             # at zero the freed bunny dies on the spikes: no token moves
             nxt = out
         elif op == _DOOR:
             if flight[a]:
                 flight[a] -= 1
+                flight_dips[a] += 1
                 flight[b] += 1
             nxt = out
         elif op == _BRANCH:
             if flight[pos]:
                 flight[pos] -= 1  # jump on the monstar, killing it
+                flight_dips[pos] += 1
                 nxt = out
             else:
                 nxt = alt
@@ -281,7 +289,7 @@ def _run(table, pos, counters, flight, ticks, max_ticks):
             raise LevelFormatError(a)
         ticks += 1
         if nxt <= pos:  # a back edge
-            ticks = jump_loop(seen, nxt, ticks, (counters, flight), max_ticks)
+            ticks = jump_loop(seen, nxt, ticks, vecs, dips, max_ticks)
         pos = nxt
     return pos, ticks, False
 
@@ -375,10 +383,12 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
     every boundary so far has passed. A passing boundary has the level's
     counters equal to the machine's, so from the last arrival at the pc
     both sides moved by the same d, and the vector `jump_loop` compares is
-    the machine's counters and the monstars in flight. Its clock is the
-    ticks: a tick, like a step, moves each of these values by at most 1,
-    and a step takes at least one tick, so where `jump_loop` finds that the
-    next k iterations repeat on the tick clock they repeat on both sides.
+    the machine's counters and the monstars in flight. A counter's entry
+    in the decrement counts takes the machine's decrements and the level's
+    removes alike, so it bounds the dip of each side's copy of the counter;
+    a monstar location's entry takes the doors and kills there. Its clock
+    is the ticks, so where `jump_loop` finds that the next k iterations
+    repeat, they repeat on both sides, tick for tick and step for step.
     A jump is capped at the iterations whose steps fit in max_steps, sets
     the level's counters to the machine's, and is reported as a JumpRecord:
     k repeats of the last iteration's boundaries, every one of them passed.
@@ -401,7 +411,9 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
     record = tuple.__new__  # BoundaryRecord(...) through its NamedTuple __new__ is slower
     boundaries = [record(BoundaryRecord, (0, pc, tuple(cm_counters), names[pos], tuple(counters), ok))]
     seen, arrived = {}, {}  # jump_loop's record of each back edge's target, and its (steps, ticks)
-    vecs = (cm_counters, flight)
+    vecs = cm_counters, flight
+    # a counter's decrements on both sides share an entry
+    dips = counter_dips, flight_dips = [0] * len(cm_counters), [0] * len(flight)
     back = False
     while steps < max_steps and pc is not None:
         row = rows[pc]
@@ -413,6 +425,7 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
             pc = row[2]
         elif cm_counters[row[1]]:
             cm_counters[row[1]] -= 1
+            counter_dips[row[1]] += 1
             pc = row[2]
         else:
             back = row[3] <= pc  # the only step that can go back
@@ -426,16 +439,19 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
             if op == _REMOVE:
                 if counters[a] > 0:
                     counters[a] -= 1
+                    counter_dips[a] += 1
                     flight[b] += 1
                 pos = out
             elif op == _DOOR:
                 if flight[a]:
                     flight[a] -= 1
+                    flight_dips[a] += 1
                     flight[b] += 1
                 pos = out
             elif op == _BRANCH:
                 if flight[pos]:
                     flight[pos] -= 1
+                    flight_dips[pos] += 1
                     pos = out
                 else:
                     pos = alt
@@ -468,11 +484,11 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
                 continue
             last = arrived.get(pc)
             arrived[pc] = (steps, ticks)
-            if last is None:  # jump_loop first hears of a loop at its second arrival: short loops stay cheap
-                continue
-            p_steps, p_ticks = steps - last[0], ticks - last[1]
-            after = jump_loop(seen, pc, ticks, vecs, ticks + (max_steps - steps) // p_steps * p_ticks)
+            # the cap on the tick clock of the iterations whose steps fit; jump_loop jumps from the third arrival
+            limit = ticks if last is None else ticks + (max_steps - steps) // (steps - last[0]) * (ticks - last[1])
+            after = jump_loop(seen, pc, ticks, vecs, dips, limit)
             if after != ticks:
+                p_steps, p_ticks = steps - last[0], ticks - last[1]
                 k = (after - ticks) // p_ticks
                 boundaries.append(JumpRecord(steps, k, p_steps, p_ticks,
                                              tuple((v - u) // k for u, v in zip(cm_tuple, cm_counters))))
@@ -521,7 +537,7 @@ def level_from_json(text: str) -> Level:
         return Level(
             gadgets={gid: _untagged(g, "kind", "gadget kind") for gid, g in obj["gadgets"].items()},
             tim_edges={(_id("tim edge from", e["from"]), _id("tim edge exit", e["exit"])): _id("tim edge to", e["to"])
-                       for e in obj["tim_edges"]},
+                       for e in _edge_list(obj["tim_edges"])},
             signals={sig: _untagged(e, "effect", "signal effect") for sig, e in obj["signals"].items()},
             entry=_id("level entry", obj["entry"]),
             num_counters=obj["num_counters"],
@@ -531,6 +547,13 @@ def level_from_json(text: str) -> Level:
         raise LevelFormatError(f"missing field {e}")
     except (AttributeError, TypeError) as e:
         raise LevelFormatError(f"malformed level: {e}")
+
+
+def _edge_list(edges):
+    """The tim_edges field, which must be a list: an object there would be read as its keys."""
+    if not isinstance(edges, list):
+        raise LevelFormatError("tim_edges must be a list of edges")
+    return edges
 
 
 def _untagged(o, key, what):

@@ -255,6 +255,16 @@ def outcome(f, *args):
         return f"LevelFormatError: {e}"
 
 
+def assert_same(got, want):
+    """Assert got == want, two outcome strings. A mismatch shows the first
+    difference only: pytest's own diff of two long one-line reprs is
+    quadratic in their length and can run for hours."""
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        raise AssertionError(f"outcomes differ at character {i} of {len(got)} and {len(want)}:\n"
+                             f"  got  ...{got[max(0, i - 200):i + 200]}\n  want ...{want[max(0, i - 200):i + 200]}")
+
+
 def expanded_bisimulate(program, max_steps):
     """bisimulate's report with its jumps written out as boundaries."""
     return expand(bisimulate(program, max_steps))
@@ -287,7 +297,7 @@ def programs(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(p=programs(), budget=st.sampled_from([0, 1, 2]) | st.integers(0, 40))
 def test_program_lockstep_with_reference(p, budget):
-    assert outcome(expanded_bisimulate, p, budget) == outcome(ref_bisimulate, p, budget)
+    assert_same(outcome(expanded_bisimulate, p, budget), outcome(ref_bisimulate, p, budget))
     c = initial_config(p)
     assert outcome(cm_run, p, c, budget) == outcome(ref_cm_run, p, c, budget)
     for _ in range(budget):
@@ -328,14 +338,22 @@ def loop_programs(draw):
 # transfer counter 0 into counter 1, then drain counter 1: halts after 2 603 steps
 TRANSFER_DRAIN = CounterProgram(3, (SubBranch(0, 3), Add(1), SubBranch(2, 0), SubBranch(1, 5), SubBranch(2, 3), Halt()),
                                 (400, 300, 0))
+# An outer loop whose every pass moves counter 0 to counter 1 and back, then
+# adds 1 to counter 0. Each pass takes 6 more steps than the last, and the
+# inner loops' jumps take counter 0 to zero: the outer loop must not jump,
+# so a jump counts the decrements of the iterations it skips.
+NESTED = parse_counter_program("counters 3\ninit 300 0 0\n0: subb 2 1\n1: subb 0 4\n2: add 1\n3: subb 2 1\n"
+                               "4: subb 1 7\n5: add 0\n6: subb 2 4\n7: add 0\n8: subb 2 0\n")
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
 @given(p=loop_programs(), budget=st.just(10 ** 4) | st.integers(0, 10 ** 4))
 @example(p=TRANSFER_DRAIN, budget=10 ** 4)
 @example(p=TRANSFER_DRAIN, budget=2000)
+@example(p=NESTED, budget=10 ** 4)
+@example(p=NESTED, budget=5000)
 def test_long_run_lockstep_with_reference(p, budget):
-    assert outcome(expanded_bisimulate, p, budget) == outcome(ref_bisimulate, p, budget)
+    assert_same(outcome(expanded_bisimulate, p, budget), outcome(ref_bisimulate, p, budget))
     c = initial_config(p)
     assert outcome(cm_run, p, c, budget) == outcome(ref_cm_run, p, c, budget)
     level = compile(p)
@@ -404,6 +422,30 @@ def test_bisimulate_transfer_drain_jumps_at_scale():
     assert [(j.steps, j.ticks, j.d) for j in jumps] == [(3, 7, (-1, 1, 0)), (2, 6, (0, -1, 0))]
     assert len(report.boundaries) < 100
     assert len(report.boundaries) - len(jumps) + sum(j.k * j.steps for j in jumps) == report.steps + 1
+
+
+def add_loop(adds, init):
+    """Move counter 0 into counter 1 `adds` units at a time: an iteration of
+    adds + 2 steps with one decrement of counter 0."""
+    return CounterProgram(3, (SubBranch(0, adds + 2), *[Add(1)] * adds, SubBranch(2, 0), Halt()), (init, 0, 0))
+
+
+@pytest.mark.parametrize("adds", [1, 10, 50, 200])
+def test_loop_exits_cost_a_few_iterations_whatever_the_body(adds):
+    # a value dips within an iteration by at most its decrements there, not
+    # by the iteration's length, so the jumps leave only the iterations
+    # next to the loop's entry and exit to be stepped
+    p = add_loop(adds, 10 ** 6)
+    report = bisimulate(p, 10 ** 12)
+    assert (report.passed, report.cm_halted, report.level_solved) == (True, True, True)
+    assert (report.steps, report.ticks) == ((adds + 2) * 10 ** 6 + 2, (adds + 6) * 10 ** 6 + 4)
+    assert len(report.boundaries) <= 6 * (adds + 3)
+    p = add_loop(adds, 300)
+    c = initial_config(p)
+    assert outcome(cm_run, p, c, 10 ** 6) == outcome(ref_cm_run, p, c, 10 ** 6)
+    level = compile(p)
+    assert outcome(level_run, level, 10 ** 6) == outcome(ref_level_run, level, 10 ** 6)
+    assert_same(outcome(expanded_bisimulate, p, 10 ** 6), outcome(ref_bisimulate, p, 10 ** 6))
 
 
 # Gadget ids of hand-built levels, with the kinds each may take. A level may
@@ -503,6 +545,20 @@ def lever_to_station(level, lever, station):
     return dataclasses.replace(level, tim_edges={**level.tim_edges, (lever, "out"): station})
 
 
+def dip_before_add(level, lever, counter):
+    """Before its own add, the add lever's gadget takes two units off
+    counter and puts them back, in five ticks in all: inside every
+    iteration the level's counter dips by two more than the machine's, and
+    no boundary sees it until the dip reaches zero."""
+    ids = [lever] + [f"{lever}.{n}" for n in range(1, 5)]
+    effects = [Remove1(counter)] * 2 + [Add1(counter)] * 2 + [level.signals[level.gadgets[lever].signal]]
+    return dataclasses.replace(
+        level, gadgets={**level.gadgets, **{gid: LeverPull(f"{gid}!") for gid in ids}},
+        signals={**level.signals, **{f"{gid}!": eff for gid, eff in zip(ids, effects)}},
+        tim_edges={**level.tim_edges, **{(gid, "out"): nxt for gid, nxt in zip(ids, ids[1:])},
+                   (ids[-1], "out"): level.tim_edges[(lever, "out")]})
+
+
 def mutated(*mutations):
     """A stand-in for compile that applies (function, *args) mutations in
     order to the real compile's level."""
@@ -537,6 +593,24 @@ def test_bisimulate_fails_on_miscompiled_level(tmp_path, capsys, monkeypatch, mu
     assert out.startswith("fail:") and "MISMATCH" in out
 
 
+# TRANSFER's add lever dips counter 0 by two: the iteration that starts at
+# 2 fails, one that a jump bounded by the machine's decrements alone skips.
+TRANSFER = "counters 3\ninit {}\n0: subb 0 3\n1: add 1\n2: subb 2 0\n3: halt\n"
+
+
+@pytest.mark.parametrize("a", [3, 30, 400])
+def test_bisimulate_bounds_a_dip_by_the_levels_own_decrements(monkeypatch, a):
+    p = parse_counter_program(TRANSFER.format(f"{a} 0 0"))
+    assert bisimulate(p, 10 ** 4).passed
+    mutant = mutated((dip_before_add, "L1", 0))
+    monkeypatch.setattr(gadget_compiler, "compile", mutant)
+    monkeypatch.setattr(reference_level, "compile", mutant)
+    report = bisimulate(p, 10 ** 4)
+    assert report.passed is False
+    assert [b.index for b in expand(report).boundaries if not b.ok][0] == 3 * (a - 2) + 2
+    assert_same(repr(expand(report)), repr(ref_bisimulate(p, 10 ** 4)))
+
+
 @st.composite
 def mutations(draw, level):
     """One to three mutations of a compiled level, as mutated() takes them."""
@@ -561,7 +635,7 @@ def mutations(draw, level):
 def test_miscompiled_level_lockstep_with_reference(p, data, budget):
     mutant = mutated(*data.draw(mutations(compile(p))))
     with mock.patch.object(gadget_compiler, "compile", mutant), mock.patch.object(reference_level, "compile", mutant):
-        assert outcome(expanded_bisimulate, p, budget) == outcome(ref_bisimulate, p, budget)
+        assert_same(outcome(expanded_bisimulate, p, budget), outcome(ref_bisimulate, p, budget))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)
@@ -575,7 +649,7 @@ def test_miscompiled_level_long_run_lockstep_with_reference(p, data, budget):
     except LevelFormatError:  # two mutations of one lever that no level can hold
         return
     with mock.patch.object(gadget_compiler, "compile", mutant), mock.patch.object(reference_level, "compile", mutant):
-        assert outcome(expanded_bisimulate, p, budget) == outcome(ref_bisimulate, p, budget)
+        assert_same(outcome(expanded_bisimulate, p, budget), outcome(ref_bisimulate, p, budget))
     ids = sorted(level.gadgets)
     counters = data.draw(st.lists(st.integers(0, 400), min_size=3, max_size=3))
     in_flight = data.draw(st.lists(st.sampled_from(ids + ["Q"]), max_size=4))
@@ -614,8 +688,72 @@ def test_bisimulate_jumps_the_monstars_in_flight(monkeypatch, a):
     monkeypatch.setattr(reference_level, "compile", mutant)
     report = bisimulate(p, 10 ** 4)
     assert report.passed and report.cm_halted
-    assert repr(expand(report)) == repr(ref_bisimulate(p, 10 ** 4))
+    assert_same(repr(expand(report)), repr(ref_bisimulate(p, 10 ** 4)))
     assert len([r for r in report.boundaries if isinstance(r, JumpRecord)]) == (2 if a > 20 else 0)
+
+
+def spill_twice(level):
+    """count_in_flight's level with a second spill before the door: each
+    pass of the second loop adds one monstar to the pile at R1 and then
+    draws it down by three, so the pile runs out halfway through the drain
+    and the branch sends the player out of the loop early."""
+    level = count_in_flight(level)
+    return dataclasses.replace(level, gadgets={**level.gadgets, "Z2": LeverPull("spill")},
+                               tim_edges={**level.tim_edges, ("Z", "out"): "Z2", ("Z2", "out"): "D3"})
+
+
+@pytest.mark.parametrize("a", [61, 401])
+def test_bisimulate_bounds_a_pile_by_its_doors(monkeypatch, a):
+    # the pile dips by three doors in a pass and moves by two, so a jump
+    # that missed the doors would skip the pass from a pile of 1, which fails
+    p = parse_counter_program(TRANSFER_THEN_DRAIN.replace("counters 3", f"counters 3\ninit {a} 0 0"))
+    mutant = mutated((spill_twice,))
+    monkeypatch.setattr(gadget_compiler, "compile", mutant)
+    monkeypatch.setattr(reference_level, "compile", mutant)
+    report = bisimulate(p, 10 ** 4)
+    assert report.passed is False
+    assert_same(repr(expand(report)), repr(ref_bisimulate(p, 10 ** 4)))
+
+
+# Each pass feeds the branches K1 and K2 a monstar each from the pile at R0,
+# and then counter 0 puts one back: the pile dips by two and moves by one,
+# and the pass from a pile of 1 leaves by K2's empty exit.
+PILE = Level(gadgets={"H": LeverPull("feed1"), "K1": Branch(), "A": LeverPull("feed2"), "K2": Branch(),
+                      "B": LeverPull("pile"), "G1": Goal(), "G2": Goal(), "R0": TrapRouter()},
+             tim_edges={("H", "out"): "K1", ("K1", "monstar"): "A", ("K1", "empty"): "G1", ("A", "out"): "K2",
+                        ("K2", "monstar"): "B", ("K2", "empty"): "G2", ("B", "out"): "H"},
+             signals={"feed1": OpenDoor("R0", "K1"), "feed2": OpenDoor("R0", "K2"), "pile": Remove1(0)},
+             entry="H", num_counters=1)
+
+
+@pytest.mark.parametrize("pile", [2, 3, 61, 400])
+def test_level_run_bounds_a_pile_by_its_doors(pile):
+    start = LevelConfig("H", (10 ** 6,), (("R0", pile),), 0)
+    for ticks in (5 * pile - 7, 5 * pile, 10 ** 4):
+        assert outcome(level_run, PILE, ticks, start) == outcome(ref_level_run, PILE, ticks, start)
+    assert level_run(PILE, 10 ** 4, start).kind == "solved"
+
+
+# Each pass of the outer loop (head H) feeds three monstars to Z and two to
+# K from the pile at R0; the inner loop then kills one at K and one at Z
+# until Z is empty, and one more at K on the way out. So K's pile dips by 4
+# kills in a pass and moves by -2, and the pass from a pile of 1 runs out of
+# K and leaves by its empty exit.
+KILLS = Level(gadgets={**{gid: LeverPull(sig) for gid, sig in [("H", "z"), ("E1", "z"), ("E2", "z"), ("E3", "k"),
+                                                               ("E4", "k")]},
+                       "K": Branch(), "Z": Branch(), "G": Goal(), "R0": TrapRouter()},
+              tim_edges={("H", "out"): "E1", ("E1", "out"): "E2", ("E2", "out"): "E3", ("E3", "out"): "E4",
+                         ("E4", "out"): "K", ("K", "monstar"): "Z", ("K", "empty"): "G", ("Z", "monstar"): "K",
+                         ("Z", "empty"): "H"},
+              signals={"z": OpenDoor("R0", "Z"), "k": OpenDoor("R0", "K")}, entry="H", num_counters=1)
+
+
+@pytest.mark.parametrize("pile", [2, 3, 41, 400])
+def test_level_run_bounds_a_pile_by_its_kills(pile):
+    start = LevelConfig("H", (0,), (("K", pile), ("R0", 10 ** 6)), 0)
+    for ticks in (13 * pile // 2 - 5, 10 ** 4):
+        assert outcome(level_run, KILLS, ticks, start) == outcome(ref_level_run, KILLS, ticks, start)
+    assert level_run(KILLS, 10 ** 4, start).kind == "solved"
 
 
 # --- the bisim command's output, byte for byte, from the reference report
@@ -658,7 +796,7 @@ def test_bisim_output_matches_reference_report(tmp_path, capsys, monkeypatch, mu
     path.write_text(src)
     program = parse_counter_program(src)
     report = bisimulate(program, 300)
-    assert repr(expand(report)) == repr(ref_bisimulate(program, 300))
+    assert_same(repr(expand(report)), repr(ref_bisimulate(program, 300)))
     assert main(["--format", "json", "--max-steps", "300", "bisim", str(path)]) == 0
     out = capsys.readouterr().out
     assert json.loads(out) == json.loads(bisim_json(report))
@@ -747,6 +885,25 @@ def test_level_counter_messages_are_pinned(tmp_path, capsys, holder, counter, me
     level = compile(parse_counter_program("counters 1\n0: add 0\n1: subb 0 0\n2: halt\n"))
     with pytest.raises(LevelFormatError, match=match):
         in_python(level, counter)
+
+
+# A level field of the wrong shape: the message names the field.
+BAD_FIELDS = {
+    "num-counters-negative": (lambda o: o.update(num_counters=-1), "num_counters -1 is negative"),
+    "tim-edges-empty-object": (lambda o: o.update(tim_edges={}), "tim_edges must be a list of edges"),
+    "tim-edges-object": (lambda o: o.update(tim_edges={e["from"]: e for e in o["tim_edges"]}),
+                         "tim_edges must be a list of edges"),
+}
+
+
+@pytest.mark.parametrize("edit,message", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
+def test_level_field_messages_are_pinned(tmp_path, capsys, edit, message):
+    assert_rejected(tmp_path, capsys, _level_edit(edit), match=f"^{re.escape(message)}$")
+
+
+def test_level_built_directly_rejects_negative_num_counters():
+    with pytest.raises(LevelFormatError, match="^num_counters -1 is negative$"):
+        Level(gadgets={"G": Goal()}, tim_edges={}, signals={}, entry="G", num_counters=-1, init_counters=())
 
 
 # A tagged object whose tag names no kind, or that lacks a field of its kind.
