@@ -53,7 +53,7 @@ class CounterProgram:
                 raise ValueError(f"instruction {i}: goto target {ins.target} out of range")
         if self.init_counters is None:
             object.__setattr__(self, "init_counters", (0,) * self.num_counters)
-        elif len(self.init_counters) != self.num_counters or any(v < 0 for v in self.init_counters):
+        elif len(self.init_counters) != self.num_counters or not all(is_int(v) and v >= 0 for v in self.init_counters):
             raise ValueError("init counters must list one non-negative value per counter")
 
 
@@ -78,21 +78,77 @@ def initial_config(program: CounterProgram) -> CounterConfig:
     return CounterConfig(pc=0, counters=tuple(program.init_counters), steps=0)
 
 
+# Opcodes of a lowered step table, whose rows are (op, a, b, out, alt) over
+# one list of counts, the places: GOAL (a is its cost in steps), ADD (one
+# unit to place a), MOVE (one unit from place a to place b, if a has one),
+# BRANCH (take one unit from place a to go to out, or go to alt if it has
+# none) and STUCK (raise a(b): a is an exception class, b its message).
+# Every row but a GOAL goes on to out, or alt, in one step.
+GOAL, ADD, MOVE, BRANCH, STUCK = range(5)
+
+
 def lower_program(program: CounterProgram) -> list:
-    """One row per instruction, indexed by pc: (is_add, counter, next_pc,
-    jump_pc) for Add and SubBranch, None for Halt. next_pc is None past the
-    last instruction (the implicit halt); an Add's jump_pc is its next_pc."""
-    n = len(program.instructions)
+    """The program as a step table over its counters, one row per pc: an
+    Add is an ADD, a SubBranch a BRANCH to pc + 1 or its target, and a Halt
+    a GOAL of cost 1. Row n, past the last instruction, is the implicit
+    halt, a GOAL of cost 0."""
     rows = []
     for pc, ins in enumerate(program.instructions):
-        nxt = pc + 1 if pc + 1 < n else None
         if isinstance(ins, Add):
-            rows.append((True, ins.counter, nxt, nxt))
+            rows.append((ADD, ins.counter, 0, pc + 1, 0))
         elif isinstance(ins, SubBranch):
-            rows.append((False, ins.counter, nxt, ins.target))
+            rows.append((BRANCH, ins.counter, 0, pc + 1, ins.target))
         else:
-            rows.append(None)
+            rows.append((GOAL, 1, 0, 0, 0))
+    rows.append((GOAL, 0, 0, 0, 0))
     return rows
+
+
+def run_table(table: list, pos: int, places: list, count: int, limit: int):
+    """Step the table from row pos to a GOAL or to limit steps, count being
+    the steps so far, updating places in place and jumping whole loop
+    iterations (`jump_loop`). Returns (pos, count, reached): a GOAL adds
+    its cost, and one of cost 0 is reached at the limit too."""
+    seen = {}
+    dips = [0] * len(places)
+    while count < limit:
+        op, a, b, out, alt = table[pos]
+        if op == BRANCH:
+            if places[a]:
+                places[a] -= 1
+                dips[a] += 1
+                nxt = out
+            else:
+                nxt = alt
+        elif op == MOVE:
+            if places[a]:
+                places[a] -= 1
+                dips[a] += 1
+                places[b] += 1
+            nxt = out
+        elif op == ADD:
+            places[a] += 1
+            nxt = out
+        elif op == GOAL:
+            return pos, count + a, True
+        else:
+            raise a(b)
+        count += 1
+        if nxt <= pos:  # a back edge
+            count = jump_loop(seen, nxt, count, places, dips, limit)
+        pos = nxt
+    return pos, count, table[pos][:2] == (GOAL, 0)
+
+
+def check_counters(counters, n: int):
+    """Raise ValueError unless counters lists n non-negative integers."""
+    if len(counters) != n or not all(is_int(v) and v >= 0 for v in counters):
+        raise ValueError(f"counters {counters!r} must list one non-negative integer per counter, {n} in all")
+
+
+def is_int(v):
+    """True for an int that is not a bool: JSON's true would index counter 1."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def cm_step(program: CounterProgram, c: CounterConfig) -> CounterConfig:
@@ -103,52 +159,43 @@ def cm_step(program: CounterProgram, c: CounterConfig) -> CounterConfig:
 
 
 def cm_run(program: CounterProgram, init: CounterConfig, max_steps: int) -> RunResult:
+    """Run from init to a halt or for max_steps more steps: a lowering
+    (`lower_program`) and one `run_table` over the counters. Raises
+    ValueError, naming the field, if the program cannot hold init."""
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    rows = lower_program(program)
-    pc, counters = init.pc, list(init.counters)
-    dips = [0] * len(counters)  # jump_loop's decrement count per counter
-    steps = 0
-    seen = {}
-    while steps < max_steps and pc is not None:
-        row = rows[pc]
-        steps += 1
-        if row is None:
-            nxt = None
-        elif row[0]:
-            counters[row[1]] += 1
-            nxt = row[2]
-        elif counters[row[1]]:
-            counters[row[1]] -= 1
-            dips[row[1]] += 1
-            nxt = row[2]
-        else:
-            nxt = row[3]
-        if nxt is not None and nxt <= pc:  # a back edge
-            steps = jump_loop(seen, nxt, steps, (counters,), (dips,), max_steps)
-        pc = nxt
-    c = init if steps == 0 else CounterConfig(pc, tuple(counters), init.steps + steps)
-    return RunResult("budget" if pc is not None else "halted", c)
+    n = len(program.instructions)
+    if init.pc is not None and not (is_int(init.pc) and 0 <= init.pc < n):
+        raise ValueError(f"pc {init.pc!r} is not an instruction index in 0..{n - 1}, nor None")
+    check_counters(init.counters, program.num_counters)
+    if init.pc is None:
+        return RunResult("halted", init)
+    counters = list(init.counters)
+    pc, steps, halted = run_table(lower_program(program), init.pc, counters, 0, max_steps)
+    c = init if steps == 0 else CounterConfig(None if halted else pc, tuple(counters), init.steps + steps)
+    return RunResult("halted" if halted else "budget", c)
 
 
-def jump_loop(seen: dict, at, count: int, vecs: tuple, dips: tuple, limit: int) -> int:
+def jump_loop(seen: dict, at, count: int, values: list, dips: list, limit: int) -> int:
     """Jump whole iterations of the loop that has just come back to `at`:
-    update the lists in vecs and dips in place and return the new count, at
-    most limit.
+    update values and dips in place and return the new count, at most
+    limit.
 
-    The lists in vecs hold every value a zero test reads. dips holds a list
-    of the same length beside each, and the caller adds 1 to a value's entry
-    there whenever the value goes down, by 1 at a time; a jump adds the
-    decrements of the iterations it skips. seen maps each arrival point to
-    the count, values and decrement counts of its last arrival, and is
-    updated here. Say the last arrival at `at` was p steps ago at u, and the
-    values are now v = u + d after D decrements. A value with d = 0 replays
-    exactly. One with d != 0 never dipped below u - D in the iteration, so
-    it stayed above zero if u > D, and it stays above zero through the next
-    k if each starts above D, v + (j - 1) d > D for j = 1..k. Then no zero
-    test can differ, so the next k iterations repeat this one: they add k d
-    to each value, k D to its decrement count and k p to the count. The
-    last iteration or so before a value reaches zero, and the budget's
+    values holds every value a zero test reads, and dips, of the same
+    length, a decrement count for each: the caller adds 1 to a value's
+    entry whenever the value goes down, by 1 at a time, and only where a
+    zero test has read it nonzero. A jump adds the decrements of the
+    iterations it skips. seen maps each arrival point to the count, values
+    and decrement counts of its last arrival, and is updated here. Say the
+    last arrival at `at` was p steps ago at u, and the values are now
+    v = u + d after D decrements. A value with d = 0 replays exactly. One
+    with d != 0 never dipped below u - D in the iteration, so if u > D no
+    zero test read it as zero, and every test in an iteration that starts
+    at D or above reads it nonzero. So it stays above zero through the
+    next k iterations if each starts at D or above, v + (j - 1) d >= D for
+    j = 1..k. Then no zero test can differ, so the next k iterations repeat
+    this one: they add k d to each value, k D to its decrement count and
+    k p to the count. The iteration that starts below D, and the budget's
     remainder, are left to the caller.
 
     The first arrival records only the count, and the values are first
@@ -160,39 +207,33 @@ def jump_loop(seen: dict, at, count: int, vecs: tuple, dips: tuple, limit: int) 
     if last is None:
         seen[at] = (count, None)
         return count
-    lists = vecs + dips
-    now = tuple(map(tuple, lists))  # the values, then their decrement counts
+    v, dv = now = tuple(values), tuple(dips)
     seen[at] = (count, now)
-    before, u = last
-    if u is None:
+    before, then = last
+    if then is None:
         return count
     p = count - before
     k = (limit - count) // p
     if k <= 0:
         return count
-    n = len(vecs)
+    u, du = then
     moved = []
-    for j in range(n):
-        vs, us = now[j], u[j]
-        if us != vs:
-            ds, dus = now[n + j], u[n + j]
-            for i, d in enumerate(map(sub, vs, us)):
-                if d:
-                    v, dip = vs[i], ds[i] - dus[i]
-                    if v <= dip or v - d <= dip:  # the next iteration may reach zero
-                        return count
-                    if d < 0:
-                        k = min(k, (v - dip - 1) // -d + 1)
-                    moved.append((vecs[j], i, d))
-    for vec, i, d in moved:
-        vec[i] += k * d
-    for j in range(n, 2 * n):
-        if now[j] != u[j]:
-            ds = lists[j]
-            for i, dip in enumerate(map(sub, now[j], u[j])):
-                ds[i] += k * dip
+    if v != u:
+        for i, d in enumerate(map(sub, v, u)):
+            if d:
+                x, dip = v[i], dv[i] - du[i]
+                if x - d <= dip:  # the last iteration may have read zero
+                    return count
+                if d < 0:  # 0 if the next iteration starts below dip: a jump of nothing
+                    k = min(k, (x - dip) // -d + 1)
+                moved.append((i, d))
+    for i, d in moved:
+        values[i] += k * d
+    if dv != du:
+        for i, dip in enumerate(map(sub, dv, du)):
+            dips[i] += k * dip
     count += k * p
-    seen[at] = (count, tuple(map(tuple, lists)))
+    seen[at] = (count, (tuple(values), tuple(dips)))
     return count
 
 

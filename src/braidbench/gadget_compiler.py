@@ -14,7 +14,8 @@ import json
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from .counter_machine import Add, CounterProgram, Halt, SubBranch, jump_loop, lower_program
+from .counter_machine import (ADD, BRANCH, GOAL, MOVE, STUCK, Add, CounterProgram, Halt, SubBranch, check_counters,
+                              is_int, jump_loop, lower_program, run_table)
 
 
 class LevelFormatError(ValueError):
@@ -91,13 +92,13 @@ class Level:
     init_counters: tuple = None
 
     def __post_init__(self):
-        if not _is_int(self.num_counters):
+        if not is_int(self.num_counters):
             raise LevelFormatError(f"num_counters {self.num_counters!r} is not an integer")
         if self.num_counters < 0:
             raise LevelFormatError(f"num_counters {self.num_counters} is negative")
         init = (0,) * self.num_counters if self.init_counters is None else tuple(self.init_counters)
         object.__setattr__(self, "init_counters", init)
-        if len(init) != self.num_counters or not all(_is_int(v) and v >= 0 for v in init):
+        if len(init) != self.num_counters or not all(is_int(v) and v >= 0 for v in init):
             raise LevelFormatError("init_counters must list one non-negative integer per counter")
         if _id("level entry", self.entry) not in self.gadgets:
             raise LevelFormatError(f"entry gadget {self.entry!r} missing")
@@ -123,7 +124,7 @@ class Level:
 
     def _check_counter(self, counter, what, key):
         """Raise unless counter indexes a counter of the level; the message names what and key."""
-        if not _is_int(counter):
+        if not is_int(counter):
             raise LevelFormatError(f"{what} {key!r} names counter {counter!r}, not an integer")
         if not 0 <= counter < self.num_counters:
             raise LevelFormatError(f"{what} {key!r} names counter {counter} out of range")
@@ -134,11 +135,6 @@ def _id(what, value):
     if not isinstance(value, str):
         raise LevelFormatError(f"{what} {value!r} is not a string")
     return value
-
-
-def _is_int(v):
-    """True for an int that is not a bool: JSON's true would index counter 1."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 SOLVED = "solved"
@@ -201,97 +197,53 @@ def _router(counter):
     return f"R{counter}"
 
 
-# Opcodes of the lowered step table
-_GOAL, _ADD, _REMOVE, _DOOR, _BRANCH, _STUCK = range(6)
-
-
 def _lower(level: Level, in_flight=()):
-    """Lower a level to a step table with one (op, arg, arg, out, alt) row
-    per gadget, indexed by gadget number.
+    """Lower a level to a step table of `counter_machine.run_table`, one row
+    per gadget, indexed by gadget number, over a list of places: the level's
+    counters, then its monstar locations, numbered with the gadgets. A
+    Remove1 and an OpenDoor are each a MOVE, a Branch a BRANCH on its own
+    location, a goal a GOAL of cost 1, and a gadget the player cannot stand
+    on a STUCK row that raises LevelFormatError.
 
-    Monstar locations are numbered with the gadgets. A router that a Remove1
-    names but the level lacks, and an in-flight id that names no gadget, get
-    numbers past the gadgets; they hold monstars but no row. Returns the
-    table, the number of each location id and the id of each number.
+    A router that a Remove1 names but the level lacks, and an in-flight id
+    that names no gadget, get location numbers past the gadgets; they hold
+    monstars but no row. Returns the table, the location number of each
+    id and the id of each location number.
     """
     names = list(level.gadgets)
     index = {name: i for i, name in enumerate(names)}
+    n = level.num_counters
 
-    def loc(name):
+    def place(name):
         if name not in index:
             index[name] = len(names)
             names.append(name)
-        return index[name]
+        return n + index[name]
 
     for name, _ in in_flight:
-        loc(name)
+        place(name)
     table = []
     for gid, g in level.gadgets.items():
         if isinstance(g, Goal):
-            row = (_GOAL, 0, 0, 0, 0)
+            row = (GOAL, 1, 0, 0, 0)
         elif isinstance(g, LeverPull):
             eff = level.signals[g.signal]
             out = index[level.tim_edges[(gid, "out")]]
             if isinstance(eff, Add1):
-                row = (_ADD, eff.counter, 0, out, 0)
+                row = (ADD, eff.counter, 0, out, 0)
             elif isinstance(eff, Remove1):
-                row = (_REMOVE, eff.counter, loc(_router(eff.counter)), out, 0)
-            else:  # OpenDoor
-                row = (_DOOR, index[eff.router], index[eff.branch], out, 0)
+                # at zero the freed bunny dies on the spikes: no token moves
+                row = (MOVE, eff.counter, place(_router(eff.counter)), out, 0)
+            else:  # OpenDoor, between two gadgets
+                row = (MOVE, n + index[eff.router], n + index[eff.branch], out, 0)
         elif isinstance(g, Branch):
-            row = (_BRANCH, 0, 0, index[level.tim_edges[(gid, "monstar")]], index[level.tim_edges[(gid, "empty")]])
+            # the player jumps on the monstar, killing it
+            row = (BRANCH, n + index[gid], 0, index[level.tim_edges[(gid, "monstar")]],
+                   index[level.tim_edges[(gid, "empty")]])
         else:
-            row = (_STUCK, f"player cannot stand at {gid!r} ({type(g).__name__})", 0, 0, 0)
+            row = (STUCK, LevelFormatError, f"player cannot stand at {gid!r} ({type(g).__name__})", 0, 0)
         table.append(row)
     return table, index, names
-
-
-def _run(table, pos, counters, flight, ticks, max_ticks):
-    """The level interpreter: tick from gadget number pos, updating the
-    counters list and the per-location monstar counts in flight in place,
-    and jump whole iterations of its loops (`jump_loop`, with a decrement
-    count per counter and per location: a remove, a door and a kill).
-
-    Stops at a goal or at max_ticks ticks.
-    Returns (pos, ticks, solved); a solved run counts the goal's tick.
-    """
-    seen = {}
-    vecs = counters, flight
-    dips = counter_dips, flight_dips = [0] * len(counters), [0] * len(flight)
-    while ticks < max_ticks:
-        op, a, b, out, alt = table[pos]
-        if op == _REMOVE:
-            if counters[a] > 0:
-                counters[a] -= 1
-                counter_dips[a] += 1
-                flight[b] += 1
-            # at zero the freed bunny dies on the spikes: no token moves
-            nxt = out
-        elif op == _DOOR:
-            if flight[a]:
-                flight[a] -= 1
-                flight_dips[a] += 1
-                flight[b] += 1
-            nxt = out
-        elif op == _BRANCH:
-            if flight[pos]:
-                flight[pos] -= 1  # jump on the monstar, killing it
-                flight_dips[pos] += 1
-                nxt = out
-            else:
-                nxt = alt
-        elif op == _ADD:
-            counters[a] += 1
-            nxt = out
-        elif op == _GOAL:
-            return pos, ticks + 1, True
-        else:
-            raise LevelFormatError(a)
-        ticks += 1
-        if nxt <= pos:  # a back edge
-            ticks = jump_loop(seen, nxt, ticks, vecs, dips, max_ticks)
-        pos = nxt
-    return pos, ticks, False
 
 
 @dataclass(frozen=True)
@@ -303,22 +255,37 @@ class LevelRunResult:
 
 def level_run(level: Level, max_ticks: int, init: LevelConfig = None) -> LevelRunResult:
     """Run the level from init, by default its start, to a goal or to
-    max_ticks ticks in all."""
+    max_ticks ticks in all: a lowering (`_lower`) and one
+    `counter_machine.run_table` over the counters and the monstars in
+    flight. Raises ValueError, naming the field, if the level cannot hold
+    init."""
     if max_ticks < 0:
         raise ValueError("max_ticks must be >= 0")
     c = initial_level_config(level) if init is None else init
+    _check_config(level, c)
     if c.ticks >= max_ticks:
         return LevelRunResult("budget", c.ticks, c)
     table, index, names = _lower(level, c.in_flight)
-    counters = list(c.counters)
-    flight = [0] * len(names)
+    n = level.num_counters
+    places = list(c.counters) + [0] * len(names)
     for name, count in c.in_flight:
-        flight[index[name]] += count
-    pos, ticks, solved = _run(table, index[c.tim_at], counters, flight, c.ticks, max_ticks)
+        places[n + index[name]] += count
+    pos, ticks, solved = run_table(table, index[c.tim_at], places, c.ticks, max_ticks)
     if solved:
         return LevelRunResult("solved", ticks)
-    in_flight = sorted((names[i], n) for i, n in enumerate(flight) if n)
-    return LevelRunResult("budget", ticks, LevelConfig(names[pos], tuple(counters), tuple(in_flight), ticks))
+    in_flight = sorted((names[i], m) for i, m in enumerate(places[n:]) if m)
+    return LevelRunResult("budget", ticks, LevelConfig(names[pos], tuple(places[:n]), tuple(in_flight), ticks))
+
+
+def _check_config(level: Level, c: LevelConfig):
+    """Raise ValueError unless the level can hold c; the message names the field."""
+    if not isinstance(c.tim_at, str) or c.tim_at not in level.gadgets:
+        raise ValueError(f"tim_at {c.tim_at!r} is not a gadget of the level")
+    check_counters(c.counters, level.num_counters)
+    for pair in c.in_flight:
+        if not (isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], str)
+                and is_int(pair[1]) and pair[1] > 0):
+            raise ValueError(f"in_flight entry {pair!r} is not a (location id, positive count) pair")
 
 
 def level_step(level: Level, c: LevelConfig):
@@ -370,112 +337,110 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
     the player's position and the station occupancies; at the end, halting
     must coincide with solving.
 
-    One loop steps both: an instruction of the lowered program
-    (`lower_program`), then ticks of the lowered level table up to the next
-    instruction entry. The instruction step repeats `cm_run`'s and the
-    ticks repeat `_run`'s, inlined because the two calls per instruction
-    cost about 40% of the time. The lockstep tests with
-    `tests/reference_level.py`, on compiled and on miscompiled levels, pin
-    each copy to the reference semantics.
+    One loop steps both: a row of the lowered program (`lower_program`),
+    then rows of the lowered level (`_lower`) up to the next instruction
+    entry. Both steps repeat `counter_machine.run_table`'s, over the same
+    rows, inlined because the two calls per instruction cost about 40% of
+    the time. The lockstep tests with `tests/reference_level.py`, on
+    compiled and on miscompiled levels, pin each copy to the reference
+    semantics.
 
-    Like `cm_run` and `_run`, it jumps whole loop iterations through
-    `jump_loop`, at each back edge of the program, keyed on the pc, while
-    every boundary so far has passed. A passing boundary has the level's
-    counters equal to the machine's, so from the last arrival at the pc
-    both sides moved by the same d, and the vector `jump_loop` compares is
-    the machine's counters and the monstars in flight. A counter's entry
-    in the decrement counts takes the machine's decrements and the level's
-    removes alike, so it bounds the dip of each side's copy of the counter;
-    a monstar location's entry takes the doors and kills there. Its clock
-    is the ticks, so where `jump_loop` finds that the next k iterations
-    repeat, they repeat on both sides, tick for tick and step for step.
-    A jump is capped at the iterations whose steps fit in max_steps, sets
-    the level's counters to the machine's, and is reported as a JumpRecord:
-    k repeats of the last iteration's boundaries, every one of them passed.
+    Like `run_table`, it jumps whole loop iterations through `jump_loop`,
+    at each back edge of the program, keyed on the pc, while every boundary
+    so far has passed. The values `jump_loop` compares are the level's
+    places, with the level's decrement counts. A passing boundary has the
+    machine's counters equal to the level's, so from the last arrival at
+    the pc both sides moved by the same d. Between two passing boundaries
+    a step that lowers the machine's counter makes the level take a unit
+    from it at least once, so the level's decrement count of a counter
+    bounds the dip of the machine's copy too. Its clock is the ticks, so
+    where `jump_loop` finds that the next k iterations repeat, they repeat
+    on both sides, tick for tick and step for step. A jump is capped at the
+    iterations whose steps fit in max_steps, sets the machine's counters to
+    the level's, and is reported as a JumpRecord: k repeats of the last
+    iteration's boundaries, every one of them passed.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     rows = lower_program(program)
+    n = len(program.instructions)  # the implicit halt's pc, where a halt goes too
     level = compile(program)
     table, index, names = _lower(level)
     entries = [index[gid] for gid in _entries(program)]
     is_entry = [False] * len(names)
     for e in entries:
         is_entry[e] = True
+    num_counters = level.num_counters
     pc, cm_counters = 0, list(program.init_counters)
-    pos, counters, flight = index[level.entry], list(level.init_counters), [0] * len(names)
+    pos, places = index[level.entry], list(level.init_counters) + [0] * len(names)
+    dips = [0] * len(places)  # jump_loop's decrement count per place
     ticks = steps = 0
     solved = False
-    ok = pos == entries[pc] and counters == cm_counters
+    occupancies = places[:num_counters]
+    ok = pos == entries[pc] and occupancies == cm_counters
     ok_all = ok
     record = tuple.__new__  # BoundaryRecord(...) through its NamedTuple __new__ is slower
-    boundaries = [record(BoundaryRecord, (0, pc, tuple(cm_counters), names[pos], tuple(counters), ok))]
+    boundaries = [record(BoundaryRecord, (0, pc, tuple(cm_counters), names[pos], tuple(occupancies), ok))]
     seen, arrived = {}, {}  # jump_loop's record of each back edge's target, and its (steps, ticks)
-    vecs = cm_counters, flight
-    # a counter's decrements on both sides share an entry
-    dips = counter_dips, flight_dips = [0] * len(cm_counters), [0] * len(flight)
     back = False
-    while steps < max_steps and pc is not None:
-        row = rows[pc]
+    while steps < max_steps and pc != n:
+        op, a, _, out, alt = rows[pc]
         steps += 1
-        if row is None:
-            pc = None
-        elif row[0]:
-            cm_counters[row[1]] += 1
-            pc = row[2]
-        elif cm_counters[row[1]]:
-            cm_counters[row[1]] -= 1
-            counter_dips[row[1]] += 1
-            pc = row[2]
-        else:
-            back = row[3] <= pc  # the only step that can go back
-            pc = row[3]
+        if op == BRANCH:
+            if cm_counters[a]:
+                cm_counters[a] -= 1
+                pc = out
+            else:
+                back = alt <= pc  # the only step that can go back
+                pc = alt
+        elif op == ADD:
+            cm_counters[a] += 1
+            pc = out
+        else:  # a halt, a GOAL of cost 1 like any step
+            pc = n
+        halted = pc == n
         # tick the level to the next instruction entry, or all the way to
         # solved when the machine just halted (the goal needs its own tick);
         # 3 gadgets per instruction, plus the goal
         limit = ticks + 5
         while ticks < limit:
             op, a, b, out, alt = table[pos]
-            if op == _REMOVE:
-                if counters[a] > 0:
-                    counters[a] -= 1
-                    counter_dips[a] += 1
-                    flight[b] += 1
-                pos = out
-            elif op == _DOOR:
-                if flight[a]:
-                    flight[a] -= 1
-                    flight_dips[a] += 1
-                    flight[b] += 1
-                pos = out
-            elif op == _BRANCH:
-                if flight[pos]:
-                    flight[pos] -= 1
-                    flight_dips[pos] += 1
+            if op == BRANCH:
+                if places[a]:
+                    places[a] -= 1
+                    dips[a] += 1
                     pos = out
                 else:
                     pos = alt
-            elif op == _ADD:
-                counters[a] += 1
+            elif op == MOVE:
+                if places[a]:
+                    places[a] -= 1
+                    dips[a] += 1
+                    places[b] += 1
                 pos = out
-            elif op == _GOAL:
-                ticks += 1
+            elif op == ADD:
+                places[a] += 1
+                pos = out
+            elif op == GOAL:
+                ticks += a
                 solved = True
                 break
             else:
-                raise LevelFormatError(a)
+                raise a(b)
             ticks += 1
-            if pc is not None and is_entry[pos]:
+            if not halted and is_entry[pos]:
                 break
         cm_tuple = tuple(cm_counters)
-        same = counters == cm_counters
-        if pc is None:
+        occupancies = places[:num_counters]
+        same = occupancies == cm_counters
+        if halted:
             ok = solved and same
         else:
             ok = not solved and pos == entries[pc] and same
         ok_all = ok_all and ok
         boundaries.append(record(BoundaryRecord, (
-            steps, pc, cm_tuple, SOLVED if solved else names[pos], cm_tuple if same else tuple(counters), ok)))
+            steps, None if halted else pc, cm_tuple, SOLVED if solved else names[pos],
+            cm_tuple if same else tuple(occupancies), ok)))
         if solved:
             break
         if back:
@@ -486,18 +451,18 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
             arrived[pc] = (steps, ticks)
             # the cap on the tick clock of the iterations whose steps fit; jump_loop jumps from the third arrival
             limit = ticks if last is None else ticks + (max_steps - steps) // (steps - last[0]) * (ticks - last[1])
-            after = jump_loop(seen, pc, ticks, vecs, dips, limit)
+            after = jump_loop(seen, pc, ticks, places, dips, limit)
             if after != ticks:
                 p_steps, p_ticks = steps - last[0], ticks - last[1]
                 k = (after - ticks) // p_ticks
+                cm_counters[:] = places[:num_counters]
                 boundaries.append(JumpRecord(steps, k, p_steps, p_ticks,
                                              tuple((v - u) // k for u, v in zip(cm_tuple, cm_counters))))
                 steps += k * p_steps
                 ticks = after
-                counters[:] = cm_counters
                 arrived[pc] = (steps, ticks)
-    ok_all = ok_all and ((pc is None) == solved)
-    return BisimReport(ok_all, tuple(boundaries), pc is None, solved, ticks, steps)
+    ok_all = ok_all and ((pc == n) == solved)
+    return BisimReport(ok_all, tuple(boundaries), pc == n, solved, ticks, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -411,7 +411,7 @@ def test_transfer_drain_runs_exactly_at_scale(a, b):
 def test_bisimulate_transfer_drain_jumps_at_scale():
     # TRANSFER_DRAIN from 10^9 and 10^9 - 3 under a 10^12 budget: the
     # closed forms of test_transfer_drain_runs_exactly_at_scale, from a
-    # report of a few dozen records
+    # report of 21 records, a jump and the iterations next to it in each loop
     start = time.perf_counter()
     a, b = 10 ** 9, 10 ** 9 - 3
     report = bisimulate(dataclasses.replace(TRANSFER_DRAIN, init_counters=(a, b, 0)), 10 ** 12)
@@ -420,7 +420,7 @@ def test_bisimulate_transfer_drain_jumps_at_scale():
     assert (report.steps, report.ticks) == (5 * a + 2 * b + 3, 13 * a + 6 * b + 7)
     jumps = [r for r in report.boundaries if isinstance(r, JumpRecord)]
     assert [(j.steps, j.ticks, j.d) for j in jumps] == [(3, 7, (-1, 1, 0)), (2, 6, (0, -1, 0))]
-    assert len(report.boundaries) < 100
+    assert len(report.boundaries) == 21
     assert len(report.boundaries) - len(jumps) + sum(j.k * j.steps for j in jumps) == report.steps + 1
 
 
@@ -434,12 +434,15 @@ def add_loop(adds, init):
 def test_loop_exits_cost_a_few_iterations_whatever_the_body(adds):
     # a value dips within an iteration by at most its decrements there, not
     # by the iteration's length, so the jumps leave only the iterations
-    # next to the loop's entry and exit to be stepped
+    # next to the loop's entry and exit to be stepped: the report holds the
+    # start, the three iterations up to the third arrival, the jump, whose
+    # last iteration starts at 1 and takes counter 0 to zero, and the exit
+    # test and the halt
     p = add_loop(adds, 10 ** 6)
     report = bisimulate(p, 10 ** 12)
     assert (report.passed, report.cm_halted, report.level_solved) == (True, True, True)
     assert (report.steps, report.ticks) == ((adds + 2) * 10 ** 6 + 2, (adds + 6) * 10 ** 6 + 4)
-    assert len(report.boundaries) <= 6 * (adds + 3)
+    assert len(report.boundaries) == 1 + 3 * (adds + 2) + 1 + 2
     p = add_loop(adds, 300)
     c = initial_config(p)
     assert outcome(cm_run, p, c, 10 ** 6) == outcome(ref_cm_run, p, c, 10 ** 6)
@@ -754,6 +757,34 @@ def test_level_run_bounds_a_pile_by_its_kills(pile):
     for ticks in (13 * pile // 2 - 5, 10 ** 4):
         assert outcome(level_run, KILLS, ticks, start) == outcome(ref_level_run, KILLS, ticks, start)
     assert level_run(KILLS, 10 ** 4, start).kind == "solved"
+
+
+# A remove on an empty station and a door on an empty router: each moves
+# one monstar if there is one, so the loop through them changes no count.
+EMPTY_MOVES = json.dumps({
+    "entry": "L0", "num_counters": 2,
+    "gadgets": {"L0": {"kind": "lever", "signal": "take"}, "L1": {"kind": "lever", "signal": "door"},
+                "B0": {"kind": "branch"}, "R0": {"kind": "router"}, "C0": {"kind": "counter", "counter": 0},
+                "G": {"kind": "goal"}},
+    "tim_edges": [{"from": "L0", "exit": "out", "to": "L1"}, {"from": "L1", "exit": "out", "to": "B0"},
+                  {"from": "B0", "exit": "monstar", "to": "G"}, {"from": "B0", "exit": "empty", "to": "L0"}],
+    "signals": {"take": {"effect": "remove1", "counter": 0},
+                "door": {"effect": "open-door", "router": "R0", "branch": "B0"}}})
+
+
+def test_moves_from_an_empty_station_and_router_change_no_count():
+    level = level_from_json(EMPTY_MOVES)
+    start = LevelConfig("L0", (0, 4), (("Q", 3),), 0)
+    c = start
+    for tick in range(1, 10):
+        nxt = level_step(level, c)
+        assert nxt == ref_level_step(level, c)
+        assert (nxt.counters, nxt.in_flight, nxt.ticks) == (start.counters, start.in_flight, tick)
+        c = nxt
+    for ticks in (0, 1, 2, 3, 10 ** 4):
+        res = level_run(level, ticks, start)
+        assert res == ref_level_run(level, ticks, start)
+        assert (res.kind, res.config.counters, res.config.in_flight) == ("budget", start.counters, start.in_flight)
 
 
 # --- the bisim command's output, byte for byte, from the reference report

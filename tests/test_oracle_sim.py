@@ -13,8 +13,8 @@ from braidbench.braidlike_tm import (
     parse_btm,
     successors,
 )
-from braidbench.counter_machine import cm_run, initial_config, parse_counter_program
-from braidbench.gadget_compiler import bisimulate, compile, level_run
+from braidbench.counter_machine import Add, CounterConfig, CounterProgram, cm_run, initial_config, parse_counter_program
+from braidbench.gadget_compiler import LevelConfig, bisimulate, compile, level_run
 from braidbench.oracle_sim import (
     END,
     WALL,
@@ -240,6 +240,18 @@ GAME = GameSpec(("t0",), ("m0",), "m0", "t0", {}, frozenset({("m0", "t0")}))
 BAD_ARGUMENTS = {
     "cm_run-max_steps": (lambda: cm_run(PROGRAM, initial_config(PROGRAM), -1), "max_steps must be >= 0"),
     "level_run-max_ticks": (lambda: level_run(compile(PROGRAM), -1), "max_ticks must be >= 0"),
+    # a start the program or level cannot hold: in the list of places an
+    # extra counter would be monstars at a location, and pc 2 the implicit halt
+    "CounterProgram-init": (lambda: CounterProgram(1, (Add(0),), (1.5,)), "init counters must list"),
+    "cm_run-pc": (lambda: cm_run(PROGRAM, CounterConfig(2, (0,)), 10), "^pc 2 "),
+    "cm_run-negative-counter": (lambda: cm_run(PROGRAM, CounterConfig(0, (-2,)), 10), r"^counters \(-2,\) "),
+    "cm_run-extra-counter": (lambda: cm_run(PROGRAM, CounterConfig(0, (3, 7)), 10), r"^counters \(3, 7\) "),
+    "level_run-extra-counter": (lambda: level_run(compile(PROGRAM), 10, LevelConfig("L0", (3, 5), ())),
+                                r"^counters \(3, 5\) "),
+    "level_run-in_flight": (lambda: level_run(compile(PROGRAM), 10, LevelConfig("L0", (0,), (("R0", -2),))),
+                            r"^in_flight entry \('R0', -2\) "),
+    "level_run-tim_at": (lambda: level_run(compile(PROGRAM), 10, LevelConfig("nowhere", (0,), ())),
+                         "^tim_at 'nowhere' "),
     "bisimulate-max_steps": (lambda: bisimulate(PROGRAM, -1), "max_steps must be >= 0"),
     "reach_bfs-cell_cap": (lambda: reach_bfs(STUCK, 0), "cell_cap must be >= 1"),
     "det_behavior_oracle-max_steps": (lambda: det_behavior_oracle(always_accept(), -1, 10), "max_steps and max_cells"),
