@@ -42,11 +42,15 @@ class CounterProgram:
     init_counters: tuple = None
 
     def __post_init__(self):
+        if not is_int(self.num_counters):
+            raise ValueError(f"num_counters {self.num_counters!r} is not an integer")
         if self.num_counters < 1:
             raise ValueError("need at least one counter")
         if not self.instructions:
             raise ValueError("program must have at least one instruction")
         for i, ins in enumerate(self.instructions):
+            if not isinstance(ins, (Add, SubBranch, Halt)):
+                raise ValueError(f"instruction {i}: {ins!r} is not an Add, SubBranch or Halt")
             if isinstance(ins, (Add, SubBranch)) and not (0 <= ins.counter < self.num_counters):
                 raise ValueError(f"instruction {i}: counter index {ins.counter} out of range")
             if isinstance(ins, SubBranch) and not (0 <= ins.target < len(self.instructions)):
@@ -104,13 +108,14 @@ def lower_program(program: CounterProgram) -> list:
     return rows
 
 
-def run_table(table: list, pos: int, places: list, count: int, limit: int):
+def run_table(table: list, pos: int, places: list, dips: list, count: int, limit: int):
     """Step the table from row pos to a GOAL or to limit steps, count being
     the steps so far, updating places in place and jumping whole loop
-    iterations (`jump_loop`). Returns (pos, count, reached): a GOAL adds
-    its cost, and one of cost 0 is reached at the limit too."""
+    iterations (`jump_loop`). dips holds a decrement count per place, which
+    the run adds to; a caller that runs on from where a call stopped
+    passes the same list. Returns (pos, count, reached): a GOAL adds its
+    cost, and one of cost 0 is reached at the limit too."""
     seen = {}
-    dips = [0] * len(places)
     while count < limit:
         op, a, b, out, alt = table[pos]
         if op == BRANCH:
@@ -171,7 +176,7 @@ def cm_run(program: CounterProgram, init: CounterConfig, max_steps: int) -> RunR
     if init.pc is None:
         return RunResult("halted", init)
     counters = list(init.counters)
-    pc, steps, halted = run_table(lower_program(program), init.pc, counters, 0, max_steps)
+    pc, steps, halted = run_table(lower_program(program), init.pc, counters, [0] * len(counters), 0, max_steps)
     c = init if steps == 0 else CounterConfig(None if halted else pc, tuple(counters), init.steps + steps)
     return RunResult("halted" if halted else "budget", c)
 
@@ -240,12 +245,12 @@ def jump_loop(seen: dict, at, count: int, values: list, dips: list, limit: int) 
 def parse_counter_program(text: str) -> CounterProgram:
     """Parse the `.cm` format.
 
-    `#` comments; header `counters <k>`; optional `init <v0> <v1> ...`;
-    body lines `<i>: add <c>`, `<i>: subb <c> <target>`, `<i>: halt`
-    with consecutive indices from 0. Keywords are case-insensitive.
+    `#` comments; header `counters <k>`; optional `init <v0> <v1> ...`,
+    each at most once; body lines `<i>: add <c>`, `<i>: subb <c>
+    <target>`, `<i>: halt` with consecutive indices from 0. Keywords are
+    case-insensitive.
     """
-    num_counters = None
-    init = None
+    num_counters = init = None
     instructions = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -253,15 +258,18 @@ def parse_counter_program(text: str) -> CounterProgram:
             continue
         words = line.lower().split()
         if words[0] == "counters":
+            if num_counters is not None:
+                raise CMParseError(lineno, "second `counters` line")
             if len(words) != 2 or not words[1].isdecimal():
                 raise CMParseError(lineno, "expected `counters <k>`")
             num_counters = int(words[1])
             continue
         if words[0] == "init":
-            try:
-                init = tuple(int(w) for w in words[1:])
-            except ValueError:
-                raise CMParseError(lineno, "init values must be integers")
+            if init is not None:
+                raise CMParseError(lineno, "second `init` line")
+            if not all(w.isdecimal() for w in words[1:]):
+                raise CMParseError(lineno, "init values must be non-negative integers")
+            init, init_line = tuple(map(int, words[1:])), lineno
             continue
         # instruction line: "<i>: op ..."
         if not words[0].endswith(":") or not words[0][:-1].isdecimal():
@@ -289,7 +297,7 @@ def parse_counter_program(text: str) -> CounterProgram:
         raise CMParseError(0, "missing `counters <k>` header")
     if init is not None:
         if len(init) > num_counters:
-            raise CMParseError(0, "init line has more values than counters")
+            raise CMParseError(init_line, "init line has more values than counters")
         init = init + (0,) * (num_counters - len(init))
     try:
         return CounterProgram(num_counters, tuple(instructions), init)

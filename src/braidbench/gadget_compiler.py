@@ -270,7 +270,7 @@ def level_run(level: Level, max_ticks: int, init: LevelConfig = None) -> LevelRu
     places = list(c.counters) + [0] * len(names)
     for name, count in c.in_flight:
         places[n + index[name]] += count
-    pos, ticks, solved = run_table(table, index[c.tim_at], places, c.ticks, max_ticks)
+    pos, ticks, solved = run_table(table, index[c.tim_at], places, [0] * len(places), c.ticks, max_ticks)
     if solved:
         return LevelRunResult("solved", ticks)
     in_flight = sorted((names[i], m) for i, m in enumerate(places[n:]) if m)
@@ -337,13 +337,14 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
     the player's position and the station occupancies; at the end, halting
     must coincide with solving.
 
-    One loop steps both: a row of the lowered program (`lower_program`),
-    then rows of the lowered level (`_lower`) up to the next instruction
-    entry. Both steps repeat `counter_machine.run_table`'s, over the same
-    rows, inlined because the two calls per instruction cost about 40% of
-    the time. The lockstep tests with `tests/reference_level.py`, on
-    compiled and on miscompiled levels, pin each copy to the reference
-    semantics.
+    Each instruction is one `counter_machine.run_table` call on each
+    side: one step of the lowered program (`lower_program`), then up to 5
+    ticks of the lowered level (`_lower`), 3 gadgets per instruction plus
+    the goal. The level runs on a stop copy of its table, where every exit
+    into an instruction entry goes to a GOAL of cost 0 past the table, one
+    per entry, so the run stops at the next entry. Once the machine has
+    halted, the level runs on its own table, through the entries, to its
+    goal, which takes a tick of its own.
 
     Like `run_table`, it jumps whole loop iterations through `jump_loop`,
     at each back edge of the program, keyed on the pc, while every boundary
@@ -367,11 +368,13 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
     level = compile(program)
     table, index, names = _lower(level)
     entries = [index[gid] for gid in _entries(program)]
-    is_entry = [False] * len(names)
-    for e in entries:
-        is_entry[e] = True
+    # the stop copy; a GOAL or STUCK row reads neither exit, so its zeros may go to a stop too
+    stop = {e: len(table) + i for i, e in enumerate(entries)}
+    stops = [(op, a, b, stop.get(out, out), stop.get(alt, alt)) for op, a, b, out, alt in table]
+    stops += [(GOAL, 0, 0, 0, 0)] * len(entries)
     num_counters = level.num_counters
     pc, cm_counters = 0, list(program.init_counters)
+    cm_dips = [0] * num_counters  # run_table's decrement counts of the machine, which no jump reads
     pos, places = index[level.entry], list(level.init_counters) + [0] * len(names)
     dips = [0] * len(places)  # jump_loop's decrement count per place
     ticks = steps = 0
@@ -382,58 +385,17 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
     record = tuple.__new__  # BoundaryRecord(...) through its NamedTuple __new__ is slower
     boundaries = [record(BoundaryRecord, (0, pc, tuple(cm_counters), names[pos], tuple(occupancies), ok))]
     seen, arrived = {}, {}  # jump_loop's record of each back edge's target, and its (steps, ticks)
-    back = False
     while steps < max_steps and pc != n:
-        op, a, _, out, alt = rows[pc]
-        steps += 1
-        if op == BRANCH:
-            if cm_counters[a]:
-                cm_counters[a] -= 1
-                pc = out
-            else:
-                back = alt <= pc  # the only step that can go back
-                pc = alt
-        elif op == ADD:
-            cm_counters[a] += 1
-            pc = out
-        else:  # a halt, a GOAL of cost 1 like any step
-            pc = n
-        halted = pc == n
-        # tick the level to the next instruction entry, or all the way to
-        # solved when the machine just halted (the goal needs its own tick);
-        # 3 gadgets per instruction, plus the goal
-        limit = ticks + 5
-        while ticks < limit:
-            op, a, b, out, alt = table[pos]
-            if op == BRANCH:
-                if places[a]:
-                    places[a] -= 1
-                    dips[a] += 1
-                    pos = out
-                else:
-                    pos = alt
-            elif op == MOVE:
-                if places[a]:
-                    places[a] -= 1
-                    dips[a] += 1
-                    places[b] += 1
-                pos = out
-            elif op == ADD:
-                places[a] += 1
-                pos = out
-            elif op == GOAL:
-                ticks += a
-                solved = True
-                break
-            else:
-                raise a(b)
-            ticks += 1
-            if not halted and is_entry[pos]:
-                break
+        at = pc
+        pc, steps, halted = run_table(rows, pc, cm_counters, cm_dips, steps, steps + 1)
+        pos, ticks, solved = run_table(table if halted else stops, pos, places, dips, ticks, ticks + 5)
+        if pos >= len(table):  # a stop: the level is at an entry
+            pos, solved = entries[pos - len(table)], False
         cm_tuple = tuple(cm_counters)
         occupancies = places[:num_counters]
         same = occupancies == cm_counters
         if halted:
+            pc = n
             ok = solved and same
         else:
             ok = not solved and pos == entries[pc] and same
@@ -443,10 +405,7 @@ def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
             cm_tuple if same else tuple(occupancies), ok)))
         if solved:
             break
-        if back:
-            back = False
-            if not ok_all:
-                continue
+        if pc <= at and ok_all:  # a back edge
             last = arrived.get(pc)
             arrived[pc] = (steps, ticks)
             # the cap on the tick clock of the iterations whose steps fit; jump_loop jumps from the third arrival

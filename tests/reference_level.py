@@ -2,15 +2,18 @@
 
 These are the tuple-stepping `cm_step`, `cm_run`, `level_step`,
 `level_run` and `bisimulate` that the library replaced with lowered tables
-of `(op, a, b, out, alt)` rows over one list of places, stepped in place:
-one row per instruction over the counters (`counter_machine.lower_program`)
-or one per gadget over the counters and the monstar locations
-(`gadget_compiler._lower`), both run by `counter_machine.run_table`, and
-`bisimulate`'s one loop over both. Each tick here builds a fresh frozen
-config and looks instructions, gadgets, signals and exits up by id, so it
-shares no state and no table with the library. The lockstep properties in `tests/test_gadget_compiler.py`
-require equal results, field by field and boundary by boundary, and the
-same `LevelFormatError` message, also on miscompiled levels: they patch
+of `(op, a, b, out, alt)` rows over one list of places, stepped in place
+by the one interpreter, `counter_machine.run_table`: one row per
+instruction over the counters (`counter_machine.lower_program`), or one
+per gadget over the counters and the monstar locations
+(`gadget_compiler._lower`). The library's `bisimulate` calls `run_table`
+once per instruction on each side, and steps the level on a stop copy of
+its table whose exits into instruction entries end the run. Each tick here
+builds a fresh frozen config and looks instructions, gadgets, signals and
+exits up by id, so it shares no state and no table with the library. The
+lockstep properties in `tests/test_gadget_compiler.py` require equal
+results, field by field and boundary by boundary, and the same
+`LevelFormatError` message, also on miscompiled levels: they patch
 `compile` here as well as in `gadget_compiler`, since this module imports
 it by name. `bisimulate` reports the loop iterations it jumps as
 `JumpRecord`s; `expand` writes out the boundaries each one stands for, and

@@ -4,6 +4,10 @@ import re
 import pytest
 
 from braidbench.counter_machine import (
+    ADD,
+    BRANCH,
+    GOAL,
+    MOVE,
     Add,
     CMParseError,
     CounterConfig,
@@ -14,6 +18,7 @@ from braidbench.counter_machine import (
     cm_step,
     initial_config,
     parse_counter_program,
+    run_table,
 )
 
 
@@ -48,6 +53,11 @@ def test_parse_out_of_order_index():
     ("counters x\n0: halt\n", 1, "expected `counters <k>`"),
     ("counters 1\nadd 0\n", 2, "expected `<i>:` instruction label, got 'add'"),
     ("counters 1\n0: halt 3\n", 2, "halt takes no arguments"),
+    ("counters 1\ncounters 2\n0: halt\n", 2, "second `counters` line"),
+    ("counters 1\ninit 1\n\ninit 2\n0: halt\n", 4, "second `init` line"),
+    ("counters 1\ninit 1 2\n0: halt\n", 2, "init line has more values than counters"),
+    ("init 1 2\ncounters 1\n0: halt\n", 1, "init line has more values than counters"),
+    ("counters 2\n# start\ninit 1 -1\n0: halt\n", 3, "init values must be non-negative integers"),
 ])
 def test_parse_error_class_and_line(text, lineno, message):
     with pytest.raises(CMParseError, match=re.escape(f"line {lineno}: {message}")) as exc:
@@ -182,3 +192,46 @@ def test_step_is_pure():
     c = CounterConfig(0, (1,))
     assert cm_step(p, c) == cm_step(p, c)
     assert c.counters == (1,) and c.pc == 0
+
+
+# --- run_table on hand-built tables
+
+def test_run_table_reaches_a_cost_0_goal_at_the_limit():
+    table = [(ADD, 0, 0, 1, 0), (GOAL, 0, 0, 0, 0)]
+    places = [0]
+    assert run_table(table, 0, places, [0], 5, 6) == (1, 6, True)
+    assert run_table(table, 1, places, [0], 6, 6) == (1, 6, True)
+    assert places == [1]
+
+
+def test_run_table_does_not_reach_a_cost_1_goal_at_the_limit():
+    table = [(ADD, 0, 0, 1, 0), (GOAL, 1, 0, 0, 0)]
+    assert run_table(table, 0, [0], [0], 5, 6) == (1, 6, False)
+    assert run_table(table, 0, [0], [0], 5, 7) == (1, 7, True)
+
+
+# A transfer loop from place 0 to place 1 through place 3: a BRANCH takes a
+# unit, an ADD puts it at 3 and a MOVE takes it on to 1. Place 2 stays zero,
+# so its BRANCH is the back edge. From a units it halts at a cost-0 GOAL
+# after 4a + 1 steps.
+TRANSFER_ROWS = [(BRANCH, 0, 0, 1, 4), (ADD, 3, 0, 2, 0), (MOVE, 3, 1, 3, 0), (BRANCH, 2, 0, 4, 0), (GOAL, 0, 0, 0, 0)]
+
+
+@pytest.mark.parametrize("limit", [0, 1, 9, 10, 11, 150, 397, 400, 401, 10 ** 4])
+def test_run_table_adds_a_jumping_runs_decrements_to_the_callers_counts(limit):
+    # one call, which jumps, against one call a step, each with a fresh
+    # `seen`, so none jumps; the counts start nonzero, as a caller's may
+    places, dips = [100, 0, 0, 0], [5, 0, 7, 0]
+    got = run_table(TRANSFER_ROWS, 0, places, dips, 0, limit)
+    step_places, step_dips = [100, 0, 0, 0], [5, 0, 7, 0]
+    pos, count, reached = 0, 0, False
+    while count < limit and not reached:
+        pos, count, reached = run_table(TRANSFER_ROWS, pos, step_places, step_dips, count, count + 1)
+    assert (got, places, dips) == ((pos, count, reached), step_places, step_dips)
+
+
+def test_run_table_counts_each_decrement_once_at_scale():
+    a = 10 ** 9
+    places, dips = [a, 0, 0, 0], [5, 0, 7, 0]
+    assert run_table(TRANSFER_ROWS, 0, places, dips, 0, 10 ** 12) == (4, 4 * a + 1, True)
+    assert (places, dips) == ([0, a, 0, 0], [5 + a, 0, 7, a])

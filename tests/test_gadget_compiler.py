@@ -424,6 +424,15 @@ def test_bisimulate_transfer_drain_jumps_at_scale():
     assert len(report.boundaries) - len(jumps) + sum(j.k * j.steps for j in jumps) == report.steps + 1
 
 
+def test_bisimulate_jumps_a_one_instruction_loop():
+    # a subb on a zero counter that branches to itself is a back edge to
+    # its own pc: the start, three arrivals and the jump
+    report = bisimulate(parse_counter_program("counters 1\n0: subb 0 0\n"), 10 ** 4)
+    assert (report.passed, report.cm_halted, report.steps, report.ticks) == (True, False, 10 ** 4, 3 * 10 ** 4)
+    assert len(report.boundaries) == 5
+    assert report.boundaries[-1] == JumpRecord(3, 10 ** 4 - 3, 1, 3, (0,))
+
+
 def add_loop(adds, init):
     """Move counter 0 into counter 1 `adds` units at a time: an iteration of
     adds + 2 steps with one decrement of counter 0."""

@@ -243,6 +243,10 @@ BAD_ARGUMENTS = {
     # a start the program or level cannot hold: in the list of places an
     # extra counter would be monstars at a location, and pc 2 the implicit halt
     "CounterProgram-init": (lambda: CounterProgram(1, (Add(0),), (1.5,)), "init counters must list"),
+    # anything but an Add or a SubBranch would lower to a halt
+    "CounterProgram-instruction": (lambda: CounterProgram(1, ("x",)), "^instruction 0: 'x' is not an Add, "),
+    "CounterProgram-num_counters-float": (lambda: CounterProgram(1.5, (Add(0),)), "^num_counters 1.5 is not an "),
+    "CounterProgram-num_counters-bool": (lambda: CounterProgram(True, (Add(0),)), "^num_counters True is not an "),
     "cm_run-pc": (lambda: cm_run(PROGRAM, CounterConfig(2, (0,)), 10), "^pc 2 "),
     "cm_run-negative-counter": (lambda: cm_run(PROGRAM, CounterConfig(0, (-2,)), 10), r"^counters \(-2,\) "),
     "cm_run-extra-counter": (lambda: cm_run(PROGRAM, CounterConfig(0, (3, 7)), 10), r"^counters \(3, 7\) "),
