@@ -22,6 +22,7 @@ from .braidlike_tm import (
     MOVE_RIGHT,
     MoveLeft,
     MoveRight,
+    ParseError,
     Write,
     apply_action,
     format_btm,

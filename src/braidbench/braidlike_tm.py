@@ -15,10 +15,56 @@ from typing import NamedTuple
 BLANK = 0
 
 
-class BTMParseError(ValueError):
+class ParseError(ValueError):
+    """An error in the text of a line format (`.btm`, `.cm` or `.game`),
+    at line `lineno`: 0 only when no line holds the fault, as for a
+    missing header."""
+
     def __init__(self, lineno, message):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+
+
+class BTMParseError(ParseError):
+    pass
+
+
+class FieldError(ValueError):
+    """A constructor's check failed on `field`, a tag that its
+    `__post_init__` documents, such as a field name or a tuple of a field
+    name and the entry at fault. A parser maps the tag back to the line
+    that gave the field."""
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
+
+
+def directives(text: str, headers: dict, where: dict, error):
+    """The reader of the line formats: (lineno, keyword, args) for each
+    line that holds words once its `#` comment is cut, the keyword being
+    the first word lowercased. headers maps each header keyword to the tag
+    of the constructor field it gives, and where[tag] gets its line; a
+    second line of it raises error(lineno, message)."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
+        words = line.split()
+        if words:
+            key = words[0].lower()
+            tag = headers.get(key)
+            if tag is not None:
+                if tag in where:
+                    raise error(lineno, f"second `{key}` line")
+                where[tag] = lineno
+            yield lineno, key, words[1:]
+
+
+def is_digits(text: str) -> bool:
+    """The number rule of the line formats and of `--input`: ASCII decimal
+    digits only, so no sign, `_` or other script's digit. The empty text,
+    an empty list of numbers joined, passes."""
+    return text.isascii() and (text.isdecimal() or not text)
 
 
 @dataclass(frozen=True)
@@ -51,25 +97,32 @@ class MachineSpec:
     deterministic: bool = False
 
     def __post_init__(self):
+        """Raise FieldError on a field out of range; a transition's tag is
+        ("transitions", (q, a), (action, next_state))."""
         if self.num_states < 1 or self.num_symbols < 1:
-            raise ValueError("need at least one state and one symbol")
+            field = "num_states" if self.num_states < 1 else "num_symbols"
+            raise FieldError(field, "need at least one state and one symbol")
         if not (0 <= self.start_state < self.num_states):
-            raise ValueError("start state out of range")
+            raise FieldError("start_state", "start state out of range")
         for q in self.accept_states:
             if not (0 <= q < self.num_states):
-                raise ValueError(f"accept state {q} out of range")
+                raise FieldError(("accept_states", q), f"accept state {q} out of range")
         if self.target_state is not None and not (0 <= self.target_state < self.num_states):
-            raise ValueError("target state out of range")
-        for (q, a), succs in self.transitions.items():
+            raise FieldError("target_state", "target state out of range")
+        for key, succs in self.transitions.items():
+            q, a = key
             if not (0 <= q < self.num_states) or not (0 <= a < self.num_symbols):
-                raise ValueError(f"transition key ({q}, {a}) out of range")
+                raise FieldError(("transitions", key, *succs[:1]), f"transition key ({q}, {a}) out of range")
             if self.deterministic and len(succs) > 1:
-                raise ValueError(f"deterministic machine has {len(succs)} transitions from ({q}, {a})")
+                raise FieldError(("transitions", key, succs[1]),
+                                 f"deterministic machine has {len(succs)} transitions from ({q}, {a})")
             for action, nxt in succs:
                 if not (0 <= nxt < self.num_states):
-                    raise ValueError(f"transition from ({q}, {a}) to state {nxt} out of range")
+                    raise FieldError(("transitions", key, (action, nxt)),
+                                     f"transition from ({q}, {a}) to state {nxt} out of range")
                 if isinstance(action, Write) and not (0 <= action.symbol < self.num_symbols):
-                    raise ValueError(f"written symbol {action.symbol} out of range")
+                    raise FieldError(("transitions", key, (action, nxt)),
+                                     f"written symbol {action.symbol} out of range")
 
     @property
     def read_only(self):
@@ -195,74 +248,63 @@ def successors(spec: MachineSpec, c: Configuration) -> list:
     return out
 
 
-def parse_btm(text: str) -> MachineSpec:
-    """Parse the `.btm` format.
+# the .btm header keywords and the MachineSpec fields they give
+BTM_HEADERS = {"states": "num_states", "symbols": "num_symbols", "start": "start_state",
+               "target": "target_state", "deterministic": "deterministic"}
 
-    `#` comments; `states N`, `symbols S`, `start q`, `accept q1 q2 ...`,
-    optional `target q`, optional `deterministic true|false`; transition
-    lines `trans <q> <a> write <b> <q'>`, `trans <q> <a> left <q'>`,
-    `trans <q> <a> right <q'>`. All integers 0-based.
+
+def parse_btm(text: str) -> MachineSpec:
+    """Parse the `.btm` format, read by `directives`.
+
+    Header lines `states N`, `symbols S`, `start q`, optional `target q`
+    and optional `deterministic true|false`; `accept q1 q2 ...` lines;
+    transition lines `trans <q> <a> write <b> <q'>`, `trans <q> <a> left
+    <q'>`, `trans <q> <a> right <q'>`. All numbers 0-based.
     """
     header = {}
+    where = {}  # a MachineSpec field tag -> the line that gave it
     accept = []
     transitions = {}
-    deterministic = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        words = line.lower().split()
-        key = words[0]
-        if key in ("states", "symbols", "start", "target"):
-            if len(words) != 2 or not words[1].isdecimal():
-                raise BTMParseError(lineno, f"expected `{key} <n>`")
-            header[key] = int(words[1])
-        elif key == "accept":
-            if not all(w.isdecimal() for w in words[1:]):
-                raise BTMParseError(lineno, "accept states must be integers")
-            accept.extend(int(w) for w in words[1:])
-        elif key == "deterministic":
-            if len(words) != 2 or words[1] not in ("true", "false"):
-                raise BTMParseError(lineno, "expected `deterministic true|false`")
-            deterministic = words[1] == "true"
-        elif key == "trans":
-            if len(words) < 4:
+    for lineno, key, args in directives(text, BTM_HEADERS, where, BTMParseError):
+        if key == "trans":
+            if len(args) < 3:
                 raise BTMParseError(lineno, "truncated transition")
-            kind = words[3]
-            if kind == "write":
-                if len(words) != 6:
-                    raise BTMParseError(lineno, "expected `trans <q> <a> write <b> <q'>`")
-            elif kind in ("left", "right"):
-                if len(words) != 5:
-                    raise BTMParseError(lineno, f"expected `trans <q> <a> {kind} <q'>`")
-            else:
+            kind = args[2].lower()
+            if kind not in ("write", "left", "right"):
                 raise BTMParseError(lineno, f"unknown action {kind!r}")
-            try:
-                q, a, *rest = (int(w) for w in words[1:3] + words[4:])
-            except ValueError:
+            if len(args) != (5 if kind == "write" else 4):
+                form = "write <b>" if kind == "write" else kind
+                raise BTMParseError(lineno, f"expected `trans <q> <a> {form} <q'>`")
+            if not is_digits("".join(args[:2] + args[3:])):
                 raise BTMParseError(lineno, "transition states and symbols must be integers")
-            if kind == "write":
-                action, nxt = Write(rest[0]), rest[1]
-            else:
-                action, nxt = (MOVE_LEFT if kind == "left" else MOVE_RIGHT), rest[0]
-            transitions.setdefault((q, a), []).append((action, nxt))
+            q, a, *symbol, nxt = map(int, args[:2] + args[3:])
+            succ = (Write(*symbol) if kind == "write" else MOVE_LEFT if kind == "left" else MOVE_RIGHT, nxt)
+            transitions.setdefault((q, a), []).append(succ)
+            where["transitions", (q, a), succ] = lineno
+        elif key == "accept":
+            if not is_digits("".join(args)):
+                raise BTMParseError(lineno, "accept states must be integers")
+            for q in map(int, args):
+                accept.append(q)
+                where["accept_states", q] = lineno
+        elif key == "deterministic":
+            if len(args) != 1 or args[0].lower() not in ("true", "false"):
+                raise BTMParseError(lineno, "expected `deterministic true|false`")
+            header["deterministic"] = args[0].lower() == "true"
+        elif key in BTM_HEADERS:
+            if len(args) != 1 or not is_digits(args[0]):
+                raise BTMParseError(lineno, f"expected `{key} <n>`")
+            header[BTM_HEADERS[key]] = int(args[0])
         else:
             raise BTMParseError(lineno, f"unknown directive {key!r}")
-    for field_name in ("states", "symbols", "start"):
-        if field_name not in header:
-            raise BTMParseError(0, f"missing `{field_name}` line")
+    for key in ("states", "symbols", "start"):
+        if BTM_HEADERS[key] not in header:
+            raise BTMParseError(0, f"missing `{key}` line")
     try:
-        return MachineSpec(
-            num_states=header["states"],
-            num_symbols=header["symbols"],
-            start_state=header["start"],
-            accept_states=frozenset(accept),
-            transitions={k: tuple(v) for k, v in transitions.items()},
-            target_state=header.get("target"),
-            deterministic=deterministic,
-        )
-    except ValueError as e:
-        raise BTMParseError(0, str(e))
+        return MachineSpec(accept_states=frozenset(accept),
+                           transitions={k: tuple(v) for k, v in transitions.items()}, **header)
+    except FieldError as e:
+        raise BTMParseError(where.get(e.field, 0), str(e)) from None
 
 
 def format_btm(spec: MachineSpec) -> str:

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 a verdict was produced, 1 usage, parse or I/O error, 2 internal
-invariant violation.
+Exit codes: 0 a verdict was produced, 1 usage, parse or I/O error (a parse
+error names the line at fault), 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from . import counter_machine as cm
 from . import gadget_compiler as gc
 from . import rewind_timeline as rt
-from .braidlike_tm import format_btm, parse_btm
+from .braidlike_tm import format_btm, is_digits, parse_btm
 from .oracle_sim import (
     DEFAULT_BUDGET,
     END,
@@ -164,10 +164,9 @@ def _nondet_decimal(n_states, plus=0):
 
 
 def _parse_input(text):
-    try:
-        return tuple(int(ch) for ch in text)
-    except ValueError:
+    if not is_digits(text):
         raise _UsageError(f"input must be digit symbols, got {text!r}")
+    return tuple(map(int, text))
 
 
 def main(argv=None) -> int:

@@ -9,13 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import sub
 
+from .braidlike_tm import FieldError, ParseError, directives, is_digits
 
-class CMParseError(ValueError):
-    """Raised for malformed `.cm` sources. Carries the offending line number."""
 
-    def __init__(self, lineno, message):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
+class CMParseError(ParseError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -42,23 +40,25 @@ class CounterProgram:
     init_counters: tuple = None
 
     def __post_init__(self):
+        """Raise FieldError on a malformed field; the tag of instruction i
+        is i."""
         if not is_int(self.num_counters):
-            raise ValueError(f"num_counters {self.num_counters!r} is not an integer")
+            raise FieldError("num_counters", f"num_counters {self.num_counters!r} is not an integer")
         if self.num_counters < 1:
-            raise ValueError("need at least one counter")
+            raise FieldError("num_counters", "need at least one counter")
         if not self.instructions:
-            raise ValueError("program must have at least one instruction")
+            raise FieldError("instructions", "program must have at least one instruction")
         for i, ins in enumerate(self.instructions):
             if not isinstance(ins, (Add, SubBranch, Halt)):
-                raise ValueError(f"instruction {i}: {ins!r} is not an Add, SubBranch or Halt")
+                raise FieldError(i, f"instruction {i}: {ins!r} is not an Add, SubBranch or Halt")
             if isinstance(ins, (Add, SubBranch)) and not (0 <= ins.counter < self.num_counters):
-                raise ValueError(f"instruction {i}: counter index {ins.counter} out of range")
+                raise FieldError(i, f"instruction {i}: counter index {ins.counter} out of range")
             if isinstance(ins, SubBranch) and not (0 <= ins.target < len(self.instructions)):
-                raise ValueError(f"instruction {i}: goto target {ins.target} out of range")
+                raise FieldError(i, f"instruction {i}: goto target {ins.target} out of range")
         if self.init_counters is None:
             object.__setattr__(self, "init_counters", (0,) * self.num_counters)
         elif len(self.init_counters) != self.num_counters or not all(is_int(v) and v >= 0 for v in self.init_counters):
-            raise ValueError("init counters must list one non-negative value per counter")
+            raise FieldError("init_counters", "init counters must list one non-negative value per counter")
 
 
 @dataclass(frozen=True)
@@ -242,64 +242,58 @@ def jump_loop(seen: dict, at, count: int, values: list, dips: list, limit: int) 
     return count
 
 
-def parse_counter_program(text: str) -> CounterProgram:
-    """Parse the `.cm` format.
+# the .cm header keywords and the CounterProgram fields they give
+CM_HEADERS = {"counters": "num_counters", "init": "init_counters"}
 
-    `#` comments; header `counters <k>`; optional `init <v0> <v1> ...`,
-    each at most once; body lines `<i>: add <c>`, `<i>: subb <c>
-    <target>`, `<i>: halt` with consecutive indices from 0. Keywords are
-    case-insensitive.
+
+def parse_counter_program(text: str) -> CounterProgram:
+    """Parse the `.cm` format, read by `directives`.
+
+    Header lines `counters <k>` and optional `init <v0> <v1> ...`; body
+    lines `<i>: add <c>`, `<i>: subb <c> <target>`, `<i>: halt` with
+    consecutive indices from 0.
     """
     num_counters = init = None
     instructions = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        words = line.lower().split()
-        if words[0] == "counters":
-            if num_counters is not None:
-                raise CMParseError(lineno, "second `counters` line")
-            if len(words) != 2 or not words[1].isdecimal():
+    where = {}  # a CounterProgram field tag -> the line that gave it
+    for lineno, key, args in directives(text, CM_HEADERS, where, CMParseError):
+        if key == "counters":
+            if len(args) != 1 or not is_digits(args[0]):
                 raise CMParseError(lineno, "expected `counters <k>`")
-            num_counters = int(words[1])
-            continue
-        if words[0] == "init":
-            if init is not None:
-                raise CMParseError(lineno, "second `init` line")
-            if not all(w.isdecimal() for w in words[1:]):
+            num_counters = int(args[0])
+        elif key == "init":
+            if not is_digits("".join(args)):
                 raise CMParseError(lineno, "init values must be non-negative integers")
-            init, init_line = tuple(map(int, words[1:])), lineno
-            continue
-        # instruction line: "<i>: op ..."
-        if not words[0].endswith(":") or not words[0][:-1].isdecimal():
-            raise CMParseError(lineno, f"expected `<i>:` instruction label, got {words[0]!r}")
-        idx = int(words[0][:-1])
-        if idx != len(instructions):
-            raise CMParseError(lineno, f"instruction index {idx} out of order (expected {len(instructions)})")
-        op = words[1] if len(words) > 1 else ""
-        args = words[2:]
-        if op == "add":
-            if len(args) != 1 or not args[0].isdecimal():
-                raise CMParseError(lineno, "expected `add <counter>`")
-            instructions.append(Add(int(args[0])))
-        elif op == "subb":
-            if len(args) != 2 or not all(a.isdecimal() for a in args):
-                raise CMParseError(lineno, "expected `subb <counter> <target>`")
-            instructions.append(SubBranch(int(args[0]), int(args[1])))
-        elif op == "halt":
-            if args:
-                raise CMParseError(lineno, "halt takes no arguments")
-            instructions.append(Halt())
-        else:
-            raise CMParseError(lineno, f"unknown operation {op!r}")
+            init = tuple(map(int, args))
+        else:  # an instruction line, "<i>: op ..."
+            if key == ":" or key[-1] != ":" or not is_digits(key[:-1]):
+                raise CMParseError(lineno, f"expected `<i>:` instruction label, got {key!r}")
+            idx = int(key[:-1])
+            if idx != len(instructions):
+                raise CMParseError(lineno, f"instruction index {idx} out of order (expected {len(instructions)})")
+            op = args[0].lower() if args else ""
+            if op == "add":
+                if len(args) != 2 or not is_digits(args[1]):
+                    raise CMParseError(lineno, "expected `add <counter>`")
+                instructions.append(Add(int(args[1])))
+            elif op == "subb":
+                if len(args) != 3 or not is_digits(args[1] + args[2]):
+                    raise CMParseError(lineno, "expected `subb <counter> <target>`")
+                instructions.append(SubBranch(int(args[1]), int(args[2])))
+            elif op == "halt":
+                if len(args) != 1:
+                    raise CMParseError(lineno, "halt takes no arguments")
+                instructions.append(Halt())
+            else:
+                raise CMParseError(lineno, f"unknown operation {op!r}")
+            where[idx] = lineno
     if num_counters is None:
         raise CMParseError(0, "missing `counters <k>` header")
     if init is not None:
         if len(init) > num_counters:
-            raise CMParseError(init_line, "init line has more values than counters")
+            raise CMParseError(where["init_counters"], "init line has more values than counters")
         init = init + (0,) * (num_counters - len(init))
     try:
         return CounterProgram(num_counters, tuple(instructions), init)
-    except ValueError as e:
-        raise CMParseError(0, str(e))
+    except FieldError as e:
+        raise CMParseError(where.get(e.field, 0), str(e)) from None

@@ -26,14 +26,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .braidlike_tm import BLANK, MachineSpec, MOVE_LEFT, MOVE_RIGHT, TapeStore, Write
+from .braidlike_tm import (BLANK, FieldError, MachineSpec, MOVE_LEFT, MOVE_RIGHT, ParseError, TapeStore, Write,
+                           directives, is_digits)
 from .oracle_sim import DEFAULT_BUDGET, OracleVerdict, SearchBudgetExceeded
 
 
-class GameParseError(ValueError):
-    def __init__(self, lineno, message):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
+class GameParseError(ParseError):
+    pass
 
 
 class _Timeline(NamedTuple):
@@ -86,22 +85,29 @@ class GameSpec:
     max_speed: int = 8
 
     def __post_init__(self):
+        """Raise FieldError on a malformed field; the initial pair's tag is
+        ("init_immune", "init_timed"), a move's ("moves", (m, t), (m', t'))
+        and a goal pair's ("goal", (m, t))."""
         if self.max_speed < 1:
-            raise ValueError("max_speed must be >= 1")
+            raise FieldError("max_speed", "max_speed must be >= 1")
         timed, immune = set(self.timed_states), set(self.immune_states)
         if len(timed) < len(self.timed_states) or len(immune) < len(self.immune_states):
-            raise ValueError("a timed or immune state is listed twice")
+            field = "timed_states" if len(timed) < len(self.timed_states) else "immune_states"
+            raise FieldError(field, "a timed or immune state is listed twice")
         if self.init_timed not in timed or self.init_immune not in immune:
-            raise ValueError("initial state outside the enumerations")
-        for (m, t), outs in self.moves.items():
+            raise FieldError(("init_immune", "init_timed"), "initial state outside the enumerations")
+        for key, outs in self.moves.items():
+            m, t = key
             if m not in immune or t not in timed:
-                raise ValueError(f"move source ({m!r}, {t!r}) outside the enumerations")
-            for m2, t2 in outs:
+                raise FieldError(("moves", key, *outs[:1]), f"move source ({m!r}, {t!r}) outside the enumerations")
+            for out in outs:
+                m2, t2 = out
                 if m2 not in immune or t2 not in timed:
-                    raise ValueError(f"move target ({m2!r}, {t2!r}) outside the enumerations")
-        for m, t in self.goal:
+                    raise FieldError(("moves", key, out), f"move target ({m2!r}, {t2!r}) outside the enumerations")
+        for pair in self.goal:
+            m, t = pair
             if m not in immune or t not in timed:
-                raise ValueError(f"goal pair ({m!r}, {t!r}) outside the enumerations")
+                raise FieldError(("goal", pair), f"goal pair ({m!r}, {t!r}) outside the enumerations")
 
 
 def game_search(g: GameSpec, max_len: int, max_explored: int = DEFAULT_BUDGET) -> OracleVerdict:
@@ -219,56 +225,50 @@ def build_braidlike_from_game(g: GameSpec) -> MachineSpec:
     )
 
 
-def parse_game(text: str) -> GameSpec:
-    """Parse the game text format.
+# the game header keywords and the GameSpec fields they give
+GAME_HEADERS = {"timed": "timed_states", "immune": "immune_states", "start": ("init_immune", "init_timed"),
+                "speed": "max_speed"}
 
-    `#` comments; `timed <names...>`; `immune <names...>`;
-    `start <immune> <timed>`; optional `speed <k>` (else GameSpec's default);
-    `move <immune> <timed> <immune'> <timed'>`; `goal <immune> <timed>`.
+
+def parse_game(text: str) -> GameSpec:
+    """Parse the game text format, read by `directives`; names keep their
+    case.
+
+    Header lines `timed <names...>`, `immune <names...>`, `start <immune>
+    <timed>` and optional `speed <k>` (else GameSpec's default); `move
+    <immune> <timed> <immune'> <timed'>` and `goal <immune> <timed>` lines.
     """
-    timed = immune = start = None
-    speed = {}  # max_speed, if a `speed` line gives it
+    fields = {}
+    where = {}  # a GameSpec field tag -> the line that gave it
     moves = {}
     goal = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        words = line.split()
-        key = words[0].lower()
-        if key == "timed":
-            timed = tuple(words[1:])
-        elif key == "immune":
-            immune = tuple(words[1:])
-        elif key == "start":
-            if len(words) != 3:
-                raise GameParseError(lineno, "expected `start <immune> <timed>`")
-            start = (words[1], words[2])
-        elif key == "speed":
-            if len(words) != 2 or not words[1].isdecimal():
-                raise GameParseError(lineno, "expected `speed <k>`")
-            speed["max_speed"] = int(words[1])
-        elif key == "move":
-            if len(words) != 5:
+    for lineno, key, args in directives(text, GAME_HEADERS, where, GameParseError):
+        if key == "move":
+            if len(args) != 4:
                 raise GameParseError(lineno, "expected `move <immune> <timed> <immune'> <timed'>`")
-            moves.setdefault((words[1], words[2]), []).append((words[3], words[4]))
+            source, out = tuple(args[:2]), tuple(args[2:])
+            moves.setdefault(source, []).append(out)
+            where["moves", source, out] = lineno
         elif key == "goal":
-            if len(words) != 3:
+            if len(args) != 2:
                 raise GameParseError(lineno, "expected `goal <immune> <timed>`")
-            goal.add((words[1], words[2]))
+            goal.add(tuple(args))
+            where["goal", tuple(args)] = lineno
+        elif key in ("timed", "immune"):
+            fields[GAME_HEADERS[key]] = tuple(args)
+        elif key == "start":
+            if len(args) != 2:
+                raise GameParseError(lineno, "expected `start <immune> <timed>`")
+            fields["init_immune"], fields["init_timed"] = args
+        elif key == "speed":
+            if len(args) != 1 or not is_digits(args[0]):
+                raise GameParseError(lineno, "expected `speed <k>`")
+            fields["max_speed"] = int(args[0])
         else:
             raise GameParseError(lineno, f"unknown directive {key!r}")
-    if timed is None or immune is None or start is None:
+    if not {"timed_states", "immune_states", "init_immune"} <= fields.keys():
         raise GameParseError(0, "missing `timed`, `immune`, or `start` line")
     try:
-        return GameSpec(
-            timed_states=timed,
-            immune_states=immune,
-            init_immune=start[0],
-            init_timed=start[1],
-            moves={k: tuple(v) for k, v in moves.items()},
-            goal=frozenset(goal),
-            **speed,
-        )
-    except ValueError as e:
-        raise GameParseError(0, str(e))
+        return GameSpec(moves={k: tuple(v) for k, v in moves.items()}, goal=frozenset(goal), **fields)
+    except FieldError as e:
+        raise GameParseError(where.get(e.field, 0), str(e)) from None

@@ -11,6 +11,7 @@ from braidbench.braidlike_tm import (
     MachineSpec,
     MOVE_LEFT,
     MOVE_RIGHT,
+    ParseError,
     TapeStore,
     Write,
     apply_action,
@@ -21,7 +22,9 @@ from braidbench.braidlike_tm import (
     successors,
     symbol_at,
 )
+from braidbench.counter_machine import CMParseError
 from braidbench.oracle_sim import det_behavior_oracle
+from braidbench.rewind_timeline import GameParseError
 
 
 def det_spec(transitions, accept=(), n=2, s=2, start=0):
@@ -41,7 +44,7 @@ def test_parse_minimal():
 def test_parse_deterministic_duplicate_key_rejected():
     text = ("states 1\nsymbols 1\nstart 0\ndeterministic true\n"
             "trans 0 0 right 0\ntrans 0 0 left 0\n")
-    with pytest.raises(BTMParseError):
+    with pytest.raises(BTMParseError, match=re.escape("line 6: deterministic machine has 2 transitions from (0, 0)")):
         parse_btm(text)
 
 
@@ -61,20 +64,46 @@ def test_parse_errors_carry_line_numbers():
 BTM_HEADER = "states 1\nsymbols 1\nstart 0\n"
 
 
-# (text, line number, message): a MachineSpec check reports line 0
+# (text, line number, message): a MachineSpec check reports the line that
+# gave the field at fault, with the constructor's message
 @pytest.mark.parametrize("text,lineno,message", [
-    (BTM_HEADER + "accept 3\n", 0, "accept state 3 out of range"),
-    (BTM_HEADER + "target 2\n", 0, "target state out of range"),
-    (BTM_HEADER + "trans 2 0 right 0\n", 0, "transition key (2, 0) out of range"),
-    (BTM_HEADER + "trans 0 0 right 4\n", 0, "transition from (0, 0) to state 4 out of range"),
+    (BTM_HEADER + "accept 3\n", 4, "accept state 3 out of range"),
+    (BTM_HEADER + "target 2\n", 4, "target state out of range"),
+    (BTM_HEADER + "trans 2 0 right 0\n", 4, "transition key (2, 0) out of range"),
+    (BTM_HEADER + "trans 0 0 right 4\n", 4, "transition from (0, 0) to state 4 out of range"),
     (BTM_HEADER + "accept 0 x\n", 4, "accept states must be integers"),
     (BTM_HEADER + "trans 0 0\n", 4, "truncated transition"),
     (BTM_HEADER + "trans 0 0 left 0 0\n", 4, "expected `trans <q> <a> left <q'>`"),
+    (BTM_HEADER + "# again\nstates 2\n", 5, "second `states` line"),
+    ("deterministic true\n" + BTM_HEADER + "DETERMINISTIC false\n", 5, "second `deterministic` line"),
+    (BTM_HEADER + "trans 0 0 left 1_0\n", 4, "transition states and symbols must be integers"),
+    (BTM_HEADER + "trans +0 0 right 0\n", 4, "transition states and symbols must be integers"),
+    (BTM_HEADER + "trans 0 0 write \u0661 0\n", 4, "transition states and symbols must be integers"),
+    (BTM_HEADER + "accept 0\naccept \u0661\n", 5, "accept states must be integers"),
+    ("states 1\nsymbols \u0661\nstart 0\n", 2, "expected `symbols <n>`"),
+    ("states 0\nsymbols 1\nstart 0\n", 1, "need at least one state and one symbol"),
+    ("states 1\nsymbols 0\nstart 0\n", 2, "need at least one state and one symbol"),
+    ("states 1\nstart 1\nsymbols 1\n", 2, "start state out of range"),
+    (BTM_HEADER + "accept 0\n\naccept 0 2\n", 6, "accept state 2 out of range"),
+    ("states 2\nsymbols 2\nstart 0\ntrans 0 0 write 1 0\ntrans 0 1 write 2 1\n", 5, "written symbol 2 out of range"),
+    ("symbols 1\nstart 0\n", 0, "missing `states` line"),
 ])
 def test_parse_error_class_and_line(text, lineno, message):
     with pytest.raises(BTMParseError, match=re.escape(f"line {lineno}: {message}")) as exc:
         parse_btm(text)
     assert exc.value.lineno == lineno
+
+
+def test_parse_keywords_are_case_insensitive():
+    spec = parse_btm("STATES 2\nSymbols 2\nstart 0\nDeterministic TRUE\nTRANS 0 0 Write 1 1\ntrans 1 1 LEFT 0\n")
+    assert spec == parse_btm("states 2\nsymbols 2\nstart 0\ndeterministic true\n"
+                             "trans 0 0 write 1 1\ntrans 1 1 left 0\n")
+
+
+def test_parse_error_classes_share_one_base():
+    for cls in (BTMParseError, CMParseError, GameParseError):
+        assert issubclass(cls, ParseError) and issubclass(cls, ValueError)
+        assert cls.__bases__ == (ParseError,) and set(vars(cls)) <= {"__module__", "__qualname__", "__doc__"}
 
 
 def test_parse_out_of_range_state():

@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 import braidbench
 from braidbench import cli
-from braidbench.braidlike_tm import Configuration, parse_btm, successors
+from braidbench.braidlike_tm import Configuration, ParseError, parse_btm, successors
 from braidbench.cli import main
 from braidbench.counter_machine import parse_counter_program
 from braidbench.gadget_compiler import compile, level_from_json, level_run, level_to_json
 from braidbench.oracle_sim import Certificate, check_certificate, det_behavior_oracle, reach_bfs, read_only_oracle
+from braidbench.rewind_timeline import parse_game
 from braidbench.tour_guide import GuideInvariantError, nondet_guide_bound
 from test_acceptance import CORPUS
 
@@ -588,6 +589,16 @@ BAD_INPUTS = {
                                "error: decide_det_braidlike on an input requires a read-only machine\n"),
     "decide-input-out-of-range": (["btm-decide", "{f}", "--input", "19"], "m.btm", SCANNER,
                                   "error: input symbol 9 out of range"),
+    "decide-input-other-script-digit": (["btm-decide", "{f}", "--input", "0\u0661"], "m.btm", SCANNER,
+                                        "error: input must be digit symbols"),
+    "oracle-input-sign": (["btm-oracle", "{f}", "--input", "+1"], "m.btm", SCANNER,
+                          "error: input must be digit symbols"),
+    "btm-line-at-fault": (["btm-decide", "{f}"], "m.btm", "states 1\nsymbols 1\nstart 0\ntrans 0 0 right 4\n",
+                          "error: line 4: transition from (0, 0) to state 4 out of range\n"),
+    "cm-line-at-fault": (["cm-run", "{f}"], "p.cm", "counters 1\n0: add 5\n",
+                         "error: line 2: instruction 0: counter index 5 out of range\n"),
+    "game-line-at-fault": (["game-to-btm", "{f}"], "g.game", GAME + "timed t0\n",
+                           "error: line 7: second `timed` line\n"),
     "bisim-negative-budget": (["--max-steps", "-3", "bisim", "{f}"], "p.cm", ADDER, "error:"),
     "oracle-negative-budget": (["--max-steps", "-3", "btm-oracle", "{f}"], "m.btm", DRIFTER, "error:"),
 }
@@ -600,38 +611,103 @@ def test_bad_input_exits_one_with_error(tmp_path, capsys, argv, name, text, err)
     assert capsys.readouterr().err.startswith(err)
 
 
-# --- fuzzing: generated .btm and .cm text never escapes the exit-code contract
+# --- fuzzing: generated .btm, .cm and .game text never escapes the exit-code
+# contract, and every parse error names a line that holds a directive.
+# A format's GOOD lines are well formed, with small numbers and names that
+# its constructor may still refuse; its LINEs add malformed ones.
 
-NUM = st.one_of(st.integers(0, 3).map(str), st.sampled_from(["-1", "x", "\u00b2", ""]))
+NUM = st.one_of(st.integers(0, 3).map(str), st.sampled_from(["-1", "x", "\u00b2", "\u0661", "1_0", "+1", ""]))
 GARBAGE = st.text(max_size=6)
+
+
+def texts(header, line, body=lambda lines: "\n".join(lines)):
+    """Format text: an optional header, then up to 10 lines."""
+    return st.tuples(st.one_of(header, st.just("")), st.lists(line, max_size=10)).map(lambda t: t[0] + body(t[1]))
+
 
 BTM_HEADER = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2)).map(
     lambda t: f"states {t[0]}\nsymbols {t[1]}\nstart {t[2]}\ndeterministic true\n")
+BTM_GOOD = st.one_of(
+    st.tuples(st.sampled_from(["states", "symbols", "start", "target", "accept"]), st.integers(0, 3)).map(
+        lambda t: "{} {}".format(*t)),
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from(["left", "right", "write 0", "write 3"]),
+              st.integers(0, 3)).map(lambda t: "trans {} {} {} {}".format(*t)),
+)
 BTM_LINE = st.one_of(
+    BTM_GOOD,
     st.tuples(st.sampled_from(["states", "symbols", "start", "target", "accept"]), NUM).map(" ".join),
     st.sampled_from(["deterministic true", "deterministic false", "deterministic maybe"]),
     st.tuples(NUM, NUM, st.sampled_from(["write", "left", "right", "jump"]),
               st.lists(NUM, max_size=2)).map(lambda t: " ".join(["trans", t[0], t[1], t[2], *t[3]])),
     GARBAGE,
 )
-BTM_TEXT = st.tuples(st.one_of(BTM_HEADER, st.just("")), st.lists(BTM_LINE, max_size=10)).map(
-    lambda t: t[0] + "\n".join(t[1]))
 
-CM_HEADER = st.tuples(st.integers(1, 3), st.lists(NUM, max_size=3)).map(
+CM_HEADER = st.tuples(st.integers(0, 3), st.lists(NUM, max_size=3)).map(
     lambda t: f"counters {t[0]}\ninit {' '.join(t[1])}\n")
-CM_BODY = st.one_of(
+CM_GOOD = st.one_of(
+    st.integers(0, 3).map(lambda c: f"add {c}"),
+    st.tuples(st.integers(0, 3), st.integers(0, 9)).map(lambda t: "subb {} {}".format(*t)),
+    st.just("halt"),
+)
+CM_LINE = st.one_of(
+    CM_GOOD,
     st.tuples(st.sampled_from(["add", "subb", "halt", "frob"]), st.lists(NUM, max_size=2)).map(
         lambda t: " ".join([t[0], *t[1]])),
     GARBAGE,
 )
-CM_TEXT = st.tuples(st.one_of(CM_HEADER, st.just("")), st.lists(CM_BODY, max_size=8)).map(
-    lambda t: t[0] + "\n".join(f"{i}: {b}" for i, b in enumerate(t[1])))
+
+
+def cm_body(lines):
+    return "\n".join(f"{i}: {b}" for i, b in enumerate(lines))
+
+
+NAME = st.sampled_from(["t0", "t1", "m0", "m1", "T0"])
+GAME_HEADER = st.tuples(st.lists(NAME, min_size=1, max_size=3), st.lists(NAME, min_size=1, max_size=2), NAME, NAME).map(
+    lambda t: f"timed {' '.join(t[0])}\nimmune {' '.join(t[1])}\nstart {t[2]} {t[3]}\n")
+GAME_GOOD = st.one_of(
+    st.tuples(NAME, NAME, NAME, NAME).map(lambda t: "move {} {} {} {}".format(*t)),
+    st.tuples(NAME, NAME).map(lambda t: "goal {} {}".format(*t)),
+    st.integers(0, 3).map(lambda k: f"speed {k}"),
+)
+GAME_LINE = st.one_of(
+    GAME_GOOD,
+    st.tuples(st.sampled_from(["move", "goal", "speed", "timed", "immune", "start", "warp"]),
+              st.lists(st.one_of(NAME, NUM), max_size=4)).map(lambda t: " ".join([t[0], *t[1]])),
+    GARBAGE,
+)
+
+BTM_TEXT, CM_TEXT, GAME_TEXT = texts(BTM_HEADER, BTM_LINE), texts(CM_HEADER, CM_LINE, cm_body), texts(GAME_HEADER, GAME_LINE)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(btm=BTM_TEXT, cm=CM_TEXT)
-def test_cli_fuzz_exit_codes(tmp_path_factory, btm, cm):
+@given(btm=BTM_TEXT, cm=CM_TEXT, game=GAME_TEXT)
+def test_cli_fuzz_exit_codes(tmp_path_factory, btm, cm, game):
     d = tmp_path_factory.getbasetemp()
     btm_path, cm_path = write(d, "fuzz.btm", btm), write(d, "fuzz.cm", cm)
     assert main(["btm-decide", btm_path]) in (0, 1)
     assert main(["--max-steps", "100", "cm-run", cm_path]) in (0, 1)
+    assert main(["game-to-btm", write(d, "fuzz.game", game), "-o", str(d / "fuzz.game.btm")]) in (0, 1)
+
+
+# the errors that no line holds: a missing header, and a program with no instruction
+NO_LINE = ("missing `", "program must have at least one instruction")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(case=st.one_of(
+    st.one_of(BTM_TEXT, texts(BTM_HEADER, BTM_GOOD)).map(lambda t: (parse_btm, t)),
+    st.one_of(CM_TEXT, texts(CM_HEADER, CM_GOOD, cm_body)).map(lambda t: (parse_counter_program, t)),
+    st.one_of(GAME_TEXT, texts(GAME_HEADER, GAME_GOOD)).map(lambda t: (parse_game, t)),
+))
+def test_parse_errors_name_a_directive_line(case):
+    parse, text = case
+    try:
+        parse(text)
+    except ParseError as e:
+        message = str(e).removeprefix(f"line {e.lineno}: ")
+        assert message != str(e)
+        if e.lineno == 0:
+            assert message.startswith(NO_LINE)
+        else:
+            assert not message.startswith(NO_LINE)
+            assert text.splitlines()[e.lineno - 1].split("#", 1)[0].split()

@@ -58,6 +58,19 @@ def test_parse_out_of_order_index():
     ("counters 1\ninit 1 2\n0: halt\n", 2, "init line has more values than counters"),
     ("init 1 2\ncounters 1\n0: halt\n", 1, "init line has more values than counters"),
     ("counters 2\n# start\ninit 1 -1\n0: halt\n", 3, "init values must be non-negative integers"),
+    ("counters 1\ninit \u0661\n0: halt\n", 2, "init values must be non-negative integers"),
+    ("counters \u0661\n0: halt\n", 1, "expected `counters <k>`"),
+    ("counters 1\n0: subb 0 1_0\n", 2, "expected `subb <counter> <target>`"),
+    ("counters 1\n0: add +0\n", 2, "expected `add <counter>`"),
+    ("counters 1\n:\n", 2, "expected `<i>:` instruction label, got ':'"),
+    ("counters 1\n\u0660: halt\n", 2, "expected `<i>:` instruction label, got '\u0660:'"),
+    # a CounterProgram check reports the line that gave the field at fault
+    ("counters 1\n0: add 5", 2, "instruction 0: counter index 5 out of range"),
+    ("counters 1\n0: add 0\n# loop\n1: subb 0 9\n2: halt\n", 4, "instruction 1: goto target 9 out of range"),
+    ("counters 1\n0: subb 3 0\n", 2, "instruction 0: counter index 3 out of range"),
+    ("# none\ncounters 0\n0: halt\n", 2, "need at least one counter"),
+    ("counters 1\n", 0, "program must have at least one instruction"),
+    ("0: halt\n", 0, "missing `counters <k>` header"),
 ])
 def test_parse_error_class_and_line(text, lineno, message):
     with pytest.raises(CMParseError, match=re.escape(f"line {lineno}: {message}")) as exc:

@@ -252,10 +252,21 @@ def test_gamespec_rejects_repeated_names():
 GAME_HEADER = "timed t0\nimmune m0\nstart m0 t0\n"
 
 
-# (text, line number, message): a GameSpec check reports line 0
+# (text, line number, message): a GameSpec check reports the line that
+# gave the field at fault, with the constructor's message
 @pytest.mark.parametrize("text,lineno,message", [
-    (GAME_HEADER + "move m9 t0 m0 t0\n", 0, "move source ('m9', 't0') outside the enumerations"),
-    (GAME_HEADER + "goal m0 t9\n", 0, "goal pair ('m0', 't9') outside the enumerations"),
+    (GAME_HEADER + "move m9 t0 m0 t0\n", 4, "move source ('m9', 't0') outside the enumerations"),
+    (GAME_HEADER + "goal m0 t9\n", 4, "goal pair ('m0', 't9') outside the enumerations"),
+    (GAME_HEADER + "move m0 t0 m0 t0\nmove m0 t0 M0 t0\n", 5, "move target ('M0', 't0') outside the enumerations"),
+    ("timed t0\nimmune m0\nstart m0 T0\n", 3, "initial state outside the enumerations"),
+    ("timed t0 t1 t0\nimmune m0\nstart m0 t0\n", 1, "a timed or immune state is listed twice"),
+    ("timed t0\nimmune m0 m0\nstart m0 t0\n", 2, "a timed or immune state is listed twice"),
+    (GAME_HEADER + "speed 0\n", 4, "max_speed must be >= 1"),
+    (GAME_HEADER + "timed t0 t1\n", 4, "second `timed` line"),
+    ("speed 2\n" + GAME_HEADER + "SPEED 3\n", 5, "second `speed` line"),
+    (GAME_HEADER + "speed +2\n", 4, "expected `speed <k>`"),
+    (GAME_HEADER + "speed \u0662\n", 4, "expected `speed <k>`"),
+    ("timed t0\nimmune m0\n", 0, "missing `timed`, `immune`, or `start` line"),
     ("timed t0\nimmune m0\nstart m0\n", 3, "expected `start <immune> <timed>`"),
     (GAME_HEADER + "speed fast\n", 4, "expected `speed <k>`"),
     (GAME_HEADER + "goal m0\n", 4, "expected `goal <immune> <timed>`"),
