@@ -43,10 +43,13 @@ class FieldError(ValueError):
 def directives(text: str, headers: dict, where: dict, error):
     """The reader of the line formats: (lineno, keyword, args) for each
     line that holds words once its `#` comment is cut, the keyword being
-    the first word lowercased. headers maps each header keyword to the tag
-    of the constructor field it gives, and where[tag] gets its line; a
-    second line of it raises error(lineno, message)."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    the first word lowercased. Only `\n`, `\r\n` and `\r` end a line, as
+    in universal newlines; `str.splitlines` would also end one at a form
+    feed, U+2028 and others, inside a comment too. headers maps each
+    header keyword to the tag of the constructor field it gives, and
+    where[tag] gets its line; a second line of it raises error(lineno,
+    message)."""
+    for lineno, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         if "#" in line:
             line = line[:line.index("#")]
         words = line.split()
@@ -164,6 +167,13 @@ def symbol_at(tape: tuple, cell: int) -> int:
     return tape[cell] if cell < len(tape) else BLANK
 
 
+# Opcodes of a lowered step table (`TapeStore.lower`), whose rows hold
+# (op, arg, next_state) triples: LEFT and RIGHT move the head (arg 0);
+# WRITE replaces the head cell onward by arg, the interned one-cell list
+# of the written symbol, or the empty list for a blank.
+LEFT, RIGHT, WRITE = range(3)
+
+
 class TapeStore:
     """Hash-consed cons lists of symbols, for searches that step a tape zipper.
 
@@ -171,9 +181,11 @@ class TapeStore:
     are equal ints. A zipped configuration is a triple (state, left, right):
     `left` holds the cells left of the head, nearest first, and `right` holds
     the head cell onward with no trailing blanks. Each canonical
-    Configuration has exactly one triple, so triples serve as search keys,
-    and `apply` steps one in O(1) time and memory: an erase-right write keeps
-    `left` and replaces `right` by one cell. One store serves one search.
+    Configuration has exactly one triple, so triples serve as search keys.
+    A search lowers its spec once (`lower`) and steps rows of ints through
+    `successors`, the one zipper write, in O(1) time and memory: an
+    erase-right write keeps `left` and replaces `right` by one cell. One
+    store serves one search.
     """
 
     def __init__(self, num_symbols: int):
@@ -193,27 +205,32 @@ class TapeStore:
             self.size.append(self.size[rest] + 1)
         return node
 
-    def apply(self, z: tuple, action, next_state: int):
-        """apply_action on a zipped configuration; None if the move is stuck."""
-        _, left, right = z
-        if isinstance(action, MoveLeft):
-            if left == 0:
-                return None
-            cell = self.car[left]
-            if cell != BLANK or right != 0:
-                right = self.cons(cell, right)
-            return (next_state, self.cdr[left], right)
-        if isinstance(action, MoveRight):
-            return (next_state, self.cons(self.car[right], left), self.cdr[right])
-        return (next_state, left, self.cons(action.symbol, 0) if action.symbol != BLANK else 0)
+    def lower(self, spec: MachineSpec) -> list:
+        """spec's step table: row state * num_symbols + symbol lists the
+        (op, arg, next_state) triple of each transition on that key, in the
+        spec's order, repeats included."""
+        rows = [()] * (spec.num_states * self.num_symbols)
+        for (q, a), succs in spec.transitions.items():
+            rows[q * self.num_symbols + a] = row = []
+            for action, nxt in succs:  # plain loops and type tests: every search lowers, however short
+                row.append((WRITE, self.cons(action.symbol, 0) if action.symbol != BLANK else 0, nxt)
+                           if type(action) is Write else (LEFT if type(action) is MoveLeft else RIGHT, 0, nxt))
+        return rows
 
-    def successors(self, spec: MachineSpec, z: tuple) -> list:
-        """`successors` on a zipped configuration, in the same order."""
+    def successors(self, rows: list, z: tuple) -> list:
+        """`successors` on a zipped configuration, stepped by rows from
+        `lower`, in the same order: the one coding of the zipper's write
+        rule."""
+        state, left, right = z
+        car = self.car
         out = []
-        for action, nxt in spec.transitions.get((z[0], self.car[z[2]]), ()):
-            succ = self.apply(z, action, nxt)
-            if succ is not None:
-                out.append(succ)
+        for op, arg, nxt in rows[state * self.num_symbols + car[right]]:
+            if op == WRITE:
+                out.append((nxt, left, arg))
+            elif op == RIGHT:
+                out.append((nxt, self.cons(car[right], left), self.cdr[right]))
+            elif left:  # a left move at cell 0 is stuck; it keeps no trailing blank
+                out.append((nxt, self.cdr[left], self.cons(car[left], right) if car[left] != BLANK or right else 0))
         return out
 
 
@@ -320,10 +337,7 @@ def format_btm(spec: MachineSpec) -> str:
     lines.append(f"deterministic {'true' if spec.deterministic else 'false'}")
     for (q, a) in sorted(spec.transitions):
         for action, nxt in spec.transitions[(q, a)]:
-            if isinstance(action, Write):
-                lines.append(f"trans {q} {a} write {action.symbol} {nxt}")
-            elif isinstance(action, MoveLeft):
-                lines.append(f"trans {q} {a} left {nxt}")
-            else:
-                lines.append(f"trans {q} {a} right {nxt}")
+            kind = (f"write {action.symbol}" if isinstance(action, Write)
+                    else "left" if isinstance(action, MoveLeft) else "right")
+            lines.append(f"trans {q} {a} {kind} {nxt}")
     return "\n".join(lines) + "\n"

@@ -3,8 +3,9 @@
 These compute no crossing summaries, so agreement with the deciders is a
 genuine cross-check. read_only_oracle steps `successors`, the step relation
 on tuple configurations, which writes only through `apply_action`; reach_bfs
-and det_behavior_oracle, like decide_det_braidlike, step TapeStore's mirror
-of it on zipped tapes, which a lockstep test pins to `apply_action`.
+and det_behavior_oracle, like decide_det_braidlike, lower the spec once to a
+TapeStore step table and step zipped tapes through `TapeStore.successors`,
+the one zipper write, which a lockstep test pins to `apply_action`.
 closed_ngram_proof is a sound abstract search that certifies the negative
 verdicts ("not-reached", "loop") at any cell cap; check_certificate checks
 a certificate by one pass of that search.
@@ -72,9 +73,10 @@ def reach_bfs(spec: MachineSpec, cell_cap: int, max_explored: int = DEFAULT_BUDG
     cap_hit reports whether any configuration was actually discarded. A
     search that would explore more than max_explored configurations raises
     SearchBudgetExceeded; pass a bigger int for a bigger search.
-    The search keys and steps zipped configurations of a TapeStore, so each
-    explored configuration costs O(1) time and memory whatever the length of
-    its tape. The parents map, which also yields the witness, is the visited
+    The search keys zipped configurations of a TapeStore and steps them
+    through the spec's step table, lowered once, so each explored
+    configuration costs O(1) time and memory whatever the length of its
+    tape. The parents map, which also yields the witness, is the visited
     set; the witness is decoded into Configurations.
     """
     if spec.target_state is None:
@@ -82,7 +84,7 @@ def reach_bfs(spec: MachineSpec, cell_cap: int, max_explored: int = DEFAULT_BUDG
     if cell_cap < 1:
         raise ValueError("cell_cap must be >= 1")
     store = TapeStore(spec.num_symbols)
-    size = store.size
+    rows, step, size = store.lower(spec), store.successors, store.size
     start = (spec.start_state, 0, 0)
     parents = {start: None}
     queue = deque([start])
@@ -95,7 +97,7 @@ def reach_bfs(spec: MachineSpec, cell_cap: int, max_explored: int = DEFAULT_BUDG
             raise SearchBudgetExceeded(f"reach_bfs exceeded {max_explored} configurations")
         if z[0] == spec.target_state:
             return OracleVerdict("reached", explored, _witness(store, parents, z), cap_hit)
-        for succ in store.successors(spec, z):
+        for succ in step(rows, z):
             # the head plus the cells from it onward is max(head, tape length)
             if size[succ[1]] + size[succ[2]] > cell_cap:
                 cap_hit = True
@@ -133,14 +135,16 @@ def det_behavior_oracle(spec: MachineSpec, max_steps: int, max_cells: int) -> Or
     proving that the run never halts: a certified "loop", or else
     "unresolved". Every step adds one
     configuration to the visited set, so its size is the step count plus one.
-    The run keys and steps zipped configurations of a TapeStore, so a step
-    costs O(1) time and memory whatever the tape length.
+    The run keys zipped configurations of a TapeStore and steps them
+    through the spec's step table, lowered once, so a step costs O(1) time
+    and memory whatever the tape length.
     """
     if not spec.deterministic:
         raise ValueError("det_behavior_oracle requires a deterministic machine")
     if max_steps < 0 or max_cells < 0:
         raise ValueError("max_steps and max_cells must be >= 0")
     store = TapeStore(spec.num_symbols)
+    rows, step, size = store.lower(spec), store.successors, store.size
     z = (spec.start_state, 0, 0)
     seen = set()
     while True:
@@ -149,9 +153,9 @@ def det_behavior_oracle(spec: MachineSpec, max_steps: int, max_cells: int) -> Or
         if z in seen:
             return OracleVerdict("loop", len(seen))
         seen.add(z)
-        if len(seen) > max_steps + 1 or store.size[z[1]] > max_cells:
+        if len(seen) > max_steps + 1 or size[z[1]] > max_cells:
             return closed_ngram_proof(spec, "loop") or OracleVerdict("unresolved", len(seen))
-        succs = store.successors(spec, z)
+        succs = step(rows, z)
         if not succs:
             return OracleVerdict("reject", len(seen))
         z = succs[0]

@@ -11,15 +11,17 @@ the deciders below work.
 decide_det_braidlike is the one deterministic guide walk: on a read-only
 machine and an input it is Shepherdson's (1959) crossing-sequence
 construction, and DESTROY_ME extends it to writing machines on the blank tape.
-It steps TapeStore's zipper, as the oracles do; its guides read only the
-spec, so the oracles check them independently.
+It steps TapeStore's zipper through the spec's lowered step table, as the
+oracles do; its guides read only the spec, so the oracles check them
+independently.
 """
 
 from __future__ import annotations
 
 from .braidlike_tm import (
+    LEFT,
+    RIGHT,
     MachineSpec,
-    MoveLeft,
     MoveRight,
     TapeStore,
     Write,
@@ -154,6 +156,7 @@ def decide_det_braidlike(spec: MachineSpec, input_symbols=None) -> str:
     if not spec.deterministic:
         raise ValueError("decide_det_braidlike requires a deterministic machine")
     store = TapeStore(spec.num_symbols)
+    rows = store.lower(spec)
     right = 0
     if input_symbols is not None:
         if not spec.read_only:
@@ -175,21 +178,21 @@ def decide_det_braidlike(spec: MachineSpec, input_symbols=None) -> str:
         if z in visited:
             return "loop"
         visited.add(z)
-        succs = spec.transitions.get((state, store.car[right]), ())
-        if not succs:
+        row = rows[state * store.num_symbols + store.car[right]]
+        if not row:
             return "reject"
-        action, nxt = succs[0]
-        if isinstance(action, MoveLeft):
+        op, _, nxt = row[0]
+        if op == LEFT:
             if head == 0:
                 return "reject"  # stuck at the left endpoint
             r = chain[head - 1][0][nxt]
             if isinstance(r, int):
                 z = (r, left, right)  # summarized round trip; head and tape stay put
-            elif r == DESTROY_ME:  # proceed as if the guide didn't exist
-                z = store.apply(z, action, nxt)
-            else:
+                continue
+            if r != DESTROY_ME:
                 return r
-        elif isinstance(action, MoveRight):
+            # DESTROY_ME: step as if the guide didn't exist
+        elif op == RIGHT:
             if head < len(chain):
                 # A guide promised destruction before this crossing.
                 raise GuideInvariantError("destroy-me prophecy violated by a rightward crossing")
@@ -199,11 +202,10 @@ def decide_det_braidlike(spec: MachineSpec, input_symbols=None) -> str:
                     return "loop"  # the stretch between the two equal pairs repeats forever
                 alive.add(crossing)
             chain.append(crossing)
-            z = store.apply(z, action, nxt)
-        else:  # Write
+        else:  # WRITE
             alive.difference_update(chain[head:])
             del chain[head:]
-            z = store.apply(z, action, nxt)
+        z = store.successors(rows, z)[0]
 
 
 def decide_reachability(spec: MachineSpec, cell_cap: int = None, max_explored: int = DEFAULT_BUDGET) -> OracleVerdict:

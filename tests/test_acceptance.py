@@ -6,6 +6,7 @@ reachability, the counter-machine interpreter for the compiler, and the
 direct timeline search for the game adapter.
 """
 
+import collections
 import itertools
 import random
 
@@ -61,12 +62,14 @@ def test_criterion_1_exhaustive_deterministic_agreement():
     keys = ((0, 0), (0, 1), (1, 0), (1, 1))
     accept_sets = (frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1}))
     total = mismatches = unresolved = certified = 0
+    explored = collections.Counter()
     for combo in itertools.product(options, repeat=4):
         trans = {k: (opt,) for k, opt in zip(keys, combo) if opt is not None}
         for accept in accept_sets:
             spec = MachineSpec(2, 2, 0, accept, trans, deterministic=True)
             verdict = decide_det_braidlike(spec)
             oracle = det_behavior_oracle(spec, 10 ** 5, 10 ** 3)
+            explored[oracle.kind, oracle.explored] += 1
             total += 1
             if oracle.kind == "unresolved":
                 unresolved += 1
@@ -79,6 +82,14 @@ def test_criterion_1_exhaustive_deterministic_agreement():
     report("1 (exhaustive 2-state agreement)", mismatches == 0 and unresolved == 0,
            f"({total} machines, {certified} certified loops, {unresolved} oracle-unresolved, "
            f"{mismatches} mismatches)")
+    # the oracle's (kind, explored) multiset: the runs step exactly as many configurations
+    assert explored == {
+        ("accept", 0): 13122, ("accept", 1): 2187, ("accept", 2): 243,
+        ("loop", 1): 1458, ("loop", 2): 2349, ("loop", 3): 477, ("loop", 4): 473, ("loop", 5): 91,
+        ("loop", 6): 62, ("loop", 7): 10, ("loop", 8): 7, ("loop", 9): 1, ("loop", 10): 1, ("loop", 24): 1,
+        ("reject", 1): 4374, ("reject", 2): 1053, ("reject", 3): 279, ("reject", 4): 30, ("reject", 5): 23,
+        ("reject", 7): 3,
+    }
 
 
 # --- 2: reachability agreement ----------------------------------------------

@@ -87,11 +87,23 @@ BTM_HEADER = "states 1\nsymbols 1\nstart 0\n"
     (BTM_HEADER + "accept 0\n\naccept 0 2\n", 6, "accept state 2 out of range"),
     ("states 2\nsymbols 2\nstart 0\ntrans 0 0 write 1 0\ntrans 0 1 write 2 1\n", 5, "written symbol 2 out of range"),
     ("symbols 1\nstart 0\n", 0, "missing `states` line"),
+    ("states 1\rsymbols 1\r\nstart 0\r\r\ntrans 0 0 right 4\r", 5, "transition from (0, 0) to state 4 out of range"),
 ])
 def test_parse_error_class_and_line(text, lineno, message):
     with pytest.raises(BTMParseError, match=re.escape(f"line {lineno}: {message}")) as exc:
         parse_btm(text)
     assert exc.value.lineno == lineno
+
+
+# characters that end a line for str.splitlines but not in the line formats
+ODD_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", ODD_BREAKS, ids=ascii)
+def test_parse_odd_break_stays_in_its_line(brk):
+    assert parse_btm(BTM_HEADER + f"# c{brk}trans 0 0 right 0\n").transitions == {}
+    with pytest.raises(BTMParseError, match=re.escape("line 2: expected `states <n>`")):
+        parse_btm(f"# a{brk}b\nstates x\n")
 
 
 def test_parse_keywords_are_case_insensitive():
@@ -301,14 +313,55 @@ def test_tape_store_lockstep_with_apply_action(run):
     triple_of = {c: z}
     for step, action in enumerate(actions):
         nxt = step % 3
-        c_next, z_next = apply_action(c, action, nxt), store.apply(z, action, nxt)
-        assert (c_next is None) == (z_next is None), (step, c, action)
+        # every key steps by this one action, so the rows apply it wherever the run stands
+        rows = store.lower(MachineSpec(3, num_symbols, 0, frozenset(),
+                                       {(q, a): ((action, nxt),) for q in range(3) for a in range(num_symbols)}))
+        c_next, z_succs = apply_action(c, action, nxt), store.successors(rows, z)
+        assert len(z_succs) == (c_next is not None), (step, c, action)
         if c_next is None:
             continue
-        c, z = c_next, z_next
+        c, z = c_next, z_succs[0]
         assert unzip(store, z) == c, (step, action)
         # both visited sets rely on equal configurations having equal triples
         assert triple_of.setdefault(c, z) == z, (step, c)
+
+
+def zipped(store, c):
+    """The triple of a Configuration: the one a search keys it by."""
+    cells = c.tape + (BLANK,) * (c.head - len(c.tape))
+    left = right = 0
+    for a in cells[:c.head]:
+        left = store.cons(a, left)
+    for a in reversed(cells[c.head:]):
+        right = store.cons(a, right)
+    return (c.state, left, right)
+
+
+NONDET_RUNS = st.integers(1, 3).flatmap(lambda n: st.integers(1, 3).flatmap(lambda s: st.tuples(
+    st.builds(lambda trans: MachineSpec(n, s, 0, frozenset(), {k: tuple(v) for k, v in trans.items() if v}),
+              st.fixed_dictionaries({(q, a): st.lists(st.tuples(
+                  st.sampled_from([MOVE_LEFT, MOVE_RIGHT] + [Write(b) for b in range(s)]),
+                  st.integers(0, n - 1)), max_size=3) for q in range(n) for a in range(s)})),
+    st.lists(st.integers(0, 2), max_size=40))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(run=NONDET_RUNS)
+def test_tape_store_successors_match_tuple_successors(run):
+    # Repeated transitions stay, and every successor is the triple its
+    # Configuration zips to, so a triple never holds a trailing blank.
+    spec, choices = run
+    store = TapeStore(spec.num_symbols)
+    rows = store.lower(spec)
+    c, z = start_configuration(spec), (spec.start_state, 0, 0)
+    for step, choice in enumerate(choices):
+        succs, got = successors(spec, c), store.successors(rows, z)
+        assert [unzip(store, t) for t in got] == succs, (step, c)
+        assert got == [zipped(store, s) for s in succs], (step, c)
+        if not succs:
+            break
+        c = succs[choice % len(succs)]
+        z = zipped(store, c)
 
 
 def test_spec_validation():

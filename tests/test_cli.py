@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -710,4 +711,4 @@ def test_parse_errors_name_a_directive_line(case):
             assert message.startswith(NO_LINE)
         else:
             assert not message.startswith(NO_LINE)
-            assert text.splitlines()[e.lineno - 1].split("#", 1)[0].split()
+            assert re.split("\r\n|\r|\n", text)[e.lineno - 1].split("#", 1)[0].split()

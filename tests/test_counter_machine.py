@@ -20,6 +20,7 @@ from braidbench.counter_machine import (
     parse_counter_program,
     run_table,
 )
+from test_braidlike_tm import ODD_BREAKS
 
 
 def test_parse_add_halt():
@@ -76,6 +77,13 @@ def test_parse_error_class_and_line(text, lineno, message):
     with pytest.raises(CMParseError, match=re.escape(f"line {lineno}: {message}")) as exc:
         parse_counter_program(text)
     assert exc.value.lineno == lineno
+
+
+@pytest.mark.parametrize("brk", ODD_BREAKS, ids=ascii)
+def test_parse_odd_break_stays_in_its_line(brk):
+    assert parse_counter_program(f"counters 1\n# c{brk}0: add 5\n0: halt\n").instructions == (Halt(),)
+    with pytest.raises(CMParseError, match=re.escape("line 2: expected `counters <k>`")):
+        parse_counter_program(f"# a{brk}b\ncounters x\n0: halt\n")
 
 
 def test_parse_missing_header():

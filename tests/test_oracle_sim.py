@@ -29,7 +29,7 @@ from braidbench.oracle_sim import (
 from braidbench.rewind_timeline import GameSpec, game_search
 from braidbench.tour_guide import compute_guide, decide_det_braidlike, decide_reachability
 from reference_bfs import tuple_halts, tuple_reach_bfs, tuple_run
-from test_cli import run_limited
+from test_cli import RIGHT_WRITER, run_limited
 
 
 def spec_of(transitions, n, s, accept=(), target=None, det=False, start=0):
@@ -124,6 +124,17 @@ def test_reach_cap_hit_reporting():
     dead = spec_of({}, 2, 1, target=1)
     res = reach_bfs(dead, 3)
     assert res.kind == "not-reached" and not res.cap_hit
+
+
+BLANK_WRITER = "states 3\nsymbols 1\nstart 0\naccept\ntarget 2\ntrans 0 0 write 0 1\ntrans 1 0 right 0\n"
+
+
+# the benchmark's ladder machines: a step table that loses or adds a
+# configuration moves these counts
+@pytest.mark.parametrize("text,cap,explored", [(RIGHT_WRITER, 2048, 4097), (BLANK_WRITER, 1024, 2050)])
+def test_reach_explored_counts_pinned(text, cap, explored):
+    res = reach_bfs(parse_btm(text), cap, max_explored=10 ** 5)
+    assert (res.kind, res.explored, res.cap_hit, res.witness) == ("not-reached", explored, True, None)
 
 
 def test_reach_memory_per_configuration_is_flat():

@@ -18,6 +18,7 @@ from braidbench.rewind_timeline import (
 )
 from braidbench.tour_guide import decide_reachability
 from reference_bfs import tuple_game_search, tuple_past_search
+from test_braidlike_tm import ODD_BREAKS
 from test_cli import run_limited
 
 
@@ -275,6 +276,13 @@ def test_parse_game_error_class_and_line(text, lineno, message):
     with pytest.raises(GameParseError, match=re.escape(f"line {lineno}: {message}")) as exc:
         parse_game(text)
     assert exc.value.lineno == lineno
+
+
+@pytest.mark.parametrize("brk", ODD_BREAKS, ids=ascii)
+def test_parse_game_odd_break_stays_in_its_line(brk):
+    assert parse_game(GAME_HEADER + f"# c{brk}goal m0 t9\n").goal == frozenset()
+    with pytest.raises(GameParseError, match=re.escape("line 2: expected `speed <k>`")):
+        parse_game(f"# a{brk}warp\nspeed x\n" + GAME_HEADER)
 
 
 def test_parse_game_round_trip():
