@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 a verdict was produced, 1 usage, parse or I/O error (a parse
-error names the line at fault), 2 internal invariant violation.
+error names the line at fault), out of memory, or a count too large to
+index a list, 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from .tour_guide import (
     nondet_guide_bound_bits,
 )
 
-# Bounds of more bits are never built for a message: Python prints at most
-# 4300 digits of an int in decimal by default, about 14 300 bits.
-_DECIMAL_BITS = 2 ** 16
+# The largest bit length of an int that Python prints within its default
+# limit of 4300 decimal digits: 2^14284 < 10^4300 < 2^14285.
+_DECIMAL_BITS = 14_284
 
 
 class _UsageError(Exception):
@@ -56,7 +57,7 @@ def _build_parser():
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--max-steps", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--max-cells", type=int, default=None,
-                   help="cell cap; defaults to min(applicable guide bound, --max-steps) + 1")
+                   help="cell cap; defaults to --max-steps + 1 (btm-oracle: min(guide bound, --max-steps) + 1)")
     p.add_argument("--trace", metavar="PATH", help="write the witness or certificate as JSON")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -151,18 +152,6 @@ def _search_text(res, detail):
     return f"{res.kind} ({detail})"
 
 
-def _nondet_decimal(n_states, plus=0):
-    """nondet_guide_bound(n_states) + plus in decimal, or None if Python
-    refuses to convert that many digits. A bound of more than _DECIMAL_BITS
-    bits is never built."""
-    if nondet_guide_bound_bits(n_states) <= _DECIMAL_BITS:
-        try:
-            return str(nondet_guide_bound(n_states) + plus)
-        except ValueError:
-            pass
-    return None
-
-
 def _parse_input(text):
     if not is_digits(text):
         raise _UsageError(f"input must be digit symbols, got {text!r}")
@@ -189,6 +178,9 @@ def main(argv=None) -> int:
         return 1
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
+        return 1
+    except OverflowError as e:  # a count no list can index, such as `states 10^20`
+        print(f"error: number too large: {e}", file=sys.stderr)
         return 1
     except GuideInvariantError as e:
         print(f"internal error: {e}", file=sys.stderr)
@@ -238,13 +230,11 @@ def _dispatch(args) -> int:
         spec = parse_btm(_read(args.file))
         if spec.target_state is None:
             raise _UsageError("btm-reach needs a machine with a declared target state")
-        cap = args.max_cells
-        res = decide_reachability(spec, cell_cap=cap, max_explored=args.max_steps)
-        # only reach_bfs hits a cap; a cap below the exact one leaves its not-reached bounded
-        if res.kind == "not-reached" and res.cap_hit and cap is not None and cap < default_cell_cap(spec, cap):
-            bound = _nondet_decimal(spec.num_states, 1) or f"of {nondet_guide_bound_bits(spec.num_states)} bits"
-            print(f"warning: cell cap {cap} is below the exact bound {bound}; "
-                  "a not-reached verdict is only bounded", file=sys.stderr)
+        res = decide_reachability(spec, cell_cap=args.max_cells, max_explored=args.max_steps)
+        # only reach_bfs hits a cap, and only an explicit one below --max-steps
+        if res.kind == "not-reached" and res.cap_hit:
+            print(f"warning: cell cap {args.max_cells} cut the search; a not-reached verdict is only bounded",
+                  file=sys.stderr)
         _emit(args, _search_payload(args, res), _search_text(res, f"explored {res.explored} configurations"))
         return 0
 
@@ -264,7 +254,7 @@ def _dispatch(args) -> int:
     if args.command == "bounds":
         if args.states < 1:
             raise _UsageError("--states must be >= 1")
-        if _nondet_decimal(args.states) is None:  # the det bound is the smaller one
+        if nondet_guide_bound_bits(args.states) > _DECIMAL_BITS:  # the det bound is the smaller one
             raise _UsageError(f"the nondet bound for {args.states} states has "
                               f"{nondet_guide_bound_bits(args.states)} bits, too many to print in decimal")
         det, nondet = det_guide_bound(args.states), nondet_guide_bound(args.states)
@@ -317,8 +307,6 @@ def _dispatch(args) -> int:
             text = "\n".join(lines)
         _emit(args, payload, text)
         return 0
-
-    raise _UsageError(f"unknown command {args.command!r}")
 
 
 def entry():

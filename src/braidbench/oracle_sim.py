@@ -68,9 +68,9 @@ def reach_bfs(spec: MachineSpec, cell_cap: int, max_explored: int = DEFAULT_BUDG
     """Breadth-first reachability of the target state from the blank tape.
 
     Configurations whose head or tape length exceeds cell_cap are discarded,
-    which makes the search space finite. The "not-reached" verdict is exact
-    only if the cap is at least the nondeterministic guide bound plus one;
-    cap_hit reports whether any configuration was actually discarded. A
+    which makes the search space finite. cap_hit reports whether any
+    configuration was actually discarded; a "not-reached" verdict without it
+    is exhaustive, and with it holds only up to the cap. A
     search that would explore more than max_explored configurations raises
     SearchBudgetExceeded; pass a bigger int for a bigger search.
     The search keys zipped configurations of a TapeStore and steps them

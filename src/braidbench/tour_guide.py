@@ -66,21 +66,22 @@ def nondet_guide_bound_bits(n_states: int) -> int:
 
 
 def default_cell_cap(spec: MachineSpec, budget: int = DEFAULT_BUDGET) -> int:
-    """The default cell cap of a search of at most budget configurations:
-    min(guide bound, budget) + 1, and at least 1, with the nondeterministic
-    guide bound for a machine with a target state, the deterministic otherwise.
+    """btm-oracle's default cell cap for a brute-force search of at most
+    budget configurations: min(guide bound, budget) + 1, and at least 1,
+    with the nondeterministic guide bound for a machine with a target state,
+    the deterministic otherwise.
 
     No search within the budget reaches budget + 1 cells: a breadth-first
     search expands a configuration at depth d only after d others, and a
-    step adds at most one cell. So a nondeterministic bound of more bits
-    than budget + 1, which has about N² bits for N states, is never built.
+    step adds at most one cell. Both bounds exceed 2^N for N states, so once
+    N reaches the bit length of budget + 1 the bound is past the budget, and
+    it is not built.
     """
-    if spec.target_state is None:
-        bound = det_guide_bound(spec.num_states)
-    elif nondet_guide_bound_bits(spec.num_states) <= (budget + 1).bit_length():
-        bound = nondet_guide_bound(spec.num_states)
-    else:  # the bound is above budget + 1
+    n = spec.num_states
+    if n >= (budget + 1).bit_length():
         bound = budget
+    else:
+        bound = det_guide_bound(n) if spec.target_state is None else nondet_guide_bound(n)
     return max(min(bound, budget), 0) + 1
 
 
@@ -217,15 +218,13 @@ def decide_reachability(spec: MachineSpec, cell_cap: int = None, max_explored: i
     does an explicit-state BFS (reach_bfs) over canonical configurations
     run, budgeted by max_explored: past it, it raises SearchBudgetExceeded.
     Its "reached" verdict carries a witness that replays through
-    `successors`. Its cap defaults to default_cell_cap(spec, max_explored),
-    min(nondeterministic guide bound, max_explored) + 1 cells. That is
-    exact: by the paper's bound on nondeterministic tour guides, a run
-    reaching the target exists iff one exists whose head stays under the
-    guide-count cap, and no search within the budget reaches max_explored
-    + 1 cells. This package computes no nondeterministic guides, so it does
-    not check that bound itself.
+    `successors`. Its cap defaults to max_explored + 1 cells, which no
+    search within the budget reaches, so its "not-reached" is exhaustive:
+    the search emptied its queue and discarded nothing (cap_hit is False).
+    Only a cell_cap below max_explored can cut the search, and cap_hit
+    says whether it did.
     """
     if cell_cap is not None and cell_cap < 1:
         raise ValueError("cell_cap must be >= 1")
     return closed_ngram_proof(spec, "not-reached") or reach_bfs(
-        spec, default_cell_cap(spec, max_explored) if cell_cap is None else cell_cap, max_explored=max_explored)
+        spec, max(max_explored, 0) + 1 if cell_cap is None else cell_cap, max_explored=max_explored)

@@ -17,7 +17,7 @@ from braidbench.counter_machine import parse_counter_program
 from braidbench.gadget_compiler import compile, level_from_json, level_run, level_to_json
 from braidbench.oracle_sim import Certificate, check_certificate, det_behavior_oracle, reach_bfs, read_only_oracle
 from braidbench.rewind_timeline import parse_game
-from braidbench.tour_guide import GuideInvariantError, nondet_guide_bound
+from braidbench.tour_guide import GuideInvariantError, det_guide_bound, nondet_guide_bound
 from test_acceptance import CORPUS
 
 ADDER = "counters 1\n0: add 0\n1: halt\n"
@@ -28,7 +28,7 @@ GAME = "timed t0 t1\nimmune m0\nstart m0 t0\nspeed 2\nmove m0 t0 m0 t1\ngoal m0 
 # Writes a marker, then pairs of 1s, then walks back flipping parity, so
 # target 8 is unreachable; no n-gram proof closes, so btm-reach answers by
 # a BFS that hits any small cap. Padding the state count changes nothing
-# but the exact bound.
+# but the guide bounds, which btm-reach does not read.
 PARITY = (
     "symbols 3\nstart 0\naccept\ntarget 8\n"
     "trans 0 0 write 2 1\ntrans 1 2 right 2\ntrans 2 0 write 1 3\ntrans 3 1 right 4\ntrans 4 0 write 1 5\n"
@@ -151,18 +151,21 @@ def test_btm_oracle_default_cap_is_det_bound_plus_one(tmp_path, capsys, monkeypa
     assert caps == [6]
 
 
+def cut_warning(cap):
+    """btm-reach's stderr beside a not-reached verdict whose BFS hit the cap."""
+    return f"warning: cell cap {cap} cut the search; a not-reached verdict is only bounded\n"
+
+
 @pytest.mark.parametrize("cap", [9, 12])
 def test_btm_reach_warns_below_nondet_bound_plus_one(tmp_path, capsys, cap):
+    # the warning fires because the BFS cut at the cap; it names no bound
     assert main(["--max-cells", str(cap), "btm-reach", write(tmp_path, "p.btm", "states 9\n" + PARITY)]) == 0
     out, err = capsys.readouterr()
     assert out.startswith("not-reached (explored ")
-    bound = nondet_guide_bound(9) + 1
-    assert bound == 14953814952580303570167829428153876481
-    assert err == f"warning: cell cap {cap} is below the exact bound {bound}; a not-reached verdict is only bounded\n"
+    assert err == cut_warning(cap)
 
 
 @pytest.mark.parametrize("btm,cap,verdict", [
-    # the 2-state nondet bound is 24 576, so the exact cap is 24 577
     (TRIVIAL_REACH, 24576, "reached (explored 1 configurations)"),
     (TRIVIAL_REACH, 24577, "reached (explored 1 configurations)"),
     (RIGHT_WRITER, 3, "not-reached (closed 1-gram set, 4 windows)"),
@@ -170,14 +173,6 @@ def test_btm_reach_warns_below_nondet_bound_plus_one(tmp_path, capsys, cap):
 def test_btm_reach_warns_only_beside_a_bounded_verdict(tmp_path, capsys, btm, cap, verdict):
     assert main(["--max-cells", str(cap), "btm-reach", write(tmp_path, "t.btm", btm)]) == 0
     assert capsys.readouterr() == (verdict + "\n", "")
-
-
-def test_btm_reach_bounded_verdict_at_the_bound_is_not_warned(tmp_path, capsys, monkeypatch):
-    # a BFS at the exact cap cannot finish on the parity machine, so the
-    # exact cap is taken to be 9 here
-    monkeypatch.setattr(cli, "default_cell_cap", lambda spec, budget: 9)
-    assert main(["--max-cells", "9", "btm-reach", write(tmp_path, "p.btm", "states 9\n" + PARITY)]) == 0
-    assert capsys.readouterr() == ("not-reached (explored 39 configurations)\n", "")
 
 
 def test_trace_file_replays(tmp_path, capsys):
@@ -360,12 +355,23 @@ def test_budget_flags_checked_before_any_work(tmp_path, capsys, argv, name, text
 
 def test_btm_reach_warns_with_a_bound_too_long_for_decimal(tmp_path, capsys):
     # the parity machine padded to 130 states: the nondet bound for 130
-    # states has over 5 000 digits
+    # states has over 5 000 digits, and the warning names the cap alone
     assert main(["--max-cells", "9", "btm-reach", write(tmp_path, "p.btm", "states 130\n" + PARITY)]) == 0
-    out, err = capsys.readouterr()
-    assert out == "not-reached (explored 39 configurations)\n"
-    assert err == ("warning: cell cap 9 is below the exact bound of 17435 bits; "
-                   "a not-reached verdict is only bounded\n")
+    assert capsys.readouterr() == ("not-reached (explored 39 configurations)\n", cut_warning(9))
+
+
+@pytest.mark.parametrize("states", [1, 117])
+def test_bounds_prints_up_to_117_states(capsys, states):
+    # 117 states: a nondet bound of 14 171 bits, within the 4 300 digits
+    # Python prints by default
+    assert main(["bounds", "--states", str(states)]) == 0
+    assert capsys.readouterr() == (f"det={det_guide_bound(states)} nondet={nondet_guide_bound(states)}\n", "")
+
+
+def test_bounds_refuses_from_118_states(capsys):
+    assert main(["bounds", "--states", "118"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: the nondet bound for 118 states has 14410 bits, too many to print in decimal\n")
 
 
 def test_bounds_too_long_for_decimal_exits_one(capsys):
@@ -396,6 +402,28 @@ def test_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.cm, "parse_counter_program", exhausted)
     assert main(["cm-run", write(tmp_path, "adder.cm", ADDER)]) == 1
     assert capsys.readouterr().err == "error: out of memory\n"
+
+
+HUGE = 10 ** 20  # a count no list can index: [0] * HUGE raises OverflowError
+HUGE_CM = f"counters {HUGE}\n0: halt\n"
+HUGE_LEVEL = json.dumps({"entry": "G", "num_counters": HUGE, "gadgets": {"G": {"kind": "goal"}},
+                         "tim_edges": [], "signals": {}})
+HUGE_INPUTS = {
+    "btm-decide": ("m.btm", f"states {HUGE}\nsymbols 1\nstart 0\naccept\ndeterministic true\n"),
+    "btm-oracle": ("m.btm", f"states {HUGE}\nsymbols 1\nstart 0\naccept\ntarget 1\n"),
+    "cm-run": ("p.cm", HUGE_CM),
+    "cm-compile": ("p.cm", HUGE_CM),
+    "bisim": ("p.cm", HUGE_CM),
+    "level-sim": ("l.json", HUGE_LEVEL),
+    "level-dot": ("l.json", HUGE_LEVEL),
+}
+
+
+@pytest.mark.parametrize("command,name,text", [(c, *v) for c, v in HUGE_INPUTS.items()], ids=HUGE_INPUTS.keys())
+def test_count_too_large_to_index_exits_one(tmp_path, capsys, command, name, text):
+    assert main([command, write(tmp_path, name, text)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: number too large: cannot fit 'int' into an index-sized integer\n")
 
 
 SUBPROCESS_MEMORY = 400 * 2 ** 20
@@ -447,12 +475,12 @@ def test_btm_reach_settles_a_large_machine_without_its_guide_bound(tmp_path):
 
 def test_btm_reach_warns_below_a_bound_too_big_to_build(tmp_path):
     # the parity machine padded to 100 000 states: its BFS stops at the
-    # 9-cell cap, and the warning names the bound of 10^10 bits by its length
+    # 9-cell cap, and nothing the size of the guide bound of 10^10 bits is
+    # built under the subprocess's memory cap
     path = write(tmp_path, "p.btm", "states 100000\n" + PARITY)
     out = run_limited("-m", "braidbench.cli", "--max-cells", "9", "btm-reach", path)
     assert (out.returncode, out.stdout) == (0, "not-reached (explored 39 configurations)\n"), out.stderr
-    assert out.stderr == ("warning: cell cap 9 is below the exact bound of 10000400034 bits; "
-                          "a not-reached verdict is only bounded\n")
+    assert out.stderr == cut_warning(9)
 
 
 def test_btm_oracle_searches_a_large_machine_without_its_guide_bound(tmp_path):
@@ -461,6 +489,14 @@ def test_btm_oracle_searches_a_large_machine_without_its_guide_bound(tmp_path):
     path = write(tmp_path, "big.btm", "states 100000\nsymbols 1\nstart 0\naccept\ntarget 1\n")
     out = run_limited("-m", "braidbench.cli", "btm-oracle", path)
     assert (out.returncode, out.stdout, out.stderr) == (0, "not-reached (explored 1)\n", "")
+
+
+def test_btm_oracle_does_not_build_a_huge_det_bound(tmp_path):
+    # (N+4)^N * N for 10^7 states has about 2.3 * 10^8 bits; the oracle's
+    # default cap needs only to know that it is past the budget
+    path = write(tmp_path, "big.btm", "states 10000000\nsymbols 1\nstart 0\naccept\ndeterministic true\n")
+    out = run_limited("-m", "braidbench.cli", "btm-oracle", path)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "reject (explored 1)\n", "")
 
 
 def test_bounds_too_big_to_print_is_not_built():
@@ -617,7 +653,10 @@ def test_bad_input_exits_one_with_error(tmp_path, capsys, argv, name, text, err)
 # A format's GOOD lines are well formed, with small numbers and names that
 # its constructor may still refuse; its LINEs add malformed ones.
 
-NUM = st.one_of(st.integers(0, 3).map(str), st.sampled_from(["-1", "x", "\u00b2", "\u0661", "1_0", "+1", ""]))
+# a count between 10^8 and 10^18 would allocate gigabytes before it failed,
+# so none is drawn
+NUM = st.one_of(st.integers(0, 3).map(str),
+                st.sampled_from(["-1", "x", "\u00b2", "\u0661", "1_0", "+1", "", str(HUGE)]))
 GARBAGE = st.text(max_size=6)
 
 

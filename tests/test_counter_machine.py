@@ -13,6 +13,7 @@ from braidbench.counter_machine import (
     CounterConfig,
     CounterProgram,
     Halt,
+    RunResult,
     SubBranch,
     cm_run,
     cm_step,
@@ -158,6 +159,13 @@ def test_run_zero_budget():
     p = CounterProgram(1, (Halt(),))
     res = cm_run(p, initial_config(p), 0)
     assert res.kind == "budget" and res.config.pc == 0
+
+
+def test_run_from_a_halted_start_returns_it():
+    p = CounterProgram(2, (Add(0), Halt()))
+    start = CounterConfig(None, (3, 1), 7)
+    for budget in (0, 10):
+        assert cm_run(p, start, budget) == RunResult("halted", start)
 
 
 def test_run_nonterminating_hits_budget():

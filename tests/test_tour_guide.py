@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from braidbench import tour_guide
 from braidbench.braidlike_tm import (
     MachineSpec,
     MOVE_LEFT,
@@ -274,6 +275,10 @@ def test_default_cell_cap_is_the_bound_or_the_budget_plus_one():
     for budget, cap in [(-1, 1), (0, 1), (63, 64), (64, 65), (65, 65), (10 ** 30, 65)]:
         assert default_cell_cap(reach, budget) == cap
     assert default_cell_cap(walk, 71) == 72 and default_cell_cap(walk) == 73
+    # built (16 states) or not (from 17, the bit length of 100 001), the
+    # bound is past the budget; test_cli runs 10^7 states in a subprocess
+    for n, target in itertools.product((16, 17, 40), (None, 1)):
+        assert default_cell_cap(spec_of({}, n, 1, target=target)) == 100_001
 
 
 @st.composite
@@ -303,12 +308,32 @@ def outcome(f, *args, **kwargs):
 @example(spec=parse_btm(RIGHT_WRITER), budget=66)  # its BFS runs past any budget
 @example(spec=parse_btm(RIGHT_WRITER), budget=24576)
 def test_reachability_default_cap_matches_the_exact_bound(spec, budget):
-    # the exact cap is the nondet bound + 1: 65 cells for 1 state, 24 577
-    # for 2; the BFS at the default cap also runs where a proof closes
-    exact = nondet_guide_bound(spec.num_states) + 1
-    bfs = outcome(reach_bfs, spec, exact, max_explored=budget)
-    assert outcome(reach_bfs, spec, default_cell_cap(spec, budget), max_explored=budget) == bfs
-    assert outcome(decide_reachability, spec, max_explored=budget) == (closed_ngram_proof(spec, "not-reached") or bfs)
+    # the default cap is the budget + 1 cells, which no search within the
+    # budget reaches; the paper's exact cap, the nondet bound + 1, is 65
+    # cells for 1 state and 24 577 for 2. Both BFSs also run where a proof
+    # closes
+    bfs = outcome(reach_bfs, spec, budget + 1, max_explored=budget)
+    exact = outcome(reach_bfs, spec, nondet_guide_bound(spec.num_states) + 1, max_explored=budget)
+    proof = closed_ngram_proof(spec, "not-reached")
+    assert outcome(decide_reachability, spec, max_explored=budget) == (proof or bfs) == (proof or exact)
+
+
+def test_reachability_default_cap_is_the_budget_plus_one(monkeypatch):
+    # not the guide bound: 24 576 for this 2-state machine, whose start is
+    # its target, so no proof closes and the BFS runs
+    caps = []
+
+    def bfs(spec, cell_cap, max_explored):
+        caps.append(cell_cap)
+        return reach_bfs(spec, cell_cap, max_explored=max_explored)
+
+    monkeypatch.setattr(tour_guide, "reach_bfs", bfs)
+    spec = spec_of({}, 2, 1, target=0)
+    for budget in (1, 24576, 10 ** 6):
+        assert decide_reachability(spec, max_explored=budget).kind == "reached"
+        assert caps.pop() == budget + 1
+    decide_reachability(spec)
+    assert caps == [100_001]
 
 
 def test_reachability_witness_ends_at_target():
@@ -363,9 +388,9 @@ def blocks(m, p, phase):
 def test_reachability_default_budget_on_the_block_family():
     res = decide_reachability(parse_btm(blocks(2, 2, 0)))
     assert (res.kind, res.explored, res.certificate) == ("reached", 12, None)
-    # phase 1 is unreachable but no proof closes, so the BFS runs to the
-    # default cap, a 124-bit number: without a default budget it never
-    # returned, so it runs in a subprocess with its address space capped
+    # phase 1 is unreachable but no proof closes, so the BFS runs until the
+    # default budget stops it; a search that outran its budget would not
+    # return, so it runs in a subprocess with its address space capped
     code = ("from braidbench import parse_btm\n"
             "from braidbench.oracle_sim import SearchBudgetExceeded\n"
             "from braidbench.tour_guide import decide_reachability\n"
