@@ -36,9 +36,10 @@ class SearchBudgetExceeded(RuntimeError):
     """Raised when an explicit search outgrows its explored-node budget."""
 
 
-# How many configurations (or nodes) an explicit search may explore before it
-# raises SearchBudgetExceeded: the default max_explored of reach_bfs,
-# game_search and decide_reachability, and of the CLI's --max-steps.
+# How many configurations, nodes or table entries an explicit search may
+# explore before it raises SearchBudgetExceeded: the default max_explored of
+# reach_bfs, game_search and decide_reachability, and of the CLI's
+# --max-steps.
 DEFAULT_BUDGET = 100_000
 
 

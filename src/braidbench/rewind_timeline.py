@@ -8,25 +8,24 @@ is the tuple reference coding, with seeks bounded by a speed; like
 turns a toy game (enumerated time-dependent and time-immune state, player
 moves) into a nondeterministic braidlike machine whose tape is the timeline,
 whose head is the cursor, and whose target state fires when the goal holds.
-`game_search` steps the same graph on interned lists of a TapeStore. Both
-make only left seeks, one cell at a time: a record leaves the cursor at the
-timeline's end and seeking leaves the immune state alone, so a seek of any
-speed, in either direction, lands where left seeks from the end do, and the
-seek speed changes no verdict. Nothing then reads a snapshot right of the
-cursor before a record erases it: the redo future is dead state, and a
-timeline under left seeks is a stack of the snapshots up to the cursor,
-which a record pushes and a seek pops. `game_search` keys its nodes on that
-stack alone. The encoding's reachability search and `game_search` share the
-tape layer but not the search.
+The machine makes only left seeks, one cell at a time: a record leaves the
+cursor at the timeline's end and seeking leaves the immune state alone, so a
+seek of any speed, in either direction, lands where left seeks from the end
+do, and the seek speed changes no verdict. Nothing then reads a snapshot
+right of the cursor before a record erases it: the redo future is dead
+state, and a timeline under left seeks is a stack of the snapshots up to the
+cursor, which a record pushes and a seek pops. `game_search` decides
+winnability on that stack, as pushdown reachability with a bounded height,
+by summary tables. It shares no code with the encoding's reachability
+search.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .braidlike_tm import (BLANK, FieldError, MachineSpec, MOVE_LEFT, MOVE_RIGHT, ParseError, TapeStore, Write,
+from .braidlike_tm import (BLANK, FieldError, MachineSpec, MOVE_LEFT, MOVE_RIGHT, ParseError, Write,
                            directives, is_digits)
 from .oracle_sim import DEFAULT_BUDGET, OracleVerdict, SearchBudgetExceeded
 
@@ -111,51 +110,83 @@ class GameSpec:
 
 
 def game_search(g: GameSpec, max_len: int, max_explored: int = DEFAULT_BUDGET) -> OracleVerdict:
-    """BFS over (immune state, timeline) pairs with timelines of at most
-    max_len snapshots: "winnable" or "not-winnable", with the nodes explored.
-    A search that would explore more than max_explored nodes raises
-    SearchBudgetExceeded.
-    Like the encoding, it reads neither max_speed nor the redo future: a
-    record leaves the cursor at the end and seeking leaves the immune state
-    alone, so any seek lands where left seeks from the end do, and a record
-    erases the redo future before anything reads it. So a node is a pair
-    (immune, past), where `past` is the interned TapeStore list of snapshots
-    0..cursor, nearest first: a stack that a record pushes and a unit left
-    seek pops. Timelines with equal pasts have the same successors apart
-    from their redo futures, so merging them changes no verdict, and
-    `explored` is at most that of a unit-seek BFS over whole timelines."""
+    """Whether the goal is reachable on timelines of at most max_len
+    snapshots: "winnable" or "not-winnable", with the table entries
+    computed. A search that would compute more than max_explored entries
+    raises SearchBudgetExceeded.
+
+    Like the encoding, it reads neither max_speed nor the redo future (see
+    the module docstring): the game is a stack of snapshots, with the
+    immune state beside it, that a record pushes while it holds fewer than
+    max_len and a unit left seek pops, keeping the immune state, while it
+    holds more than one. So winnability is pushdown reachability with a
+    bound on the stack height, which summaries decide (Reps, Horwitz &
+    Sagiv 1995; Bouajjani, Esparza & Maler 1997). The tables are keyed on
+    the pairs (m, t) that a run can start a height with: the start pair and
+    the targets of `g.moves`. For h, the pushes still allowed:
+    - S_h(m, t) is the set of immune states in which a run from (m, t on
+      top) comes back to t on top at the same height without popping it.
+      S_0(m, t) = {m}, and S_h(m, t) is the closure of {m} under one rule:
+      for m1 in the set, a move (m1, t) -> (m2, t2) adds all of
+      S_{h-1}(m2, t2).
+    - W_h(m, t) says whether the goal is reachable from (m, t on top)
+      without popping t. W_0(m, t) holds iff (m, t) is a goal pair, and
+      W_h(m, t) iff some m1 in S_h(m, t) has (m1, t) in the goal or has a
+      move to some (m2, t2) with W_{h-1}(m2, t2).
+    The answer at max_len L is W_{L-1} at the start pair.
+
+    Soundness. Cut a run from (m, t on top) that never pops t, with at most
+    h pushes above t, at the steps where t is on top. Each piece between
+    two cuts pushes by a move (m1, t) -> (m2, t2), runs from (m2, t2 on
+    top) without popping t2 and with at most h - 1 pushes above it, and
+    pops t2 in the immune state it has reached, which the pop keeps. At a
+    cut, a seek would pop t, and a record starts a piece. By induction on
+    h, the immune states at the cuts are exactly S_h(m, t), and the run
+    meets the goal at a cut or inside a piece exactly when W_h(m, t) holds.
+    The start holds one snapshot, with nothing below it to pop (a seek off
+    cursor 0 stays put), and L - 1 pushes are allowed above it: W_{L-1}.
+
+    Monotony. Level 0 is what the rules give from S_{-1} = {} and W_{-1}
+    false, and the rules only grow a level from a larger one below. So by
+    induction S_h is a subset of S_{h+1} and W_h implies W_{h+1}, and the
+    search returns "winnable" as soon as W holds at the start.
+
+    Termination. Level h reads only level h - 1, by the same rules at every
+    h, so once a level equals the one before, every higher level equals it
+    too, and the search stops there, whatever L is. Before that, each level
+    after level 0 grows some S set or sets some W bit. With K keys there
+    are K bits, and the S sets start with K states and hold at most
+    K·|immune|, so at most K·(|immune| + 1) levels follow level 0.
+    `explored` counts K entries a level, so it is at most
+    K·(K·(|immune| + 1) + 1) for any L. Keys other than the start are read
+    only as move targets, so a game with few moves has few keys however
+    many states it has."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    sym = {t: i + 1 for i, t in enumerate(g.timed_states)}
-    store = TapeStore(len(sym) + 1)
-    cons, car, cdr, size = store.cons, store.car, store.cdr, store.size
-    records = {(m, sym[t]): [(m2, sym[t2]) for m2, t2 in outs] for (m, t), outs in g.moves.items()}
-    goal = {(m, sym[t]) for m, t in g.goal}
-    start = (g.init_immune, cons(sym[g.init_timed], 0))
-    visited = {start}
-    queue = deque([start])
+    start = (g.init_immune, g.init_timed)
+    keys = dict.fromkeys([start, *((m2, t2) for outs in g.moves.values() for m2, t2 in outs)])
+    level = dict.fromkeys(keys, (frozenset(), False))  # level -1: no run comes back, none wins
     explored = 0
-    while queue:
-        m, past = queue.popleft()
-        explored += 1
+    for _ in range(max_len):
+        explored += len(keys)
         if explored > max_explored:
-            raise SearchBudgetExceeded(f"game_search exceeded {max_explored} nodes")
-        here = (m, car[past])
-        if here in goal:
+            raise SearchBudgetExceeded(f"game_search exceeded {max_explored} table entries")
+        below, level = level, {}
+        for m, t in keys:
+            back, win, todo = {m}, False, [m]
+            while todo:
+                m1 = todo.pop()
+                win = win or (m1, t) in g.goal
+                for m2, t2 in g.moves.get((m1, t), ()):
+                    up, up_win = below[m2, t2]
+                    win = win or up_win
+                    todo.extend(up - back)
+                    back |= up
+            level[m, t] = (back, win)
+        if level[start][1]:
             return OracleVerdict("winnable", explored)
-        moves = records.get(here)
-        if moves and size[past] < max_len:
-            for m2, s in moves:
-                succ = (m2, cons(s, past))
-                if succ not in visited:
-                    visited.add(succ)
-                    queue.append(succ)
-        past = cdr[past]
-        if past:
-            succ = (m, past)
-            if succ not in visited:
-                visited.add(succ)
-                queue.append(succ)
+        if level == below:
+            break
     return OracleVerdict("not-winnable", explored)
 
 

@@ -11,19 +11,20 @@ from an input, so a "loop" certificate can be held against a run that
 halts (`tuple_halts`), and `read_only_oracle`'s verdicts and step counts
 against a plain run.
 
-`tuple_past_search` is the same kind of baseline for `game_search`: it
-steps tuple Timelines with `tl_record` and unit left seeks `tl_seek(tl, -1,
-1)`, and keys its visited set on (snapshots[:cursor + 1], immune), the past
-that `game_search` keys on, so the redo future a queued Timeline carries is
-whichever its first path left. It searches in the same order, so the kind
-and the explored count must match, and both must exceed the same budget,
-which defaults to `game_search`'s.
+`tuple_past_search` is the oracle for `game_search`'s verdicts: it steps
+tuple Timelines with `tl_record` and unit left seeks `tl_seek(tl, -1, 1)`,
+and keys its visited set on (snapshots[:cursor + 1], immune), the past
+that `game_search`'s summary tables reason about, so the redo future a
+queued Timeline carries is whichever its first path left. Wherever it
+finishes within its budget, which defaults to `game_search`'s, its kind
+must match `game_search`'s; it counts nodes where `game_search` counts
+table entries, so the explored counts are not compared.
 
 `tuple_game_search` steps whole tuple Timelines, redo future included,
 with records and seeks of every delta up to the game's speed, both ways,
 and keys on (snapshots, cursor, immune). It reaches the same pasts in
-another order over more nodes, so the verdict must match `game_search`'s,
-and when neither wins its explored count is at least `game_search`'s.
+another order over more nodes, so its verdict must match, and when
+neither wins its explored count is at least `tuple_past_search`'s.
 """
 
 from collections import deque
@@ -91,7 +92,7 @@ def tuple_game_search(g, max_len, max_explored=DEFAULT_BUDGET):
         tl, m = queue.popleft()
         explored += 1
         if explored > max_explored:
-            raise SearchBudgetExceeded(f"game_search exceeded {max_explored} nodes")
+            raise SearchBudgetExceeded(f"tuple_game_search exceeded {max_explored} nodes")
         t = tl.snapshots[tl.cursor]
         if (m, t) in g.goal:
             return OracleVerdict("winnable", explored)
@@ -119,7 +120,7 @@ def tuple_past_search(g, max_len, max_explored=DEFAULT_BUDGET):
         tl, m = queue.popleft()
         explored += 1
         if explored > max_explored:
-            raise SearchBudgetExceeded(f"game_search exceeded {max_explored} nodes")
+            raise SearchBudgetExceeded(f"tuple_past_search exceeded {max_explored} nodes")
         t = tl.snapshots[tl.cursor]
         if (m, t) in g.goal:
             return OracleVerdict("winnable", explored)

@@ -19,7 +19,6 @@ from braidbench.rewind_timeline import (
 from braidbench.tour_guide import decide_reachability
 from reference_bfs import tuple_game_search, tuple_past_search
 from test_braidlike_tm import ODD_BREAKS
-from test_cli import run_limited
 
 
 def test_record_appends():
@@ -132,71 +131,107 @@ def _search_outcome(search, g, max_len, *max_explored):
     return res.kind, res.explored
 
 
+def _assert_budget_rule(g, max_len, max_explored):
+    """game_search with a budget raises iff its count without one exceeds
+    the budget, and otherwise returns the same verdict and count."""
+    outcome = _search_outcome(game_search, g, max_len)
+    expected = "budget exceeded" if outcome[1] > max_explored else outcome
+    assert _search_outcome(game_search, g, max_len, max_explored) == expected
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(g=games(), max_len=st.integers(1, 9), max_explored=st.none() | st.integers(1, 50))
+@given(g=games(), max_len=st.integers(1, 9), max_explored=st.none() | st.integers(0, 50))
 def test_game_search_matches_tuple_search(g, max_len, max_explored):
-    # game_search keys a node on its past and seeks one cell left at a
-    # time, as the tuple past search does, so the two visit the same nodes
-    # in the same order; a None draw passes no budget
-    budget = () if max_explored is None else (max_explored,)
-    outcome = _search_outcome(game_search, g, max_len, *budget)
-    assert outcome == _search_outcome(tuple_past_search, g, max_len, *budget)
-    if max_explored is None:
+    # the summary tables decide the question that a BFS over tuple
+    # timelines, keyed on the past and seeking one cell left, explores; the
+    # two count different things, table entries against nodes, so only the
+    # verdicts compare. A None draw passes no budget
+    outcome = _search_outcome(game_search, g, max_len)
+    reference = _search_outcome(tuple_past_search, g, max_len)
+    if reference != "budget exceeded":
+        assert outcome[0] == reference[0]
+    if max_explored is not None:
+        _assert_budget_rule(g, max_len, max_explored)
+    else:
         # the two-way search over whole timelines at the game's own speed
         # reaches the same pasts in another order: the verdict agrees, and
         # an exhaustive search counts every redo future that the past-only
         # search merges away
         kind, explored = _search_outcome(tuple_game_search, g, max_len)
-        assert kind == outcome[0]
+        assert kind == reference[0] == outcome[0]
         if kind == "not-winnable":
-            assert outcome[1] <= explored
+            assert reference[1] <= explored
         # the encoding on a max_len-cell tape reaches its target iff the game is winnable
         reached = reach_bfs(build_braidlike_from_game(g), max_len).kind == "reached"
         assert reached == (outcome[0] == "winnable")
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(g=games(), max_len=st.integers(1, 12))
+def test_game_search_grows_with_max_len_within_its_bound(g, max_len):
+    # a longer timeline allows every run a shorter one does, and with K
+    # keys the tables stop within K·(|immune| + 1) levels after level 0
+    # whatever max_len is (the game_search docstring)
+    if game_search(g, max_len).kind == "winnable":
+        assert game_search(g, max_len + 1).kind == "winnable"
+    k = len({(g.init_immune, g.init_timed), *(out for outs in g.moves.values() for out in outs)})
+    assert game_search(g, 10 ** 6).explored <= k * (k * (len(g.immune_states) + 1) + 1)
+
+
+ORDER_GAME = GameSpec(("t0", "t1"), ("m0", "m1"), "m0", "t0",
+                      {("m0", "t0"): (("m0", "t1"),), ("m0", "t1"): (("m1", "t0"),), ("m1", "t1"): (("m0", "t0"),)},
+                      frozenset({("m1", "t1")}), max_speed=2)
+
+
 def test_game_search_order_does_not_follow_the_speed():
     # from m1 on t0 t1 t0 at cursor 2, the speed-2 tuple search queues the
     # seek of -2 before the seek of -1 that wins; the speed-1 search does
-    # not, but still queues the right seek off t0 t1 at cursor 0; game_search
-    # seeks only left, one cell at a time, and wins a node sooner again
-    g = GameSpec(("t0", "t1"), ("m0", "m1"), "m0", "t0",
-                 {("m0", "t0"): (("m0", "t1"),), ("m0", "t1"): (("m1", "t0"),), ("m1", "t1"): (("m0", "t0"),)},
-                 frozenset({("m1", "t1")}), max_speed=2)
-    assert _search_outcome(game_search, g, 3) == ("winnable", 4)
-    assert _search_outcome(tuple_game_search, dataclasses.replace(g, max_speed=1), 3) == ("winnable", 5)
-    assert _search_outcome(tuple_game_search, g, 3) == ("winnable", 6)
+    # not, but still queues the right seek off t0 t1 at cursor 0.
+    # game_search follows no order: its tables hold the keys (m0, t0),
+    # (m0, t1) and (m1, t0), and win at level 2, where from (m0, t1) a
+    # record of t0 and a seek back reach m1 on t1
+    assert _search_outcome(game_search, ORDER_GAME, 3) == ("winnable", 9)
+    assert _search_outcome(tuple_game_search, dataclasses.replace(ORDER_GAME, max_speed=1), 3) == ("winnable", 5)
+    assert _search_outcome(tuple_game_search, ORDER_GAME, 3) == ("winnable", 6)
 
 
 # The bench's not-winnable shape: moves record only t0 and t1, and the goal
-# is on t2, so the search exhausts every timeline up to max_len.
+# is on t2, so a search over timelines exhausts every one up to max_len.
 NOT_WINNABLE = GameSpec(("t0", "t1", "t2"), ("m0", "m1"), "m0", "t0",
                         {(m, t): (("m0", "t0"), ("m1", "t1")) for m in ("m0", "m1") for t in ("t0", "t1")},
                         frozenset({("m1", "t2")}))
 
 
-@pytest.mark.parametrize("max_len", range(1, 13))
+@pytest.mark.parametrize("max_len", [*range(1, 13), 16, 17, 10 ** 6])
 def test_game_search_counts_pasts_not_timelines(max_len):
-    # a node is an immune state and a past: t0, then up to L - 1 records
-    # of t0 (to m0) or t1 (to m1). A past shorter than L pairs with either
-    # immune state (a record, then a seek back), a full one only with the
-    # state its last record set: 2·(2^(L-1) - 1) + 2^(L-1) nodes
-    assert _search_outcome(game_search, NOT_WINNABLE, max_len) == ("not-winnable", 3 * 2 ** (max_len - 1) - 2)
+    # the tables hold two keys, (m0, t0) and (m1, t1): level 1 grows both S
+    # sets to {m0, m1}, and level 2 equals it, so the count stops at three
+    # levels for every max_len, where a BFS over pasts visits
+    # 3·2^(max_len - 1) - 2 nodes
+    assert _search_outcome(game_search, NOT_WINNABLE, max_len) == ("not-winnable", 2 * min(max_len, 3))
 
 
 def test_game_search_default_budget():
-    assert _search_outcome(game_search, NOT_WINNABLE, 16) == ("not-winnable", 98302)
-    # at max_len 17 the search needs 196 606 nodes; it runs in a subprocess
-    # with its address space capped, so that a search without a budget
-    # cannot take the machine's memory
-    code = ("from braidbench.oracle_sim import SearchBudgetExceeded\n"
-            "from braidbench.rewind_timeline import GameSpec, game_search\n"
-            "try:\n"
-            f"    game_search({NOT_WINNABLE!r}, 17)\n"
-            "except SearchBudgetExceeded as e:\n"
-            "    print(e)\n")
-    out = run_limited("-c", code)
-    assert (out.returncode, out.stdout) == (0, "game_search exceeded 100000 nodes\n"), out.stderr
+    for g, max_len in [(NOT_WINNABLE, 1), (NOT_WINNABLE, 2), (NOT_WINNABLE, 10 ** 6), (ORDER_GAME, 2),
+                       (ORDER_GAME, 3)]:
+        for max_explored in range(game_search(g, max_len).explored + 2):
+            _assert_budget_rule(g, max_len, max_explored)
+    with pytest.raises(SearchBudgetExceeded, match="^game_search exceeded 0 table entries$"):
+        game_search(NOT_WINNABLE, 1, 0)
+    # a start with 50 000 move targets fills level 0 with 50 001 entries,
+    # within the default budget of 100 000, and level 1 with as many more
+    fan = GameSpec(tuple(range(50_001)), ("m0",), "m0", 0, {("m0", 0): tuple(("m0", t) for t in range(1, 50_001))},
+                   frozenset())
+    assert _search_outcome(game_search, fan, 1) == ("not-winnable", 50_001)
+    with pytest.raises(SearchBudgetExceeded, match="^game_search exceeded 100000 table entries$"):
+        game_search(fan, 2)
+
+
+def test_game_search_keys_only_the_start_and_the_move_targets():
+    # 2 000 timed and 500 immune states make 10^6 pairs, ten times the
+    # default budget; with one move the tables hold two keys
+    g = GameSpec(tuple(range(2000)), tuple(range(500)), 0, 0, {(0, 0): ((1, 1),)}, frozenset({(499, 1999)}))
+    assert _search_outcome(game_search, g, 10 ** 6) == ("not-winnable", 6)
 
 
 def test_adapter_goal_at_start_target_in_one_step():
