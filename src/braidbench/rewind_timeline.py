@@ -23,6 +23,8 @@ search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import count
 from typing import NamedTuple
 
 from .braidlike_tm import (BLANK, FieldError, MachineSpec, MOVE_LEFT, MOVE_RIGHT, ParseError, Write,
@@ -109,10 +111,14 @@ class GameSpec:
                 raise FieldError(("goal", pair), f"goal pair ({m!r}, {t!r}) outside the enumerations")
 
 
+# the pseudo immune state that stands for the goal: d(k, _GOAL) is the least h with W_h(k)
+_GOAL = object()
+
+
 def game_search(g: GameSpec, max_len: int, max_explored: int = DEFAULT_BUDGET) -> OracleVerdict:
     """Whether the goal is reachable on timelines of at most max_len
     snapshots: "winnable" or "not-winnable", with the table entries
-    computed. A search that would compute more than max_explored entries
+    written. A search that would write more than max_explored entries
     raises SearchBudgetExceeded.
 
     Like the encoding, it reads neither max_speed nor the redo future (see
@@ -122,8 +128,8 @@ def game_search(g: GameSpec, max_len: int, max_explored: int = DEFAULT_BUDGET) -
     holds more than one. So winnability is pushdown reachability with a
     bound on the stack height, which summaries decide (Reps, Horwitz &
     Sagiv 1995; Bouajjani, Esparza & Maler 1997). The tables are keyed on
-    the pairs (m, t) that a run can start a height with: the start pair and
-    the targets of `g.moves`. For h, the pushes still allowed:
+    pairs (m, t) that a run can start a height with. For h, the pushes
+    still allowed:
     - S_h(m, t) is the set of immune states in which a run from (m, t on
       top) comes back to t on top at the same height without popping it.
       S_0(m, t) = {m}, and S_h(m, t) is the closure of {m} under one rule:
@@ -148,46 +154,70 @@ def game_search(g: GameSpec, max_len: int, max_explored: int = DEFAULT_BUDGET) -
 
     Monotony. Level 0 is what the rules give from S_{-1} = {} and W_{-1}
     false, and the rules only grow a level from a larger one below. So by
-    induction S_h is a subset of S_{h+1} and W_h implies W_{h+1}, and the
-    search returns "winnable" as soon as W holds at the start.
+    induction S_h is a subset of S_{h+1} and W_h implies W_{h+1}.
 
-    Termination. Level h reads only level h - 1, by the same rules at every
-    h, so once a level equals the one before, every higher level equals it
-    too, and the search stops there, whatever L is. Before that, each level
-    after level 0 grows some S set or sets some W bit. With K keys there
-    are K bits, and the S sets start with K states and hold at most
-    K·|immune|, so at most K·(|immune| + 1) levels follow level 0.
-    `explored` counts K entries a level, so it is at most
-    K·(K·(|immune| + 1) + 1) for any L. Keys other than the start are read
-    only as move targets, so a game with few moves has few keys however
-    many states it has."""
+    Heights. The levels are held as least heights: an entry d(k, x) is
+    the least h with x in S_h(k), and d(k, goal) the least h with W_h(k),
+    for a pseudo state goal that moves nowhere, so S_h(k) is the set of x
+    with d(k, x) <= h. By the rules above, the entries are the least
+    values that three rules allow: d((m, t), m) = 0; d(k, goal) <= d(k, x)
+    for a goal pair (x, t); and, for k = (m, t), a move (x, t) -> k2 gives
+    d(k, y) <= max(d(k, x), d(k2, y) + 1) for every y, goal included. A
+    write lowers an entry and puts it on a heap ordered by height; an
+    entry that comes off it is applied to the heights written so far, as
+    x to each key it moves to and as y to each key with an entry that
+    moves to its own. No rule gives less than a premise, so most entries
+    come off at their first write (Knuth 1977), and a lower write puts an
+    entry back on, so the heights end at the least values. `explored`
+    counts the writes. Heights of max_len or more are never written, since
+    they only give larger ones, and the search returns "winnable" once
+    d(start, goal) is written. Keys are made lazily: the start, and a move
+    target once an entry moves to it, with its own state at height 0. So a
+    game with few moves, or with moves only from pairs that no run
+    reaches, has few keys however many states it has.
+
+    Termination. With K keys there are at most E = K·(|immune| + 1)
+    entries, and each write lowers one. The first write of a height v > 0
+    adds 1 to a height v - 1 written before it, and an entry written at
+    v - 1 is never written higher again; so the first writes of the heights
+    0, 1, ..., v are to distinct entries, and every height written is
+    below E. Each entry is then written at most E times: `explored` is at
+    most E², for any L, and at every L >= E the search writes the same
+    entries."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     start = (g.init_immune, g.init_timed)
-    keys = dict.fromkeys([start, *((m2, t2) for outs in g.moves.values() for m2, t2 in outs)])
-    level = dict.fromkeys(keys, (frozenset(), False))  # level -1: no run comes back, none wins
-    explored = 0
-    for _ in range(max_len):
-        explored += len(keys)
-        if explored > max_explored:
-            raise SearchBudgetExceeded(f"game_search exceeded {max_explored} table entries")
-        below, level = level, {}
-        for m, t in keys:
-            back, win, todo = {m}, False, [m]
-            while todo:
-                m1 = todo.pop()
-                win = win or (m1, t) in g.goal
-                for m2, t2 in g.moves.get((m1, t), ()):
-                    up, up_win = below[m2, t2]
-                    win = win or up_win
-                    todo.extend(up - back)
-                    back |= up
-            level[m, t] = (back, win)
-        if level[start][1]:
-            return OracleVerdict("winnable", explored)
-        if level == below:
-            break
-    return OracleVerdict("not-winnable", explored)
+    back = {}  # key -> {immune state or _GOAL: the least height written}
+    readers = {}  # key -> {a key with an entry that moves to it: that entry's least height}
+    heap, ticket, explored = [], count(), 0
+
+    def write(h, k, m):
+        nonlocal explored
+        entries = back.setdefault(k, {})
+        if h < entries.get(m, max_len):
+            explored += 1
+            if explored > max_explored:
+                raise SearchBudgetExceeded(f"game_search exceeded {max_explored} table entries")
+            entries[m] = h
+            heappush(heap, (h, next(ticket), k, m))
+
+    write(0, start, start[0])
+    while heap and _GOAL not in back[start]:
+        h, _, k, m1 = heappop(heap)
+        if back[k][m1] < h:
+            continue  # a lower write of this entry came off the heap before
+        if (m1, k[1]) in g.goal:
+            write(h, k, _GOAL)
+        for k2 in g.moves.get((m1, k[1]), ()):
+            if k2 not in back:  # a new key, with its own state at height 0
+                write(0, k2, k2[0])
+            if h < readers.setdefault(k2, {}).get(k, max_len):
+                readers[k2][k] = h
+                for m2, u in list(back[k2].items()):
+                    write(max(h, u + 1), k, m2)
+        for r, a in readers.get(k, {}).items():
+            write(max(a, h + 1), r, m1)
+    return OracleVerdict("winnable" if _GOAL in back[start] else "not-winnable", explored)
 
 
 def build_braidlike_from_game(g: GameSpec) -> MachineSpec:
@@ -229,10 +259,9 @@ def build_braidlike_from_game(g: GameSpec) -> MachineSpec:
 
     rec = {}
     for (m, t), outs in g.moves.items():
-        for m2, t2 in outs:
-            if (m2, t2) not in rec:
-                rec[(m2, t2)] = st(("rec", m2, t2))
-            add(mains[m], sym[t], MOVE_RIGHT, rec[(m2, t2)])
+        for out in outs:
+            rec[out] = st(("rec", *out))
+            add(mains[m], sym[t], MOVE_RIGHT, rec[out])
     for (m2, t2), q in rec.items():
         for a in range(num_symbols):  # the overwritten cell may hold anything
             add(q, a, Write(sym[t2]), mains[m2])

@@ -19,6 +19,7 @@ from braidbench.rewind_timeline import (
 from braidbench.tour_guide import decide_reachability
 from reference_bfs import tuple_game_search, tuple_past_search
 from test_braidlike_tm import ODD_BREAKS
+from test_cli import run_limited
 
 
 def test_record_appends():
@@ -144,8 +145,8 @@ def _assert_budget_rule(g, max_len, max_explored):
 def test_game_search_matches_tuple_search(g, max_len, max_explored):
     # the summary tables decide the question that a BFS over tuple
     # timelines, keyed on the past and seeking one cell left, explores; the
-    # two count different things, table entries against nodes, so only the
-    # verdicts compare. A None draw passes no budget
+    # two count different things, table entries written against nodes, so
+    # only the verdicts compare. A None draw passes no budget
     outcome = _search_outcome(game_search, g, max_len)
     reference = _search_outcome(tuple_past_search, g, max_len)
     if reference != "budget exceeded":
@@ -170,12 +171,12 @@ def test_game_search_matches_tuple_search(g, max_len, max_explored):
 @given(g=games(), max_len=st.integers(1, 12))
 def test_game_search_grows_with_max_len_within_its_bound(g, max_len):
     # a longer timeline allows every run a shorter one does, and with K
-    # keys the tables stop within K·(|immune| + 1) levels after level 0
-    # whatever max_len is (the game_search docstring)
+    # keys, so E = K·(|immune| + 1) entries, the search writes at most E²
+    # times whatever max_len is (the game_search docstring)
     if game_search(g, max_len).kind == "winnable":
         assert game_search(g, max_len + 1).kind == "winnable"
     k = len({(g.init_immune, g.init_timed), *(out for outs in g.moves.values() for out in outs)})
-    assert game_search(g, 10 ** 6).explored <= k * (k * (len(g.immune_states) + 1) + 1)
+    assert game_search(g, 10 ** 6).explored <= (k * (len(g.immune_states) + 1)) ** 2
 
 
 ORDER_GAME = GameSpec(("t0", "t1"), ("m0", "m1"), "m0", "t0",
@@ -188,9 +189,9 @@ def test_game_search_order_does_not_follow_the_speed():
     # seek of -2 before the seek of -1 that wins; the speed-1 search does
     # not, but still queues the right seek off t0 t1 at cursor 0.
     # game_search follows no order: its tables hold the keys (m0, t0),
-    # (m0, t1) and (m1, t0), and win at level 2, where from (m0, t1) a
-    # record of t0 and a seek back reach m1 on t1
-    assert _search_outcome(game_search, ORDER_GAME, 3) == ("winnable", 9)
+    # (m0, t1) and (m1, t0), and the goal at height 2 from the start, since
+    # from (m0, t1) a record of t0 and a seek back reach m1 on t1
+    assert _search_outcome(game_search, ORDER_GAME, 3) == ("winnable", 7)
     assert _search_outcome(tuple_game_search, dataclasses.replace(ORDER_GAME, max_speed=1), 3) == ("winnable", 5)
     assert _search_outcome(tuple_game_search, ORDER_GAME, 3) == ("winnable", 6)
 
@@ -204,11 +205,11 @@ NOT_WINNABLE = GameSpec(("t0", "t1", "t2"), ("m0", "m1"), "m0", "t0",
 
 @pytest.mark.parametrize("max_len", [*range(1, 13), 16, 17, 10 ** 6])
 def test_game_search_counts_pasts_not_timelines(max_len):
-    # the tables hold two keys, (m0, t0) and (m1, t1): level 1 grows both S
-    # sets to {m0, m1}, and level 2 equals it, so the count stops at three
-    # levels for every max_len, where a BFS over pasts visits
-    # 3·2^(max_len - 1) - 2 nodes
-    assert _search_outcome(game_search, NOT_WINNABLE, max_len) == ("not-winnable", 2 * min(max_len, 3))
+    # the tables hold two keys, (m0, t0) and (m1, t1), each with its own
+    # state at height 0 and the other one at height 1 (a record, then a
+    # seek back), so from max_len 2 on the search writes the same four
+    # entries, where a BFS over pasts visits 3·2^(max_len - 1) - 2 nodes
+    assert _search_outcome(game_search, NOT_WINNABLE, max_len) == ("not-winnable", 2 if max_len == 1 else 4)
 
 
 def test_game_search_default_budget():
@@ -218,20 +219,46 @@ def test_game_search_default_budget():
             _assert_budget_rule(g, max_len, max_explored)
     with pytest.raises(SearchBudgetExceeded, match="^game_search exceeded 0 table entries$"):
         game_search(NOT_WINNABLE, 1, 0)
-    # a start with 50 000 move targets fills level 0 with 50 001 entries,
-    # within the default budget of 100 000, and level 1 with as many more
+    # a start with 50 000 move targets makes 50 001 keys, each with its
+    # own state at height 0, within the default budget of 100 000; a
+    # record and a seek back give the start only m0 again, which costs
+    # nothing, so every max_len settles with those entries
     fan = GameSpec(tuple(range(50_001)), ("m0",), "m0", 0, {("m0", 0): tuple(("m0", t) for t in range(1, 50_001))},
                    frozenset())
-    assert _search_outcome(game_search, fan, 1) == ("not-winnable", 50_001)
-    with pytest.raises(SearchBudgetExceeded, match="^game_search exceeded 100000 table entries$"):
-        game_search(fan, 2)
+    for max_len in (1, 2, 10 ** 6):
+        assert _search_outcome(game_search, fan, max_len) == ("not-winnable", 50_001)
 
 
 def test_game_search_keys_only_the_start_and_the_move_targets():
     # 2 000 timed and 500 immune states make 10^6 pairs, ten times the
-    # default budget; with one move the tables hold two keys
+    # default budget; with one move the tables hold two keys: 0 and then 1
+    # at the start, 1 at (1, 1)
     g = GameSpec(tuple(range(2000)), tuple(range(500)), 0, 0, {(0, 0): ((1, 1),)}, frozenset({(499, 1999)}))
-    assert _search_outcome(game_search, g, 10 ** 6) == ("not-winnable", 6)
+    assert _search_outcome(game_search, g, 10 ** 6) == ("not-winnable", 3)
+    # a move target becomes a key only once a state the tables hold moves
+    # to it: t1 is never on top, so its 50 000 move targets make no key
+    g = GameSpec(tuple(range(50_002)), ("m0",), "m0", 0, {("m0", 1): tuple(("m0", t) for t in range(2, 50_002))},
+                 frozenset())
+    for max_len in (1, 2, 10 ** 6):
+        assert _search_outcome(game_search, g, max_len) == ("not-winnable", 1)
+
+
+def test_game_search_budget_bounds_memory():
+    # 1 000 immune and 50 timed states, each pair moving to the next state
+    # of both: every key's S set grows to all 1 000 immune states, so 5·10^7
+    # entries, gigabytes, if nothing stopped it. The budget counts every
+    # entry written, so the search stops at 100 000 of them, well inside
+    # the subprocess's capped address space
+    code = ("from braidbench.rewind_timeline import GameSpec, game_search\n"
+            "from braidbench.oracle_sim import SearchBudgetExceeded\n"
+            "moves = {(m, t): (((m + 1) % 1000, (t + 1) % 50),) for m in range(1000) for t in range(50)}\n"
+            "g = GameSpec(tuple(range(50)), tuple(range(1000)), 0, 0, moves, frozenset())\n"
+            "try:\n"
+            "    game_search(g, 10 ** 6)\n"
+            "except SearchBudgetExceeded as e:\n"
+            "    print(e)\n")
+    out = run_limited("-c", code)
+    assert (out.returncode, out.stdout) == (0, "game_search exceeded 100000 table entries\n"), out.stderr
 
 
 def test_adapter_goal_at_start_target_in_one_step():
