@@ -183,9 +183,9 @@ class TapeStore:
     the head cell onward with no trailing blanks. Each canonical
     Configuration has exactly one triple, so triples serve as search keys.
     A search lowers its spec once (`lower`) and steps rows of ints through
-    `successors`, the one zipper write, in O(1) time and memory: an
-    erase-right write keeps `left` and replaces `right` by one cell. One
-    store serves one search.
+    `successors`, the one zipper write and the one reader of the rows, in
+    O(1) time and memory: an erase-right write keeps `left` and replaces
+    `right` by one cell. One store serves one search.
     """
 
     def __init__(self, num_symbols: int):

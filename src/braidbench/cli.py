@@ -118,13 +118,14 @@ def _write_output(args, text):
 
 
 def _emit(args, payload, text):
+    # the trace goes first, so a run whose trace cannot be written prints no verdict
+    for key in ("witness", "certificate"):
+        if args.trace and payload.get(key) is not None:
+            _write_file(args.trace, json.dumps({"verdict": payload["verdict"], key: payload[key]}, indent=2))
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         print(text)
-    for key in ("witness", "certificate"):
-        if args.trace and payload.get(key) is not None:
-            _write_file(args.trace, json.dumps({"verdict": payload["verdict"], key: payload[key]}, indent=2))
 
 
 def _ngrams(grams):

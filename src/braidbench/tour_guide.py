@@ -19,8 +19,6 @@ independently.
 from __future__ import annotations
 
 from .braidlike_tm import (
-    LEFT,
-    RIGHT,
     MachineSpec,
     MoveRight,
     TapeStore,
@@ -179,13 +177,12 @@ def decide_det_braidlike(spec: MachineSpec, input_symbols=None) -> str:
         if z in visited:
             return "loop"
         visited.add(z)
-        row = rows[state * store.num_symbols + store.car[right]]
-        if not row:
-            return "reject"
-        op, _, nxt = row[0]
-        if op == LEFT:
-            if head == 0:
-                return "reject"  # stuck at the left endpoint
+        succs = store.successors(rows, z)
+        if not succs:
+            return "reject"  # no transition, or a left move stuck at cell 0
+        nxt, nleft, _ = nz = succs[0]
+        moved = store.size[nleft] - head  # -1 a left move, +1 a right move, 0 a write
+        if moved < 0:
             r = chain[head - 1][0][nxt]
             if isinstance(r, int):
                 z = (r, left, right)  # summarized round trip; head and tape stay put
@@ -193,7 +190,7 @@ def decide_det_braidlike(spec: MachineSpec, input_symbols=None) -> str:
             if r != DESTROY_ME:
                 return r
             # DESTROY_ME: step as if the guide didn't exist
-        elif op == RIGHT:
+        elif moved > 0:
             if head < len(chain):
                 # A guide promised destruction before this crossing.
                 raise GuideInvariantError("destroy-me prophecy violated by a rightward crossing")
@@ -203,10 +200,10 @@ def decide_det_braidlike(spec: MachineSpec, input_symbols=None) -> str:
                     return "loop"  # the stretch between the two equal pairs repeats forever
                 alive.add(crossing)
             chain.append(crossing)
-        else:  # WRITE
+        else:  # a write
             alive.difference_update(chain[head:])
             del chain[head:]
-        z = store.successors(rows, z)[0]
+        z = nz
 
 
 def decide_reachability(spec: MachineSpec, cell_cap: int = None, max_explored: int = DEFAULT_BUDGET) -> OracleVerdict:

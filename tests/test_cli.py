@@ -34,6 +34,9 @@ PARITY = (
     "trans 0 0 write 2 1\ntrans 1 2 right 2\ntrans 2 0 write 1 3\ntrans 3 1 right 4\ntrans 4 0 write 1 5\n"
     "trans 5 1 right 2\ntrans 5 1 left 7\ntrans 6 1 left 7\ntrans 7 1 left 6\ntrans 7 2 write 2 8\n"
 )
+# walks right twice, then left until its fourth step leaves it stuck at cell 0
+STAIRS = ("states 3\nsymbols 1\nstart 0\naccept\ndeterministic true\n"
+          "trans 0 0 right 1\ntrans 1 0 right 2\ntrans 2 0 left 2\n")
 SCANNER = (
     "states 3\nsymbols 3\nstart 0\naccept 2\ndeterministic true\n"
     "trans 0 1 right 0\ntrans 0 2 right 1\n"
@@ -63,7 +66,7 @@ def test_btm_reach_trivial(tmp_path, capsys):
 
 def test_bounds_two_states(capsys):
     assert main(["bounds", "--states", "2"]) == 0
-    assert capsys.readouterr().out.strip() == "det=72 nondet=24576"
+    assert capsys.readouterr() == ("det=72 nondet=24576\n", "")
 
 
 def test_unknown_subcommand_exits_one(capsys):
@@ -73,6 +76,8 @@ def test_unknown_subcommand_exits_one(capsys):
 
 def test_missing_file_exits_one(capsys):
     assert main(["cm-run", "/no/such/file.cm"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_parse_error_reports_line(tmp_path, capsys):
@@ -124,6 +129,17 @@ def test_btm_oracle_with_input_is_read_only_oracle(tmp_path, capsys, text):
         "witness": None, "certificate": None}
 
 
+@pytest.mark.parametrize("argv,btm,line", [
+    (["btm-oracle", "{f}", "--input", ""], STAIRS, "reject (explored 4)"),
+    # the BFS runs to the cap: 2 configurations a cell, and one at the cap
+    (["--max-cells", "2048", "btm-oracle", "{f}"], RIGHT_WRITER, "not-reached (explored 4097)"),
+], ids=["stairs-empty-input", "right-writer-2048-cells"])
+def test_btm_oracle_verdict_lines(tmp_path, capsys, argv, btm, line):
+    path = write(tmp_path, "m.btm", btm)
+    assert main([a.format(f=path) for a in argv]) == 0
+    assert capsys.readouterr() == (line + "\n", "")
+
+
 def test_guide_invariant_error_exits_two(tmp_path, capsys, monkeypatch):
     def broken(spec, inp=None):
         raise GuideInvariantError("head beyond the end of the guide chain")
@@ -160,9 +176,8 @@ def cut_warning(cap):
 def test_btm_reach_warns_below_nondet_bound_plus_one(tmp_path, capsys, cap):
     # the warning fires because the BFS cut at the cap; it names no bound
     assert main(["--max-cells", str(cap), "btm-reach", write(tmp_path, "p.btm", "states 9\n" + PARITY)]) == 0
-    out, err = capsys.readouterr()
-    assert out.startswith("not-reached (explored ")
-    assert err == cut_warning(cap)
+    explored = {9: 39, 12: 55}[cap]
+    assert capsys.readouterr() == (f"not-reached (explored {explored} configurations)\n", cut_warning(cap))
 
 
 @pytest.mark.parametrize("btm,cap,verdict", [
@@ -215,6 +230,7 @@ def test_level_file_bytes_are_pinned(tmp_path, capsys):
     assert main(["level-dot", str(level_path), "-o", str(dot_path)]) == 0
     assert capsys.readouterr() == ("", "")
     assert level_path.read_bytes() == (data / "adder.level.json").read_bytes()
+    assert level_path.read_bytes().count(b"\n") == 1  # one compact line
     assert dot_path.read_bytes() == (data / "adder.dot").read_bytes()
 
 
@@ -315,6 +331,15 @@ def test_game_to_btm_round_trip(tmp_path, capsys):
     spec = parse_btm(out)
     assert spec.target_state is not None
     assert not spec.deterministic
+
+
+def test_game_to_btm_output_is_reached_by_btm_reach(tmp_path, capsys):
+    # the one-move game without a speed line: its machine reaches the target within 9 cells
+    btm = str(tmp_path / "g.btm")
+    assert main(["game-to-btm", write(tmp_path, "g.game", GAME.replace("speed 2\n", "")), "-o", btm]) == 0
+    assert main(["--format", "json", "--max-cells", "9", "btm-reach", btm]) == 0
+    out, err = capsys.readouterr()
+    assert '"verdict":"reached"' in out and json.loads(out)["verdict"] == "reached" and err == ""
 
 
 def test_game_to_btm_does_not_depend_on_speed(tmp_path, capsys):
@@ -429,17 +454,17 @@ def test_count_too_large_to_index_exits_one(tmp_path, capsys, command, name, tex
 SUBPROCESS_MEMORY = 400 * 2 ** 20
 
 
-def run_limited(*args):
+def run_limited(*args, timeout=120):
     """Run `python *args` on this package with its address space capped, so a
     search that outgrows the cap ends in MemoryError instead of taking the
-    machine's memory."""
+    machine's memory; past `timeout` seconds it raises TimeoutExpired."""
     def cap_memory():
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
         resource.setrlimit(resource.RLIMIT_AS, (SUBPROCESS_MEMORY, hard))
 
     src = str(Path(braidbench.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=timeout,
                           preexec_fn=cap_memory, env=env)
 
 
@@ -495,7 +520,7 @@ def test_btm_oracle_does_not_build_a_huge_det_bound(tmp_path):
     # (N+4)^N * N for 10^7 states has about 2.3 * 10^8 bits; the oracle's
     # default cap needs only to know that it is past the budget
     path = write(tmp_path, "big.btm", "states 10000000\nsymbols 1\nstart 0\naccept\ndeterministic true\n")
-    out = run_limited("-m", "braidbench.cli", "btm-oracle", path)
+    out = run_limited("-m", "braidbench.cli", "btm-oracle", path, timeout=10)
     assert (out.returncode, out.stdout, out.stderr) == (0, "reject (explored 1)\n", "")
 
 
@@ -506,6 +531,30 @@ def test_bounds_too_big_to_print_is_not_built():
     assert (out.returncode, out.stdout) == (1, "")
     assert out.stderr == ("error: the nondet bound for 100000 states has 10000400034 bits, "
                           "too many to print in decimal\n")
+
+
+# moves counter 0 into counter 1 one unit at a time: 3 * 10^9 + 2 steps,
+# which each command jumps instead of stepping
+TRANSFER = "counters 3\ninit 1000000000 0 0\n0: subb 0 3\n1: add 1\n2: subb 2 0\n3: halt\n"
+
+
+def test_transfer_of_a_billion_runs_within_ten_seconds(tmp_path, capsys):
+    path, level_path = write(tmp_path, "transfer.cm", TRANSFER), str(tmp_path / "transfer.json")
+
+    def run(*argv):
+        out = run_limited("-m", "braidbench.cli", "--max-steps", str(10 ** 12), *argv, timeout=10)
+        assert (out.returncode, out.stderr) == (0, ""), out.stderr
+        return out.stdout
+
+    assert run("cm-run", path) == "halted: counters=[0, 1000000000, 0] steps=3000000002\n"
+    lines = run("bisim", path).splitlines()
+    assert len(lines) == 14 and lines[0].startswith("pass:")
+    obj = json.loads(run("--format", "json", "bisim", path))
+    assert (obj["verdict"], obj["steps"], len(obj["boundaries"])) == ("pass", 3000000002, 13)
+    assert main(["cm-compile", path, "-o", level_path]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert Path(level_path).read_text().count("\n") == 1
+    assert run("level-sim", level_path) == "solved: ticks=7000000004\n"
 
 
 PILE_UP = json.dumps({
@@ -643,9 +692,11 @@ BAD_INPUTS = {
 
 @pytest.mark.parametrize("argv,name,text,err", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_input_exits_one_with_error(tmp_path, capsys, argv, name, text, err):
+    # one error line and no verdict, also when only the trace file fails
     path = write(tmp_path, name, text)
     assert main([a.format(f=path, d=tmp_path) for a in argv]) == 1
-    assert capsys.readouterr().err.startswith(err)
+    out, printed = capsys.readouterr()
+    assert out == "" and printed.startswith(err) and printed.count("\n") == 1 and printed.endswith("\n")
 
 
 # --- fuzzing: generated .btm, .cm and .game text never escapes the exit-code

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -208,8 +209,11 @@ def test_game_search_counts_pasts_not_timelines(max_len):
     # the tables hold two keys, (m0, t0) and (m1, t1), each with its own
     # state at height 0 and the other one at height 1 (a record, then a
     # seek back), so from max_len 2 on the search writes the same four
-    # entries, where a BFS over pasts visits 3·2^(max_len - 1) - 2 nodes
+    # entries, where a BFS over pasts visits 3·2^(max_len - 1) - 2 nodes;
+    # at max_len 10^6 too, it takes well under 10 s
+    start = time.perf_counter()
     assert _search_outcome(game_search, NOT_WINNABLE, max_len) == ("not-winnable", 2 if max_len == 1 else 4)
+    assert time.perf_counter() - start < 10
 
 
 def test_game_search_default_budget():
