@@ -58,7 +58,7 @@ def _build_parser():
     p.add_argument("--max-steps", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--max-cells", type=int, default=None,
                    help="cell cap; defaults to --max-steps + 1 (btm-oracle: min(guide bound, --max-steps) + 1)")
-    p.add_argument("--trace", metavar="PATH", help="write the witness or certificate as JSON")
+    p.add_argument("--trace", metavar="PATH", help="write the verdict, with its witness or certificate, as JSON")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("cm-run", help="run a counter program")
@@ -118,10 +118,12 @@ def _write_output(args, text):
 
 
 def _emit(args, payload, text):
-    # the trace goes first, so a run whose trace cannot be written prints no verdict
-    for key in ("witness", "certificate"):
-        if args.trace and payload.get(key) is not None:
-            _write_file(args.trace, json.dumps({"verdict": payload["verdict"], key: payload[key]}, indent=2))
+    # the trace goes first, so a run whose trace cannot be written prints no
+    # verdict; every verdict writes it, so no earlier run's trace is left behind
+    if args.trace and "verdict" in payload:
+        trace = {"verdict": payload["verdict"]}
+        trace.update((key, payload[key]) for key in ("witness", "certificate") if payload.get(key) is not None)
+        _write_file(args.trace, json.dumps(trace, indent=2))
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
@@ -167,11 +169,12 @@ def main(argv=None) -> int:
             raise _UsageError("--max-steps must be >= 0")
         if args.max_cells is not None and args.max_cells < 1:
             raise _UsageError("--max-cells must be >= 1")
-        return _dispatch(args)
-    except SearchBudgetExceeded:  # btm-reach and btm-oracle budget their BFS by --max-steps
-        _emit(args, {"command": args.command, "verdict": "unresolved", "budget": args.max_steps},
-              f"unresolved (budget of {args.max_steps} configurations exceeded)")
-        return 0
+        try:
+            return _dispatch(args)
+        except SearchBudgetExceeded:  # btm-reach and btm-oracle budget their BFS by --max-steps
+            _emit(args, {"command": args.command, "verdict": "unresolved", "budget": args.max_steps},
+                  f"unresolved (budget of {args.max_steps} configurations exceeded)")
+            return 0
     except (_UsageError, ValueError, OSError) as e:
         # every parse error subclasses ValueError; OSError covers unreadable
         # inputs and unwritable outputs

@@ -6,6 +6,8 @@ on tuple configurations, which writes only through `apply_action`; reach_bfs
 and det_behavior_oracle, like decide_det_braidlike, lower the spec once to a
 TapeStore step table and step zipped tapes through `TapeStore.successors`,
 the one zipper write, which a lockstep test pins to `apply_action`.
+The deterministic oracles find a repeat by Brent's rule, and
+decide_det_braidlike by an exact visited set.
 closed_ngram_proof is a sound abstract search that certifies the negative
 verdicts ("not-reached", "loop") at any cell cap; check_certificate checks
 a certificate by one pass of that search.
@@ -59,7 +61,10 @@ class Certificate(NamedTuple):
 @dataclass(frozen=True)
 class OracleVerdict:
     kind: str  # "reached" | "not-reached" | "accept" | "reject" | "loop" | "unresolved" | "winnable" | "not-winnable"
-    explored: int = 0  # configurations (or, with a certificate, windows) of the search that settled it
+    # configurations (or, with a certificate, windows) of the search that
+    # settled it; the deterministic oracles count steps, and on "loop" the
+    # steps until they saw the repeat
+    explored: int = 0
     witness: tuple = None  # trace of Configurations, start first
     cap_hit: bool = False  # True if any successor was discarded at the cell cap
     certificate: Certificate = None  # a closed n-gram set proving a negative verdict
@@ -78,12 +83,15 @@ def reach_bfs(spec: MachineSpec, cell_cap: int, max_explored: int = DEFAULT_BUDG
     through the spec's step table, lowered once, so each explored
     configuration costs O(1) time and memory whatever the length of its
     tape. The parents map, which also yields the witness, is the visited
-    set; the witness is decoded into Configurations.
+    set; the witness is decoded into Configurations. A start in the target
+    state is reached before the spec is lowered.
     """
     if spec.target_state is None:
         raise ValueError("reach_bfs needs a declared target state")
     if cell_cap < 1:
         raise ValueError("cell_cap must be >= 1")
+    if spec.start_state == spec.target_state and max_explored >= 1:
+        return OracleVerdict("reached", 1, (Configuration(spec.start_state, 0, ()),))
     store = TapeStore(spec.num_symbols)
     rows, step, size = store.lower(spec), store.successors, store.size
     start = (spec.start_state, 0, 0)
@@ -128,37 +136,50 @@ def _witness(store: TapeStore, parents: dict, z: tuple) -> tuple:
 
 
 def det_behavior_oracle(spec: MachineSpec, max_steps: int, max_cells: int) -> OracleVerdict:
-    """Direct deterministic simulation with exact repeat detection.
+    """Direct deterministic simulation with repeat detection by Brent's
+    rule (R. P. Brent 1980, "An improved Monte Carlo factorization
+    algorithm").
 
     A repeated configuration proves an infinite loop. Entering an accept
     state accepts; a dead configuration or a stuck left move rejects.
     Once either budget is exceeded, closed_ngram_proof gets one try at
     proving that the run never halts: a certified "loop", or else
-    "unresolved". Every step adds one
-    configuration to the visited set, so its size is the step count plus one.
-    The run keys zipped configurations of a TapeStore and steps them
-    through the spec's step table, lowered once, so a step costs O(1) time
-    and memory whatever the tape length.
+    "unresolved". The run keeps one configuration, the one it met after
+    2^k - 1 steps for the largest such count so far, and compares each new
+    one with it by ==, so it hashes no configuration and holds O(1) of them.
+    If the first repeat of the run comes after s steps, with preperiod mu
+    and cycle length lambda (s = mu + lambda), the rule sees it after
+    2^k - 1 + lambda < 3s steps, for the least k with 2^k > mu and
+    2^k >= lambda. explored counts the steps taken: to the halt on "accept"
+    or "reject", and until the repeat is seen on "loop".
+    The run steps zipped configurations of a TapeStore through the spec's
+    step table, lowered once (after an accepting start has returned), so a
+    step costs O(1) time and memory whatever the tape length.
     """
     if not spec.deterministic:
         raise ValueError("det_behavior_oracle requires a deterministic machine")
     if max_steps < 0 or max_cells < 0:
         raise ValueError("max_steps and max_cells must be >= 0")
+    accept = spec.accept_states
+    if spec.start_state in accept:
+        return OracleVerdict("accept", 0)
     store = TapeStore(spec.num_symbols)
     rows, step, size = store.lower(spec), store.successors, store.size
     z = (spec.start_state, 0, 0)
-    seen = set()
+    saved, steps, power = None, 0, 1
     while True:
-        if z[0] in spec.accept_states:
-            return OracleVerdict("accept", len(seen))
-        if z in seen:
-            return OracleVerdict("loop", len(seen))
-        seen.add(z)
-        if len(seen) > max_steps + 1 or size[z[1]] > max_cells:
-            return closed_ngram_proof(spec, "loop") or OracleVerdict("unresolved", len(seen))
+        if z[0] in accept:
+            return OracleVerdict("accept", steps)
+        if z == saved:
+            return OracleVerdict("loop", steps)
+        steps += 1
+        if steps > max_steps + 1 or size[z[1]] > max_cells:
+            return closed_ngram_proof(spec, "loop") or OracleVerdict("unresolved", steps)
+        if steps == power:
+            saved, power = z, 2 * power
         succs = step(rows, z)
         if not succs:
-            return OracleVerdict("reject", len(seen))
+            return OracleVerdict("reject", steps)
         z = succs[0]
 
 
@@ -308,7 +329,12 @@ def read_only_oracle(spec: MachineSpec, input_symbols) -> OracleVerdict:
     arrivals at cells n+1, ..., n+N, two are equal, at cells n+i < n+j; the
     stretch between them never goes left of cell n, so it repeats j - i
     cells further right, forever. So a run that halts never passes cell
-    n + N - 1, and the simulation always ends. explored counts the steps.
+    n + N - 1. Below cell n + N the run has finitely many configurations, so
+    one that neither halts nor gets there becomes periodic, and Brent's rule
+    (1980), as in det_behavior_oracle, sees the repeat: after fewer than 3s
+    steps if the first repeat comes after s, holding one configuration. So
+    the simulation always ends. explored counts the steps taken: to the
+    halt, or until the loop is seen.
     """
     if not spec.deterministic:
         raise ValueError("read_only_oracle requires a deterministic machine")
@@ -316,15 +342,18 @@ def read_only_oracle(spec: MachineSpec, input_symbols) -> OracleVerdict:
         raise ValueError("read_only_oracle requires a read-only machine")
     input_symbols = check_input(spec, input_symbols)
     far = len(input_symbols) + spec.num_states  # cell n + N
+    accept = spec.accept_states
     c = Configuration(spec.start_state, 0, canonical_tape(input_symbols))
-    seen = set()
+    saved, steps, power = None, 0, 1
     while True:
-        if c.state in spec.accept_states:
-            return OracleVerdict("accept", len(seen))
-        if c.head >= far or c in seen:
-            return OracleVerdict("loop", len(seen))
+        if c.state in accept:
+            return OracleVerdict("accept", steps)
+        if c.head >= far or c == saved:
+            return OracleVerdict("loop", steps)
         succs = successors(spec, c)
         if not succs:
-            return OracleVerdict("reject", len(seen))
-        seen.add(c)
+            return OracleVerdict("reject", steps)
+        steps += 1
+        if steps == power:
+            saved, power = c, 2 * power
         c = succs[0]

@@ -150,18 +150,23 @@ def decide_det_braidlike(spec: MachineSpec, input_symbols=None) -> str:
     Always terminates. Alive pairs past the input are distinct, so the
     chain holds at most len(input) + det_guide_bound guides; the head never
     passes the end of the chain (checked every step), so the walk visits
-    finitely many configurations. Returns "accept" | "reject" | "loop".
+    finitely many configurations. Returns "accept" | "reject" | "loop";
+    an accepting start returns (after the input checks) before the spec is
+    lowered.
     """
     if not spec.deterministic:
         raise ValueError("decide_det_braidlike requires a deterministic machine")
-    store = TapeStore(spec.num_symbols)
-    rows = store.lower(spec)
-    right = 0
     if input_symbols is not None:
         if not spec.read_only:
             raise ValueError("decide_det_braidlike on an input requires a read-only machine")
-        for a in reversed(canonical_tape(check_input(spec, input_symbols))):
-            right = store.cons(a, right)
+        input_symbols = canonical_tape(check_input(spec, input_symbols))
+    if spec.start_state in spec.accept_states:
+        return "accept"
+    store = TapeStore(spec.num_symbols)
+    rows = store.lower(spec)
+    right = 0
+    for a in reversed(input_symbols or ()):
+        right = store.cons(a, right)
     n = store.size[right]  # guides minted at cells >= n have only blanks to their right
     z = (spec.start_state, 0, right)
     chain = []  # chain[k] = (guide, crossing state) at boundary (k, k+1)

@@ -11,6 +11,11 @@ from an input, so a "loop" certificate can be held against a run that
 halts (`tuple_halts`), and `read_only_oracle`'s verdicts and step counts
 against a plain run.
 
+`tuple_first_repeat` finds the step of the first repeated configuration
+of a deterministic run with an exact visited set of tuple Configurations,
+the rule `det_behavior_oracle` gave up for Brent's, so the step at which
+the oracle sees a loop can be held against it.
+
 `tuple_past_search` is the oracle for `game_search`'s verdicts: it steps
 tuple Timelines with `tl_record` and unit left seeks `tl_seek(tl, -1, 1)`,
 and keys its visited set on (snapshots[:cursor + 1], immune), the past
@@ -81,6 +86,26 @@ def tuple_halts(spec, max_steps):
     """Whether the deterministic machine halts within max_steps steps from
     the blank tape."""
     return tuple_run(spec, max_steps) is not None
+
+
+def tuple_first_repeat(spec, max_steps):
+    """The step s at which the deterministic run from the blank tape first
+    meets a configuration it met before, its preperiod plus its cycle
+    length; None if the run halts or has not repeated within max_steps
+    steps."""
+    c = start_configuration(spec)
+    seen = set()
+    for steps in range(max_steps + 1):
+        if c in seen:
+            return steps
+        if c.state in spec.accept_states:
+            return None
+        seen.add(c)
+        succs = successors(spec, c)
+        if not succs:
+            return None
+        c = succs[0]
+    return None
 
 
 def tuple_game_search(g, max_len, max_explored=DEFAULT_BUDGET):

@@ -524,6 +524,20 @@ def test_btm_oracle_does_not_build_a_huge_det_bound(tmp_path):
     assert (out.returncode, out.stdout, out.stderr) == (0, "reject (explored 1)\n", "")
 
 
+@pytest.mark.parametrize("command,line", [
+    ("btm-decide", "accept"),
+    ("btm-oracle", "accept (explored 0)"),
+    ("btm-reach", "reached (explored 1 configurations)"),
+])
+def test_a_start_that_halts_is_settled_before_lowering(tmp_path, command, line):
+    # lowering 10^8 states builds 10^8 rows, past the subprocess's memory
+    # cap; a start that accepts or is the target needs no step table
+    head = "states 100000000\nsymbols 1\nstart 0\n"
+    text = head + ("accept\ntarget 0\n" if command == "btm-reach" else "accept 0\ndeterministic true\n")
+    out = run_limited("-m", "braidbench.cli", command, write(tmp_path, "big.btm", text), timeout=10)
+    assert (out.returncode, out.stdout, out.stderr) == (0, line + "\n", "")
+
+
 def test_bounds_too_big_to_print_is_not_built():
     # the nondet bound of 10^10 bits is refused by its bit length; building
     # it once took the subprocess's memory first
@@ -591,6 +605,21 @@ def test_btm_oracle_default_cap_stops_past_the_budget(tmp_path, capsys, monkeypa
 
 WALKER = ("states 21\nsymbols 1\nstart 0\naccept\ntarget 20\n"
           + "".join(f"trans {q} 0 right {q + 1}\n" for q in range(20)))
+
+
+def test_every_verdict_rewrites_the_trace(tmp_path, capsys):
+    # a run with no witness or certificate still writes its own verdict, so
+    # no earlier run's trace is left behind
+    trace = str(tmp_path / "tr.json")
+    assert main(["--trace", trace, "btm-reach", write(tmp_path, "t.btm", TRIVIAL_REACH)]) == 0
+    assert json.loads(Path(trace).read_text())["witness"] == [{"state": 0, "head": 0, "tape": []}]
+    assert main(["--trace", trace, "--max-steps", "20", "btm-reach", write(tmp_path, "w.btm", WALKER)]) == 0
+    assert capsys.readouterr().out.endswith("unresolved (budget of 20 configurations exceeded)\n")
+    assert json.loads(Path(trace).read_text()) == {"verdict": "unresolved"}
+    assert main(["--trace", trace, "btm-decide", write(tmp_path, "d.btm", DRIFTER)]) == 0
+    assert json.loads(Path(trace).read_text()) == {"verdict": "loop"}
+    assert main(["--trace", trace, "cm-run", write(tmp_path, "a.cm", ADDER)]) == 0
+    assert json.loads(Path(trace).read_text()) == {"verdict": "halted"}
 
 
 @pytest.mark.parametrize("command", ["btm-reach", "btm-oracle"])
@@ -668,6 +697,8 @@ BAD_INPUTS = {
         _adder_level(lambda o: o.update(tim_edges=[5])), "error: malformed level: "),
     "unwritable-trace": (["--trace", "{d}/missing/t.json", "btm-reach", "{f}"], "m.btm",
                          TRIVIAL_REACH, "error:"),
+    "unwritable-trace-after-budget": (["--trace", "{d}/missing/t.json", "--max-steps", "20", "btm-reach", "{f}"],
+                                      "w.btm", WALKER, "error:"),
     "unwritable-output": (["cm-compile", "{f}", "-o", "{d}/missing/l.json"], "p.cm", ADDER, "error:"),
     "decide-input-on-writer": (["btm-decide", "{f}", "--input", "01"], "m.btm",
                                "states 1\nsymbols 2\nstart 0\naccept\ndeterministic true\n"

@@ -28,7 +28,7 @@ from braidbench.oracle_sim import (
 )
 from braidbench.rewind_timeline import GameSpec, game_search
 from braidbench.tour_guide import compute_guide, decide_det_braidlike, decide_reachability
-from reference_bfs import tuple_halts, tuple_reach_bfs, tuple_run
+from reference_bfs import tuple_first_repeat, tuple_halts, tuple_reach_bfs, tuple_run
 from test_cli import RIGHT_WRITER, run_limited
 
 
@@ -234,6 +234,84 @@ def test_oracle_step_budget_boundary(k):
         res = det_behavior_oracle(spec, max_steps, k + 1)
         expected = ("accept", k) if k <= max_steps + 1 else ("unresolved", max_steps + 2)
         assert (res.kind, res.explored) == expected, max_steps
+
+
+@st.composite
+def det_machines(draw):
+    """A deterministic machine, 1-3 states and 1-2 symbols, every action
+    allowed, with at most one accept state."""
+    n, s = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    actions = [MOVE_LEFT, MOVE_RIGHT] + [Write(a) for a in range(s)]
+    step = st.tuples(st.sampled_from(actions), st.integers(0, n - 1))
+    trans = {}
+    for key in ((q, a) for q in range(n) for a in range(s)):
+        succ = draw(st.none() | step)
+        if succ is not None:
+            trans[key] = (succ,)
+    return spec_of(trans, n, s, accept=draw(st.sets(st.integers(0, n - 1), max_size=1)), det=True)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(spec=det_machines())
+def test_oracle_sees_every_repeat_within_three_times_its_step(spec):
+    """Brent's rule sees a run's first repeat, at step s, after s to 3s
+    steps, so every repeat within a third of the step budget is a loop that
+    no proof had to certify; a run that halts there halts the same way."""
+    max_steps = 300
+    s = tuple_first_repeat(spec, max_steps // 3)
+    res = det_behavior_oracle(spec, max_steps, max_steps)
+    if s is not None:
+        assert (res.kind, res.certificate) == ("loop", None)
+        assert s <= res.explored < 3 * s
+    elif (run := tuple_run(spec, max_steps // 3)) is not None:
+        assert res.kind == run[0]
+
+
+def walk_then_cycle(walk, cycle):
+    """walk states that each move right into the next, then cycle states
+    that each write blank over the blank cell and pass to the next, around:
+    the run's preperiod is walk steps and its cycle cycle steps long."""
+    trans = {(q, 0): ((MOVE_RIGHT, q + 1),) for q in range(walk)}
+    trans.update({(walk + i, 0): ((Write(0), walk + (i + 1) % cycle),) for i in range(cycle)})
+    return spec_of(trans, walk + cycle, 1, det=True)
+
+
+@pytest.mark.parametrize("walk,cycle,seen", [(100, 37, 164), (5, 200, 455), (200, 300, 811), (0, 1, 1)])
+def test_oracle_sees_a_long_cycle_after_a_long_walk(walk, cycle, seen):
+    # the saved configuration is the one after 2^k - 1 steps for the least k
+    # with 2^k > walk and 2^k >= cycle, so the repeat shows cycle steps later
+    spec = walk_then_cycle(walk, cycle)
+    assert tuple_first_repeat(spec, 10 ** 4) == walk + cycle
+    res = det_behavior_oracle(spec, 10 ** 4, walk)
+    assert (res.kind, res.explored, res.certificate) == ("loop", seen, None)
+    assert seen < 3 * (walk + cycle)
+    assert decide_det_braidlike(spec) == "loop"
+
+
+# Marks cell 0, then sweeps: right over the 1s to the blank past them, where
+# it writes 1, and back left to the mark. Each sweep lengthens the tape, so
+# the run never repeats, and in 2 * 10**5 steps its head gets no further
+# than cell 446, so the step budget ends it.
+SWEEPER = spec_of({
+    (0, 0): ((Write(2), 1),),
+    (1, 2): ((MOVE_RIGHT, 2),),
+    (2, 1): ((MOVE_RIGHT, 2),),
+    (2, 0): ((Write(1), 3),),
+    (3, 1): ((MOVE_LEFT, 3),),
+    (3, 2): ((MOVE_RIGHT, 2),),
+}, 4, 3, det=True)
+
+
+def test_oracle_run_holds_constant_memory():
+    # an exact visited set held one triple per step, about 20 MB here
+    tracemalloc.start()
+    try:
+        res = det_behavior_oracle(SWEEPER, 2 * 10 ** 5, 10 ** 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.kind == "loop" and res.certificate is not None
+    assert peak < 2 ** 20, peak
 
 
 def test_oracle_rejects_nondeterministic():
