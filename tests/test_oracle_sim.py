@@ -44,6 +44,10 @@ def test_reach_start_is_target():
     res = reach_bfs(spec, 4)
     assert res.kind == "reached"
     assert len(res.witness) == 1
+    # the start is settled before the spec is lowered, but a budget of 0
+    # explores nothing, not even the start
+    with pytest.raises(SearchBudgetExceeded):
+        reach_bfs(spec, 4, max_explored=0)
 
 
 def test_reach_unreachable_target_any_cap():
@@ -422,6 +426,14 @@ def test_read_only_rejects_writer():
 def test_read_only_input_symbol_range_checked():
     with pytest.raises(ValueError):
         read_only_oracle(always_accept(), (7,))
+
+
+def test_an_accepting_start_is_settled_after_the_input_checks():
+    with pytest.raises(ValueError, match="input symbol 7 out of range"):
+        decide_det_braidlike(always_accept(), (7,))
+    writer = spec_of({(0, 0): ((Write(1), 0),)}, 1, 2, accept=[0], det=True)
+    with pytest.raises(ValueError, match="requires a read-only machine"):
+        decide_det_braidlike(writer, ())
 
 
 def test_read_only_terminates_random_machines():
