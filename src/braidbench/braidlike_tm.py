@@ -9,7 +9,7 @@ as set membership in the search modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 BLANK = 0
@@ -30,10 +30,10 @@ class BTMParseError(ParseError):
 
 
 class FieldError(ValueError):
-    """A constructor's check failed on `field`, a tag that its
-    `__post_init__` documents, such as a field name or a tuple of a field
-    name and the entry at fault. A parser maps the tag back to the line
-    that gave the field."""
+    """A constructor's check failed on `field`, a tag that the constructor
+    documents, such as a field name or a tuple of a field name and the
+    entry at fault. A parser maps the tag back to the line that gave the
+    field."""
 
     def __init__(self, field, message):
         super().__init__(message)
@@ -70,62 +70,89 @@ def is_digits(text: str) -> bool:
     return text.isascii() and (text.isdecimal() or not text)
 
 
-@dataclass(frozen=True)
-class Write:
-    symbol: int
+def is_int(v):
+    """True for an int that is not a bool: JSON's true would index counter 1."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-@dataclass(frozen=True)
-class MoveLeft:
-    pass
+class Record(tuple):
+    """The base of the package's immutable records. A record class derives
+    from Record and a `collections.namedtuple` of its fields, and sets
+    `__slots__ = ()`. So a record is a tuple whose fields cannot be set; it
+    hashes as its tuple, is always true, and equals only a record of its
+    own class. `_make`, and so `_replace`, call the class, so a class whose
+    `__new__` checks its fields checks theirs too."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return type(other) is not type(self) or tuple.__ne__(self, other)
+
+    def __bool__(self):
+        return True
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class MoveRight:
-    pass
+class Write(Record, namedtuple("Write", "symbol")):
+    __slots__ = ()
+
+
+class MoveLeft(Record, namedtuple("MoveLeft", ())):
+    __slots__ = ()
+
+
+class MoveRight(Record, namedtuple("MoveRight", ())):
+    __slots__ = ()
 
 
 MOVE_LEFT = MoveLeft()
 MOVE_RIGHT = MoveRight()
 
 
-@dataclass(frozen=True)
-class MachineSpec:
-    num_states: int
-    num_symbols: int
-    start_state: int
-    accept_states: frozenset
-    transitions: dict  # (state, symbol) -> tuple of (Action, next_state)
-    target_state: int = None
-    deterministic: bool = False
+class MachineSpec(Record, namedtuple("MachineSpec", "num_states num_symbols start_state accept_states transitions "
+                                                    "target_state deterministic")):
+    """A braidlike machine: transitions maps each (state, symbol) to a
+    tuple of (action, next_state) pairs. The constructor raises FieldError
+    on a field out of range; a transition's tag is ("transitions", (q, a),
+    (action, next_state))."""
 
-    def __post_init__(self):
-        """Raise FieldError on a field out of range; a transition's tag is
-        ("transitions", (q, a), (action, next_state))."""
-        if self.num_states < 1 or self.num_symbols < 1:
-            field = "num_states" if self.num_states < 1 else "num_symbols"
+    __slots__ = ()
+
+    def __new__(cls, num_states, num_symbols, start_state, accept_states, transitions, target_state=None,
+                deterministic=False):
+        if num_states < 1 or num_symbols < 1:
+            field = "num_states" if num_states < 1 else "num_symbols"
             raise FieldError(field, "need at least one state and one symbol")
-        if not (0 <= self.start_state < self.num_states):
+        if not (0 <= start_state < num_states):
             raise FieldError("start_state", "start state out of range")
-        for q in self.accept_states:
-            if not (0 <= q < self.num_states):
+        for q in accept_states:
+            if not (0 <= q < num_states):
                 raise FieldError(("accept_states", q), f"accept state {q} out of range")
-        if self.target_state is not None and not (0 <= self.target_state < self.num_states):
+        if target_state is not None and not (0 <= target_state < num_states):
             raise FieldError("target_state", "target state out of range")
-        for key, succs in self.transitions.items():
+        for key, succs in transitions.items():
             q, a = key
-            if not (0 <= q < self.num_states) or not (0 <= a < self.num_symbols):
+            if not (0 <= q < num_states) or not (0 <= a < num_symbols):
                 raise FieldError(("transitions", key, *succs[:1]), f"transition key ({q}, {a}) out of range")
-            if self.deterministic and len(succs) > 1:
+            if deterministic and len(succs) > 1:
                 raise FieldError(("transitions", key, succs[1]),
                                  f"deterministic machine has {len(succs)} transitions from ({q}, {a})")
             for action, nxt in succs:
-                if not (0 <= nxt < self.num_states):
+                if not (0 <= nxt < num_states):
                     raise FieldError(("transitions", key, (action, nxt)),
                                      f"transition from ({q}, {a}) to state {nxt} out of range")
-                if isinstance(action, Write) and not (0 <= action.symbol < self.num_symbols):
+                if isinstance(action, Write) and not (0 <= action.symbol < num_symbols):
                     raise FieldError(("transitions", key, (action, nxt)),
                                      f"written symbol {action.symbol} out of range")
+        return tuple.__new__(cls, (num_states, num_symbols, start_state, accept_states, transitions, target_state,
+                                   deterministic))
 
     @property
     def read_only(self):

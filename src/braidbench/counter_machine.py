@@ -6,76 +6,77 @@ A program counter that walks past the last instruction halts implicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import sub
 
-from .braidlike_tm import FieldError, ParseError, directives, is_digits
+from .braidlike_tm import FieldError, ParseError, Record, directives, is_digits, is_int
 
 
 class CMParseError(ParseError):
     pass
 
 
-@dataclass(frozen=True)
-class Add:
-    counter: int
+class Add(Record, namedtuple("Add", "counter")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SubBranch:
-    counter: int
-    target: int
+class SubBranch(Record, namedtuple("SubBranch", "counter target")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Halt:
-    pass
+class Halt(Record, namedtuple("Halt", ())):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CounterProgram:
-    num_counters: int
-    instructions: tuple
-    # optional nonzero starting counters from the `.cm` `init` line
-    init_counters: tuple = None
+class CounterProgram(Record, namedtuple("CounterProgram", "num_counters instructions init_counters")):
+    """A counter program; init_counters gives the starting counters, from
+    the `.cm` `init` line, and is zeros if not given. The constructor
+    raises FieldError on a malformed field; the tag of instruction i is
+    i."""
 
-    def __post_init__(self):
-        """Raise FieldError on a malformed field; the tag of instruction i
-        is i."""
-        if not is_int(self.num_counters):
-            raise FieldError("num_counters", f"num_counters {self.num_counters!r} is not an integer")
-        if self.num_counters < 1:
+    __slots__ = ()
+
+    def __new__(cls, num_counters, instructions, init_counters=None):
+        if not is_int(num_counters):
+            raise FieldError("num_counters", f"num_counters {num_counters!r} is not an integer")
+        if num_counters < 1:
             raise FieldError("num_counters", "need at least one counter")
-        if not self.instructions:
+        if not instructions:
             raise FieldError("instructions", "program must have at least one instruction")
-        for i, ins in enumerate(self.instructions):
+        for i, ins in enumerate(instructions):
             if not isinstance(ins, (Add, SubBranch, Halt)):
                 raise FieldError(i, f"instruction {i}: {ins!r} is not an Add, SubBranch or Halt")
-            if isinstance(ins, (Add, SubBranch)) and not (0 <= ins.counter < self.num_counters):
-                raise FieldError(i, f"instruction {i}: counter index {ins.counter} out of range")
-            if isinstance(ins, SubBranch) and not (0 <= ins.target < len(self.instructions)):
-                raise FieldError(i, f"instruction {i}: goto target {ins.target} out of range")
-        if self.init_counters is None:
-            object.__setattr__(self, "init_counters", (0,) * self.num_counters)
-        elif len(self.init_counters) != self.num_counters or not all(is_int(v) and v >= 0 for v in self.init_counters):
+            if isinstance(ins, (Add, SubBranch)):
+                if not is_int(ins.counter):
+                    raise FieldError(i, f"instruction {i}: counter index {ins.counter!r} is not an integer")
+                if not (0 <= ins.counter < num_counters):
+                    raise FieldError(i, f"instruction {i}: counter index {ins.counter} out of range")
+            if isinstance(ins, SubBranch):
+                if not is_int(ins.target):
+                    raise FieldError(i, f"instruction {i}: goto target {ins.target!r} is not an integer")
+                if not (0 <= ins.target < len(instructions)):
+                    raise FieldError(i, f"instruction {i}: goto target {ins.target} out of range")
+        if init_counters is None:
+            init_counters = (0,) * num_counters
+        elif len(init_counters) != num_counters or not all(is_int(v) and v >= 0 for v in init_counters):
             raise FieldError("init_counters", "init counters must list one non-negative value per counter")
+        return tuple.__new__(cls, (num_counters, instructions, init_counters))
 
 
-@dataclass(frozen=True)
-class CounterConfig:
-    pc: int  # None once halted
-    counters: tuple
-    steps: int = 0
+class CounterConfig(Record, namedtuple("CounterConfig", "pc counters steps", defaults=(0,))):
+    """A machine's configuration: pc is None once halted."""
+
+    __slots__ = ()
 
     @property
     def halted(self):
         return self.pc is None
 
 
-@dataclass(frozen=True)
-class RunResult:
-    kind: str  # "halted" | "budget"
-    config: CounterConfig
+class RunResult(Record, namedtuple("RunResult", "kind config")):
+    """How a run ended, "halted" or "budget", and its last configuration."""
+
+    __slots__ = ()
 
 
 def initial_config(program: CounterProgram) -> CounterConfig:
@@ -149,11 +150,6 @@ def check_counters(counters, n: int):
     """Raise ValueError unless counters lists n non-negative integers."""
     if len(counters) != n or not all(is_int(v) and v >= 0 for v in counters):
         raise ValueError(f"counters {counters!r} must list one non-negative integer per counter, {n} in all")
-
-
-def is_int(v):
-    """True for an int that is not a bool: JSON's true would index counter 1."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def cm_step(program: CounterProgram, c: CounterConfig) -> CounterConfig:

@@ -11,11 +11,12 @@ player's path long enough that he cannot beat the monstar to a gadget.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from typing import NamedTuple
 
+from .braidlike_tm import Record, is_int
 from .counter_machine import (ADD, BRANCH, GOAL, MOVE, STUCK, Add, CounterProgram, Halt, SubBranch, check_counters,
-                              is_int, jump_loop, lower_program, run_table)
+                              jump_loop, lower_program, run_table)
 
 
 class LevelFormatError(ValueError):
@@ -23,46 +24,37 @@ class LevelFormatError(ValueError):
 
 
 # Gadget kinds
-@dataclass(frozen=True)
-class LeverPull:
-    signal: str
+class LeverPull(Record, namedtuple("LeverPull", "signal")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Branch:
-    pass
+class Branch(Record, namedtuple("Branch", ())):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CounterStation:
-    counter: int
+class CounterStation(Record, namedtuple("CounterStation", "counter")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TrapRouter:
-    pass
+class TrapRouter(Record, namedtuple("TrapRouter", ())):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Goal:
-    pass
+class Goal(Record, namedtuple("Goal", ())):
+    __slots__ = ()
 
 
 # Signal effects
-@dataclass(frozen=True)
-class Add1:
-    counter: int
+class Add1(Record, namedtuple("Add1", "counter")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Remove1:
-    counter: int
+class Remove1(Record, namedtuple("Remove1", "counter")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OpenDoor:
-    router: str
-    branch: str
+class OpenDoor(Record, namedtuple("OpenDoor", "router branch")):
+    __slots__ = ()
 
 
 # Every gadget kind and signal effect by its tag in level JSON: the object
@@ -71,63 +63,63 @@ _KINDS = {
     "kind": {"lever": LeverPull, "branch": Branch, "counter": CounterStation, "router": TrapRouter, "goal": Goal},
     "effect": {"add1": Add1, "remove1": Remove1, "open-door": OpenDoor},
 }
-_TAG_OF = {cls: (key, name) for key, kinds in _KINDS.items() for name, cls in kinds.items()}
+_TAG_OF = {cls: (key, name, cls._fields) for key, kinds in _KINDS.items() for name, cls in kinds.items()}
 # each class's fields as level_from_json reads them: a field and the prefix
 # of its not-a-string message, None for a counter, which Level checks
-_READS = {cls: tuple((f.name, None if f.name == "counter" else f"{name} {f.name}") for f in fields(cls))
-          for cls, (_, name) in _TAG_OF.items()}
+_READS = {cls: tuple((f, None if f == "counter" else f"{name} {f}") for f in fields)
+          for cls, (_, name, fields) in _TAG_OF.items()}
 
 # the exits a tick takes from each gadget kind the player can stand on
 _EXITS = {LeverPull: ("out",), Branch: ("monstar", "empty")}
 
 
-@dataclass(frozen=True)
-class Level:
-    gadgets: dict  # id -> Gadget
-    tim_edges: dict  # (gadget id, exit label) -> gadget id
-    signals: dict  # signal id -> effect
-    entry: str
-    num_counters: int
-    # occupancy per counter at the start; zeros if not given
-    init_counters: tuple = None
+class Level(Record, namedtuple("Level", "gadgets tim_edges signals entry num_counters init_counters")):
+    """A level: gadgets maps each id to its gadget, tim_edges each (gadget
+    id, exit label) to the gadget id it leads to, and signals each signal
+    id to its effect; init_counters is the occupancy per counter at the
+    start, zeros if not given. The constructor raises LevelFormatError on
+    a malformed field."""
 
-    def __post_init__(self):
-        if not is_int(self.num_counters):
-            raise LevelFormatError(f"num_counters {self.num_counters!r} is not an integer")
-        if self.num_counters < 0:
-            raise LevelFormatError(f"num_counters {self.num_counters} is negative")
-        init = (0,) * self.num_counters if self.init_counters is None else tuple(self.init_counters)
-        object.__setattr__(self, "init_counters", init)
-        if len(init) != self.num_counters or not all(is_int(v) and v >= 0 for v in init):
+    __slots__ = ()
+
+    def __new__(cls, gadgets, tim_edges, signals, entry, num_counters, init_counters=None):
+        if not is_int(num_counters):
+            raise LevelFormatError(f"num_counters {num_counters!r} is not an integer")
+        if num_counters < 0:
+            raise LevelFormatError(f"num_counters {num_counters} is negative")
+        init = (0,) * num_counters if init_counters is None else tuple(init_counters)
+        if len(init) != num_counters or not all(is_int(v) and v >= 0 for v in init):
             raise LevelFormatError("init_counters must list one non-negative integer per counter")
-        if _id("level entry", self.entry) not in self.gadgets:
-            raise LevelFormatError(f"entry gadget {self.entry!r} missing")
-        for gid, g in self.gadgets.items():
-            if isinstance(g, LeverPull) and _id("lever signal", g.signal) not in self.signals:
+        if _id("level entry", entry) not in gadgets:
+            raise LevelFormatError(f"entry gadget {entry!r} missing")
+        for gid, g in gadgets.items():
+            if isinstance(g, LeverPull) and _id("lever signal", g.signal) not in signals:
                 raise LevelFormatError(f"lever signal {g.signal!r} undeclared")
             if isinstance(g, CounterStation):
-                self._check_counter(g.counter, "counter station", gid)
+                _check_counter(g.counter, num_counters, "counter station", gid)
             for label in _EXITS.get(type(g), ()):
-                if (gid, label) not in self.tim_edges:
+                if (gid, label) not in tim_edges:
                     raise LevelFormatError(f"gadget {gid!r} has no {label!r} exit")
-        for (gid, label), target in self.tim_edges.items():
-            if _id("tim edge from", gid) not in self.gadgets or _id("tim edge to", target) not in self.gadgets:
+        for (gid, label), target in tim_edges.items():
+            if _id("tim edge from", gid) not in gadgets or _id("tim edge to", target) not in gadgets:
                 raise LevelFormatError(f"tim edge {gid!r} -> {target!r} references a missing gadget")
-            if label not in _EXITS.get(type(self.gadgets[gid]), ()):
+            if label not in _EXITS.get(type(gadgets[gid]), ()):
                 raise LevelFormatError(f"tim edge {gid!r} -> {target!r} leaves by {label!r}, no exit of its gadget")
-        for sig, eff in self.signals.items():
-            if isinstance(eff, OpenDoor) and (_id("open-door router", eff.router) not in self.gadgets
-                                              or _id("open-door branch", eff.branch) not in self.gadgets):
+        for sig, eff in signals.items():
+            if isinstance(eff, OpenDoor) and (_id("open-door router", eff.router) not in gadgets
+                                              or _id("open-door branch", eff.branch) not in gadgets):
                 raise LevelFormatError(f"signal {sig!r} routes through a missing gadget")
             if isinstance(eff, (Add1, Remove1)):
-                self._check_counter(eff.counter, "signal", sig)
+                _check_counter(eff.counter, num_counters, "signal", sig)
+        return tuple.__new__(cls, (gadgets, tim_edges, signals, entry, num_counters, init))
 
-    def _check_counter(self, counter, what, key):
-        """Raise unless counter indexes a counter of the level; the message names what and key."""
-        if not is_int(counter):
-            raise LevelFormatError(f"{what} {key!r} names counter {counter!r}, not an integer")
-        if not 0 <= counter < self.num_counters:
-            raise LevelFormatError(f"{what} {key!r} names counter {counter} out of range")
+
+def _check_counter(counter, num_counters, what, key):
+    """Raise unless counter indexes one of num_counters counters; the message names what and key."""
+    if not is_int(counter):
+        raise LevelFormatError(f"{what} {key!r} names counter {counter!r}, not an integer")
+    if not 0 <= counter < num_counters:
+        raise LevelFormatError(f"{what} {key!r} names counter {counter} out of range")
 
 
 def _id(what, value):
@@ -140,12 +132,12 @@ def _id(what, value):
 SOLVED = "solved"
 
 
-@dataclass(frozen=True)
-class LevelConfig:
-    tim_at: str
-    counters: tuple  # occupancy per counter index
-    in_flight: tuple  # sorted (location id, monstars) pairs of the routers and branch slots holding any
-    ticks: int = 0
+class LevelConfig(Record, namedtuple("LevelConfig", "tim_at counters in_flight ticks", defaults=(0,))):
+    """Where the player stands, the occupancy per counter index, and the
+    sorted (location id, monstars) pairs of the routers and branch slots
+    holding any."""
+
+    __slots__ = ()
 
 
 def initial_level_config(level: Level, counters=None) -> LevelConfig:
@@ -246,11 +238,11 @@ def _lower(level: Level, in_flight=()):
     return table, index, names
 
 
-@dataclass(frozen=True)
-class LevelRunResult:
-    kind: str  # "solved" | "budget"
-    ticks: int
-    config: LevelConfig = None
+class LevelRunResult(Record, namedtuple("LevelRunResult", "kind ticks config", defaults=(None,))):
+    """How a run ended, "solved" or "budget", after how many ticks, and on
+    a budget its last configuration."""
+
+    __slots__ = ()
 
 
 def level_run(level: Level, max_ticks: int, init: LevelConfig = None) -> LevelRunResult:
@@ -297,8 +289,8 @@ def level_step(level: Level, c: LevelConfig):
 
 
 class BoundaryRecord(NamedTuple):
-    """A plain tuple: bisimulate builds one per instruction it steps, and a
-    tuple builds several times faster than a frozen dataclass."""
+    """A plain tuple: bisimulate builds one per instruction it steps, by
+    `tuple.__new__`, which skips the Python call of the class."""
 
     index: int
     cm_pc: object  # instruction index or None once halted
@@ -320,14 +312,11 @@ class JumpRecord(NamedTuple):
     d: tuple
 
 
-@dataclass(frozen=True)
-class BisimReport:
-    passed: bool
-    boundaries: tuple  # BoundaryRecords, and a JumpRecord for each jump
-    cm_halted: bool
-    level_solved: bool
-    ticks: int
-    steps: int
+class BisimReport(Record, namedtuple("BisimReport", "passed boundaries cm_halted level_solved ticks steps")):
+    """A lockstep run's outcome; boundaries holds the BoundaryRecords, and
+    a JumpRecord for each jump."""
+
+    __slots__ = ()
 
 
 def bisimulate(program: CounterProgram, max_steps: int) -> BisimReport:
@@ -444,9 +433,17 @@ def level_to_json(level: Level) -> str:
 
 
 def _tagged(x):
-    """A gadget or signal effect as a JSON object: its tag and its fields."""
-    key, name = _TAG_OF[type(x)]
-    return {key: name, **vars(x)}
+    """A gadget or signal effect as a JSON object: its tag and its fields.
+    Records of no field or one field, nearly all, are built as displays,
+    which cost half what a dict of zipped fields does."""
+    key, name, fields = _TAG_OF[type(x)]
+    if not fields:
+        return {key: name}
+    if len(fields) == 1:
+        return {key: name, fields[0]: x[0]}
+    obj = dict(zip(fields, x))
+    obj[key] = name
+    return obj
 
 
 def level_from_json(text: str) -> Level:
@@ -492,19 +489,20 @@ def _untagged(o, key, what):
 
 def level_to_dot(level: Level) -> str:
     """GraphViz export: player edges solid, monstar edges dashed. Gadget ids
-    are stable so exports diff cleanly."""
+    are stable so exports diff cleanly. Every id and label is a DOT quoted
+    string (`_dot`)."""
     lines = ["digraph level {", "  rankdir=LR;"]
     shapes = {LeverPull: "box", Branch: "diamond", CounterStation: "cylinder", TrapRouter: "trapezium",
               Goal: "doublecircle"}
     for gid, g in sorted(level.gadgets.items()):
-        label = gid
+        label = _dot(gid)
         if isinstance(g, LeverPull):
-            label = f"{gid}\\n{g.signal}"
+            label = _dot(f"{gid}\\n{g.signal}")
         elif isinstance(g, CounterStation):
-            label = f"{gid}\\ncounter {g.counter}"
-        lines.append(f'  "{gid}" [shape={shapes[type(g)]}, label="{label}"];')
+            label = _dot(f"{gid}\\ncounter {g.counter}")
+        lines.append(f"  {_dot(gid)} [shape={shapes[type(g)]}, label={label}];")
     for (src, exit_label), dst in sorted(level.tim_edges.items()):
-        lines.append(f'  "{src}" -> "{dst}" [label="{exit_label}"];')
+        lines.append(f"  {_dot(src)} -> {_dot(dst)} [label={_dot(exit_label)}];")
     # monstar edges from the signals, by router: its stations, then its branches
     removed = {e.counter for e in level.signals.values() if isinstance(e, Remove1)}
     flow = {(_router(g.counter), 0, gid) for gid, g in level.gadgets.items()
@@ -513,6 +511,11 @@ def level_to_dot(level: Level) -> str:
     for router, door, other in sorted(flow):
         src, dst = (router, other) if door else (other, router)
         if src in level.gadgets and dst in level.gadgets:
-            lines.append(f'  "{src}" -> "{dst}" [style=dashed];')
+            lines.append(f"  {_dot(src)} -> {_dot(dst)} [style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot(text):
+    """text as a DOT quoted string, in which an inner `"` is written `\\"`."""
+    return '"' + text.replace('"', '\\"') + '"'

@@ -15,8 +15,7 @@ a certificate by one pass of that search.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from typing import NamedTuple
 
 from .braidlike_tm import (
@@ -25,6 +24,7 @@ from .braidlike_tm import (
     MachineSpec,
     MoveLeft,
     MoveRight,
+    Record,
     TapeStore,
     Write,
     apply_action,
@@ -58,16 +58,18 @@ class Certificate(NamedTuple):
     right: frozenset  # n-tuples of symbols, padded with END
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
-    kind: str  # "reached" | "not-reached" | "accept" | "reject" | "loop" | "unresolved" | "winnable" | "not-winnable"
-    # configurations (or, with a certificate, windows) of the search that
-    # settled it; the deterministic oracles count steps, and on "loop" the
-    # steps until they saw the repeat
-    explored: int = 0
-    witness: tuple = None  # trace of Configurations, start first
-    cap_hit: bool = False  # True if any successor was discarded at the cell cap
-    certificate: Certificate = None  # a closed n-gram set proving a negative verdict
+class OracleVerdict(Record, namedtuple("OracleVerdict", "kind explored witness cap_hit certificate",
+                                        defaults=(0, None, False, None))):
+    """A search's verdict: kind is "reached", "not-reached", "accept",
+    "reject", "loop", "unresolved", "winnable" or "not-winnable". explored
+    counts the configurations (or, with a certificate, windows) of the
+    search that settled it; the deterministic oracles count steps, and on
+    "loop" the steps until they saw the repeat. witness is a trace of
+    Configurations, start first; cap_hit is True if any successor was
+    discarded at the cell cap; certificate is a closed n-gram set proving a
+    negative verdict."""
+
+    __slots__ = ()
 
 
 def reach_bfs(spec: MachineSpec, cell_cap: int, max_explored: int = DEFAULT_BUDGET) -> OracleVerdict:
@@ -94,7 +96,7 @@ def reach_bfs(spec: MachineSpec, cell_cap: int, max_explored: int = DEFAULT_BUDG
         return OracleVerdict("reached", 1, (Configuration(spec.start_state, 0, ()),))
     store = TapeStore(spec.num_symbols)
     rows, step, size = store.lower(spec), store.successors, store.size
-    start = (spec.start_state, 0, 0)
+    start, target = (spec.start_state, 0, 0), spec.target_state
     parents = {start: None}
     queue = deque([start])
     explored = 0
@@ -104,7 +106,7 @@ def reach_bfs(spec: MachineSpec, cell_cap: int, max_explored: int = DEFAULT_BUDG
         explored += 1
         if explored > max_explored:
             raise SearchBudgetExceeded(f"reach_bfs exceeded {max_explored} configurations")
-        if z[0] == spec.target_state:
+        if z[0] == target:
             return OracleVerdict("reached", explored, _witness(store, parents, z), cap_hit)
         for succ in step(rows, z):
             # the head plus the cells from it onward is max(head, tape length)
@@ -287,13 +289,14 @@ def _ngram_pass(spec: MachineSpec, kind: str, n: int, left: frozenset, right: fr
             index.setdefault(gram[:-1], []).append(gram[-1])
     pushes = (set(), set())
     start = (spec.start_state, BLANK, (WALL,) * n, ends)
+    transitions = spec.transitions
     seen = {start}
     todo = [start]
     while todo:
         state, cell, lw, rw = todo.pop()
         if state in stop:
             return None
-        moves = spec.transitions.get((state, cell), ())
+        moves = transitions.get((state, cell), ())
         if halting and not moves:
             return None
         for action, nxt in moves:

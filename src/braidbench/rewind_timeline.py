@@ -22,12 +22,12 @@ search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heappop, heappush
 from itertools import count
 from typing import NamedTuple
 
-from .braidlike_tm import (BLANK, FieldError, MachineSpec, MOVE_LEFT, MOVE_RIGHT, ParseError, Write,
+from .braidlike_tm import (BLANK, FieldError, MachineSpec, MOVE_LEFT, MOVE_RIGHT, ParseError, Record, Write,
                            directives, is_digits)
 from .oracle_sim import DEFAULT_BUDGET, OracleVerdict, SearchBudgetExceeded
 
@@ -75,29 +75,29 @@ def tl_seek(t: Timeline, delta: int, max_speed: int) -> Timeline:
     return tuple.__new__(Timeline, (snapshots, 0 if cursor < 0 else last if cursor > last else cursor))
 
 
-@dataclass(frozen=True)
-class GameSpec:
-    timed_states: tuple  # tape alphabet (world state living inside time)
-    immune_states: tuple  # head-state component (objects outside time)
-    init_immune: object
-    init_timed: object
-    moves: dict  # (immune, timed) -> tuple of (immune', timed')
-    goal: frozenset  # set of winning (immune, timed) pairs
-    max_speed: int = 8
+class GameSpec(Record, namedtuple("GameSpec", "timed_states immune_states init_immune init_timed moves goal "
+                                              "max_speed")):
+    """A toy game: timed_states is the tape alphabet, the world state
+    living inside time, and immune_states the head-state component, the
+    objects outside time; moves maps each (immune, timed) pair to a tuple
+    of (immune', timed') pairs, and goal is the frozenset of winning
+    (immune, timed) pairs. The constructor raises FieldError on a
+    malformed field; the initial pair's tag is ("init_immune",
+    "init_timed"), a move's ("moves", (m, t), (m', t')) and a goal pair's
+    ("goal", (m, t))."""
 
-    def __post_init__(self):
-        """Raise FieldError on a malformed field; the initial pair's tag is
-        ("init_immune", "init_timed"), a move's ("moves", (m, t), (m', t'))
-        and a goal pair's ("goal", (m, t))."""
-        if self.max_speed < 1:
+    __slots__ = ()
+
+    def __new__(cls, timed_states, immune_states, init_immune, init_timed, moves, goal, max_speed=8):
+        if max_speed < 1:
             raise FieldError("max_speed", "max_speed must be >= 1")
-        timed, immune = set(self.timed_states), set(self.immune_states)
-        if len(timed) < len(self.timed_states) or len(immune) < len(self.immune_states):
-            field = "timed_states" if len(timed) < len(self.timed_states) else "immune_states"
+        timed, immune = set(timed_states), set(immune_states)
+        if len(timed) < len(timed_states) or len(immune) < len(immune_states):
+            field = "timed_states" if len(timed) < len(timed_states) else "immune_states"
             raise FieldError(field, "a timed or immune state is listed twice")
-        if self.init_timed not in timed or self.init_immune not in immune:
+        if init_timed not in timed or init_immune not in immune:
             raise FieldError(("init_immune", "init_timed"), "initial state outside the enumerations")
-        for key, outs in self.moves.items():
+        for key, outs in moves.items():
             m, t = key
             if m not in immune or t not in timed:
                 raise FieldError(("moves", key, *outs[:1]), f"move source ({m!r}, {t!r}) outside the enumerations")
@@ -105,10 +105,11 @@ class GameSpec:
                 m2, t2 = out
                 if m2 not in immune or t2 not in timed:
                     raise FieldError(("moves", key, out), f"move target ({m2!r}, {t2!r}) outside the enumerations")
-        for pair in self.goal:
+        for pair in goal:
             m, t = pair
             if m not in immune or t not in timed:
                 raise FieldError(("goal", pair), f"goal pair ({m!r}, {t!r}) outside the enumerations")
+        return tuple.__new__(cls, (timed_states, immune_states, init_immune, init_timed, moves, goal, max_speed))
 
 
 # the pseudo immune state that stands for the goal: d(k, _GOAL) is the least h with W_h(k)
@@ -186,7 +187,7 @@ def game_search(g: GameSpec, max_len: int, max_explored: int = DEFAULT_BUDGET) -
     entries."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    start = (g.init_immune, g.init_timed)
+    start, goal, moves = (g.init_immune, g.init_timed), g.goal, g.moves
     back = {}  # key -> {immune state or _GOAL: the least height written}
     readers = {}  # key -> {a key with an entry that moves to it: that entry's least height}
     heap, ticket, explored = [], count(), 0
@@ -206,9 +207,9 @@ def game_search(g: GameSpec, max_len: int, max_explored: int = DEFAULT_BUDGET) -
         h, _, k, m1 = heappop(heap)
         if back[k][m1] < h:
             continue  # a lower write of this entry came off the heap before
-        if (m1, k[1]) in g.goal:
+        if (m1, k[1]) in goal:
             write(h, k, _GOAL)
-        for k2 in g.moves.get((m1, k[1]), ()):
+        for k2 in moves.get((m1, k[1]), ()):
             if k2 not in back:  # a new key, with its own state at height 0
                 write(0, k2, k2[0])
             if h < readers.setdefault(k2, {}).get(k, max_len):

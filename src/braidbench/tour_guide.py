@@ -99,18 +99,19 @@ def compute_guide(left, cell_symbol: int, spec: MachineSpec) -> tuple:
     if not spec.deterministic:
         raise ValueError("compute_guide requires a deterministic machine")
     answers = []
+    accept, transitions = spec.accept_states, spec.transitions
     for q in range(spec.num_states):
         cur = q
         seen = set()
         while True:
-            if cur in spec.accept_states:
+            if cur in accept:
                 answers.append(ACCEPT)
                 break
             if cur in seen:
                 answers.append(LOOP_FOREVER)
                 break
             seen.add(cur)
-            succs = spec.transitions.get((cur, cell_symbol), ())
+            succs = transitions.get((cur, cell_symbol), ())
             if not succs:
                 answers.append(REJECT)
                 break
@@ -160,7 +161,8 @@ def decide_det_braidlike(spec: MachineSpec, input_symbols=None) -> str:
         if not spec.read_only:
             raise ValueError("decide_det_braidlike on an input requires a read-only machine")
         input_symbols = canonical_tape(check_input(spec, input_symbols))
-    if spec.start_state in spec.accept_states:
+    accept = spec.accept_states
+    if spec.start_state in accept:
         return "accept"
     store = TapeStore(spec.num_symbols)
     rows = store.lower(spec)
@@ -174,7 +176,7 @@ def decide_det_braidlike(spec: MachineSpec, input_symbols=None) -> str:
     visited = set()
     while True:
         state, left, right = z
-        if state in spec.accept_states:
+        if state in accept:
             return "accept"
         head = store.size[left]
         if head > len(chain):

@@ -20,7 +20,6 @@ it by name. `bisimulate` reports the loop iterations it jumps as
 the properties compare the expanded report with `ref_bisimulate`'s.
 """
 
-import dataclasses
 from collections import Counter
 
 from braidbench.counter_machine import Add, CounterConfig, CounterProgram, Halt, RunResult, initial_config
@@ -197,4 +196,4 @@ def expand(report: BisimReport) -> BisimReport:
                 out.append(b._replace(index=b.index + i * r.steps,
                                       cm_counters=tuple(v + i * d for v, d in zip(b.cm_counters, r.d)),
                                       occupancies=tuple(v + i * d for v, d in zip(b.occupancies, r.d))))
-    return dataclasses.replace(report, boundaries=tuple(out))
+    return report._replace(boundaries=tuple(out))

@@ -8,9 +8,12 @@ from braidbench.braidlike_tm import (
     BLANK,
     BTMParseError,
     Configuration,
+    FieldError,
     MachineSpec,
     MOVE_LEFT,
     MOVE_RIGHT,
+    MoveLeft,
+    MoveRight,
     ParseError,
     TapeStore,
     Write,
@@ -22,8 +25,8 @@ from braidbench.braidlike_tm import (
     successors,
     symbol_at,
 )
-from braidbench.counter_machine import CMParseError
-from braidbench.oracle_sim import det_behavior_oracle
+from braidbench.counter_machine import CMParseError, Halt
+from braidbench.oracle_sim import OracleVerdict, det_behavior_oracle
 from braidbench.rewind_timeline import GameParseError
 
 
@@ -370,3 +373,43 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         MachineSpec(1, 1, 0, frozenset(),
                     {(0, 0): ((MOVE_RIGHT, 0), (MOVE_LEFT, 0))}, deterministic=True)
+
+
+def test_records_equal_only_their_own_kind():
+    # tuples with equal fields, each a record of another class or none
+    assert MOVE_LEFT != MOVE_RIGHT and not MOVE_LEFT == MOVE_RIGHT
+    assert MOVE_LEFT == MoveLeft() and not MOVE_LEFT != MoveLeft()
+    assert len({MOVE_LEFT, MOVE_RIGHT, Halt(), ()}) == 4
+    for a, b in ((Write(1), (1,)), ((1,), Write(1))):
+        assert a != b and not a == b
+    assert len({Write(1), (1,)}) == 2
+    assert Write(1) == Write(1) and hash(Write(1)) == hash((1,))
+
+
+def test_records_with_no_fields_are_true():
+    assert all((MOVE_LEFT, MOVE_RIGHT, MoveLeft(), Halt()))
+
+
+def test_record_fields_cannot_be_set():
+    spec = det_spec({(0, 0): (MOVE_RIGHT, 0)})
+    for record, field in ((Write(1), "symbol"), (spec, "num_states"), (OracleVerdict("accept"), "kind")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 2)
+        with pytest.raises(AttributeError):
+            record.other = 2
+
+
+def test_record_replace_and_make_check_their_fields():
+    spec = det_spec({(0, 0): (MOVE_RIGHT, 0)})
+    assert spec._replace(start_state=1) == MachineSpec._make(spec._replace(start_state=1))
+    with pytest.raises(FieldError, match="^start state out of range$"):
+        spec._replace(start_state=2)
+    with pytest.raises(FieldError, match="^start state out of range$"):
+        MachineSpec._make((*spec[:2], 2, *spec[3:]))
+
+
+def test_record_reprs_name_their_fields():
+    assert repr(Write(1)) == "Write(symbol=1)"
+    assert repr(MoveLeft()) == "MoveLeft()"
+    assert repr(OracleVerdict("accept", 0)) == (
+        "OracleVerdict(kind='accept', explored=0, witness=None, cap_hit=False, certificate=None)")

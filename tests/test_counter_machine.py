@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from braidbench.braidlike_tm import FieldError
 from braidbench.counter_machine import (
     ADD,
     BRANCH,
@@ -115,6 +116,18 @@ def test_program_validation():
         CounterProgram(1, ())
     with pytest.raises(ValueError):
         CounterProgram(1, (Halt(),), init_counters=(-1,))
+
+
+@pytest.mark.parametrize("ins,message", [
+    (Add(True), "instruction 0: counter index True is not an integer"),
+    (Add(0.5), "instruction 0: counter index 0.5 is not an integer"),
+    (SubBranch(0, 0.0), "instruction 0: goto target 0.0 is not an integer"),
+], ids=["bool-counter", "float-counter", "float-target"])
+def test_program_refuses_instruction_fields_that_are_not_ints(ins, message):
+    # each is in range, and a bool counter would run as counter 1
+    with pytest.raises(FieldError, match=f"^{re.escape(message)}$") as e:
+        CounterProgram(2, (ins, Halt()))
+    assert e.value.field == 0
 
 
 def test_step_add():

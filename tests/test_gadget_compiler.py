@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import re
@@ -231,6 +230,48 @@ def test_dot_export_shape():
     assert '"B0"' in dot
 
 
+def test_dot_quotes_ids_that_hold_quotes():
+    level = compile(CounterProgram(1, (Add(0), Halt())))
+    gadgets = {('L"0' if gid == "L0" else gid): g for gid, g in level.gadgets.items()}
+    level = level._replace(gadgets=gadgets, entry='L"0',
+                           tim_edges={('L"0', "out"): level.tim_edges[("L0", "out")]})
+    assert level_run(level, 10) == LevelRunResult("solved", 2)
+    lines = level_to_dot(level).splitlines()
+    assert '  "L\\"0" [shape=box, label="L\\"0\\nadd0"];' in lines
+    quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+    nodes = []
+    for line in lines[2:-1]:
+        assert '"' not in quoted.sub("", line), line  # every quote opens or closes a string
+        ids = [m.replace('\\"', '"') for m in quoted.findall(line)]
+        if " -> " in line:
+            assert set(ids[:2]) <= set(gadgets), line
+        else:
+            nodes.append(ids[0])
+    assert nodes == sorted(gadgets)
+
+
+def test_records_of_a_family_equal_only_their_own_kind():
+    for family in ((Branch(), TrapRouter(), Goal()), (Add1(0), Remove1(0), CounterStation(0))):
+        assert len(set(family)) == 3
+        for i, a in enumerate(family):
+            for b in family[i + 1:]:
+                assert a != b and not a == b
+    assert all((Branch(), TrapRouter(), Goal()))
+
+
+def test_record_fields_cannot_be_set():
+    level = compile(CounterProgram(1, (Add(0), Halt())))
+    for record, field in ((LeverPull("add0"), "signal"), (OpenDoor("R0", "B1"), "router"), (level, "entry")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, "x")
+
+
+def test_level_replace_checks_the_edges():
+    level = compile(CounterProgram(1, (Add(0), Halt())))
+    with pytest.raises(LevelFormatError, match="^tim edge 'L0' -> 'nowhere' references a missing gadget$"):
+        level._replace(tim_edges={("L0", "out"): "nowhere"})
+
+
 def test_json_rejects_junction_and_ignores_crossover_count():
     level = compile(CounterProgram(1, (Add(0), SubBranch(0, 0), Halt())))
     obj = json.loads(level_to_json(level))
@@ -382,7 +423,7 @@ def test_transfer_drain_runs_exactly_at_scale(a, b):
     # a + b in 2(a + b) + 1 and halts in 1; its level takes 7 ticks a unit
     # moved, 6 a unit drained, 3 to leave each loop and 1 at the goal
     start = time.perf_counter()
-    p = dataclasses.replace(TRANSFER_DRAIN, init_counters=(a, b, 0))
+    p = TRANSFER_DRAIN._replace(init_counters=(a, b, 0))
     steps, ticks = 5 * a + 2 * b + 3, 13 * a + 6 * b + 7
     assert ticks <= 3 * steps + 1
     level = compile(p)
@@ -414,7 +455,7 @@ def test_bisimulate_transfer_drain_jumps_at_scale():
     # report of 21 records, a jump and the iterations next to it in each loop
     start = time.perf_counter()
     a, b = 10 ** 9, 10 ** 9 - 3
-    report = bisimulate(dataclasses.replace(TRANSFER_DRAIN, init_counters=(a, b, 0)), 10 ** 12)
+    report = bisimulate(TRANSFER_DRAIN._replace(init_counters=(a, b, 0)), 10 ** 12)
     assert time.perf_counter() - start < 1
     assert (report.passed, report.cm_halted, report.level_solved) == (True, True, True)
     assert (report.steps, report.ticks) == (5 * a + 2 * b + 3, 13 * a + 6 * b + 7)
@@ -536,7 +577,7 @@ def test_level_json_is_one_line_that_round_trips(level):
 def swap_branch_exits(level, branch):
     edges = dict(level.tim_edges)
     edges[(branch, "monstar")], edges[(branch, "empty")] = edges[(branch, "empty")], edges[(branch, "monstar")]
-    return dataclasses.replace(level, tim_edges=edges)
+    return level._replace(tim_edges=edges)
 
 
 def drop_add(level, lever):
@@ -545,16 +586,16 @@ def drop_add(level, lever):
     out = level.tim_edges[(lever, "out")]
     edges = {k: v for k, v in level.tim_edges.items() if k != (lever, "out")}
     edges[(lever, "monstar")] = edges[(lever, "empty")] = out
-    return dataclasses.replace(level, gadgets={**level.gadgets, lever: Branch()}, tim_edges=edges)
+    return level._replace(gadgets={**level.gadgets, lever: Branch()}, tim_edges=edges)
 
 
 def retarget_door(level, signal, router, branch):
-    return dataclasses.replace(level, signals={**level.signals, signal: OpenDoor(router, branch)})
+    return level._replace(signals={**level.signals, signal: OpenDoor(router, branch)})
 
 
 def lever_to_station(level, lever, station):
     """The player walks onto a counter station: the level table's stuck row."""
-    return dataclasses.replace(level, tim_edges={**level.tim_edges, (lever, "out"): station})
+    return level._replace(tim_edges={**level.tim_edges, (lever, "out"): station})
 
 
 def dip_before_add(level, lever, counter):
@@ -564,8 +605,8 @@ def dip_before_add(level, lever, counter):
     no boundary sees it until the dip reaches zero."""
     ids = [lever] + [f"{lever}.{n}" for n in range(1, 5)]
     effects = [Remove1(counter)] * 2 + [Add1(counter)] * 2 + [level.signals[level.gadgets[lever].signal]]
-    return dataclasses.replace(
-        level, gadgets={**level.gadgets, **{gid: LeverPull(f"{gid}!") for gid in ids}},
+    return level._replace(
+        gadgets={**level.gadgets, **{gid: LeverPull(f"{gid}!") for gid in ids}},
         signals={**level.signals, **{f"{gid}!": eff for gid, eff in zip(ids, effects)}},
         tim_edges={**level.tim_edges, **{(gid, "out"): nxt for gid, nxt in zip(ids, ids[1:])},
                    (ids[-1], "out"): level.tim_edges[(lever, "out")]})
@@ -689,7 +730,7 @@ def count_in_flight(level):
     signals = {**level.signals, "pile": Remove1(1), "unpile": Add1(1), "spill": OpenDoor("R1", "RX")}
     edges = {**level.tim_edges, ("L1", "out"): "X", ("X", "out"): "Y", ("Y", "out"): "L2",
              ("L3", "out"): "Z", ("Z", "out"): "D3"}
-    return dataclasses.replace(level, gadgets=gadgets, signals=signals, tim_edges=edges)
+    return level._replace(gadgets=gadgets, signals=signals, tim_edges=edges)
 
 
 @pytest.mark.parametrize("a", [3, 60, 400])
@@ -710,8 +751,8 @@ def spill_twice(level):
     draws it down by three, so the pile runs out halfway through the drain
     and the branch sends the player out of the loop early."""
     level = count_in_flight(level)
-    return dataclasses.replace(level, gadgets={**level.gadgets, "Z2": LeverPull("spill")},
-                               tim_edges={**level.tim_edges, ("Z", "out"): "Z2", ("Z2", "out"): "D3"})
+    return level._replace(gadgets={**level.gadgets, "Z2": LeverPull("spill")},
+                          tim_edges={**level.tim_edges, ("Z", "out"): "Z2", ("Z2", "out"): "D3"})
 
 
 @pytest.mark.parametrize("a", [61, 401])
@@ -898,11 +939,11 @@ def test_level_rejects_non_int_counters(tmp_path, capsys, edit, message):
 # JSON, and how to swap it into a Level built in Python.
 COUNTER_HOLDERS = {
     "station": (lambda o: o["gadgets"]["C0"],
-                lambda lv, c: dataclasses.replace(lv, gadgets={**lv.gadgets, "C0": CounterStation(c)})),
+                lambda lv, c: lv._replace(gadgets={**lv.gadgets, "C0": CounterStation(c)})),
     "add1": (lambda o: o["signals"]["add0"],
-             lambda lv, c: dataclasses.replace(lv, signals={**lv.signals, "add0": Add1(c)})),
+             lambda lv, c: lv._replace(signals={**lv.signals, "add0": Add1(c)})),
     "remove1": (lambda o: o["signals"]["sub1"],
-                lambda lv, c: dataclasses.replace(lv, signals={**lv.signals, "sub1": Remove1(c)})),
+                lambda lv, c: lv._replace(signals={**lv.signals, "sub1": Remove1(c)})),
 }
 BAD_COUNTERS = {
     "station-string": ("station", "0", "counter station 'C0' names counter '0', not an integer"),
@@ -1032,15 +1073,15 @@ def test_level_rejects_non_string_ids(tmp_path, capsys, edit, field):
 DIRECT_NON_STRING_IDS = {
     "entry": (lambda lv: Level(gadgets={}, tim_edges={}, signals={}, entry=["x"], num_counters=0),
               "level entry ['x']"),
-    "lever-signal": (lambda lv: dataclasses.replace(lv, gadgets={**lv.gadgets, "L0": LeverPull(["x"])}),
+    "lever-signal": (lambda lv: lv._replace(gadgets={**lv.gadgets, "L0": LeverPull(["x"])}),
                      "lever signal ['x']"),
-    "tim-edge-from": (lambda lv: dataclasses.replace(lv, tim_edges={**lv.tim_edges, (("x",), "out"): "L1"}),
+    "tim-edge-from": (lambda lv: lv._replace(tim_edges={**lv.tim_edges, (("x",), "out"): "L1"}),
                       "tim edge from ('x',)"),
-    "tim-edge-to": (lambda lv: dataclasses.replace(lv, tim_edges={**lv.tim_edges, ("L0", "out"): ["x"]}),
+    "tim-edge-to": (lambda lv: lv._replace(tim_edges={**lv.tim_edges, ("L0", "out"): ["x"]}),
                     "tim edge to ['x']"),
-    "door-router": (lambda lv: dataclasses.replace(lv, signals={**lv.signals, "door1": OpenDoor(["x"], "B1")}),
+    "door-router": (lambda lv: lv._replace(signals={**lv.signals, "door1": OpenDoor(["x"], "B1")}),
                     "open-door router ['x']"),
-    "door-branch": (lambda lv: dataclasses.replace(lv, signals={**lv.signals, "door1": OpenDoor("R0", {"x": 1})}),
+    "door-branch": (lambda lv: lv._replace(signals={**lv.signals, "door1": OpenDoor("R0", {"x": 1})}),
                     "open-door branch {'x': 1}"),
 }
 
@@ -1070,14 +1111,14 @@ def test_level_rejects_tim_edges_off_the_gadgets_exits(tmp_path, capsys, src, la
     assert_rejected(tmp_path, capsys, _level_edit(lambda o: o["tim_edges"].append(edge)), match=message)
     level = compile(parse_counter_program("counters 1\n0: add 0\n1: subb 0 0\n2: halt\n"))
     with pytest.raises(LevelFormatError, match=message):
-        dataclasses.replace(level, tim_edges={**level.tim_edges, (src, label): dst})
+        level._replace(tim_edges={**level.tim_edges, (src, label): dst})
 
 
 def test_level_built_directly_rejects_a_non_string_exit():
     # the loader rejects it as no string; a Level, as no exit
     level = compile(parse_counter_program("counters 1\n0: add 0\n1: subb 0 0\n2: halt\n"))
     with pytest.raises(LevelFormatError, match="^tim edge 'L0' -> 'G2' leaves by 5, no exit of its gadget$"):
-        dataclasses.replace(level, tim_edges={**level.tim_edges, ("L0", 5): "G2"})
+        level._replace(tim_edges={**level.tim_edges, ("L0", 5): "G2"})
 
 
 # Each check that a level's ids name what it declares.
