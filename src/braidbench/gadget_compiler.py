@@ -63,11 +63,11 @@ _KINDS = {
     "kind": {"lever": LeverPull, "branch": Branch, "counter": CounterStation, "router": TrapRouter, "goal": Goal},
     "effect": {"add1": Add1, "remove1": Remove1, "open-door": OpenDoor},
 }
-_TAG_OF = {cls: (key, name, cls._fields) for key, kinds in _KINDS.items() for name, cls in kinds.items()}
+_TAG_OF = {cls: (key, name) for key, kinds in _KINDS.items() for name, cls in kinds.items()}
 # each class's fields as level_from_json reads them: a field and the prefix
 # of its not-a-string message, None for a counter, which Level checks
-_READS = {cls: tuple((f, None if f == "counter" else f"{name} {f}") for f in fields)
-          for cls, (_, name, fields) in _TAG_OF.items()}
+_READS = {cls: tuple((f, None if f == "counter" else f"{name} {f}") for f in cls._fields)
+          for cls, (_, name) in _TAG_OF.items()}
 
 # the exits a tick takes from each gadget kind the player can stand on
 _EXITS = {LeverPull: ("out",), Branch: ("monstar", "empty")}
@@ -433,17 +433,9 @@ def level_to_json(level: Level) -> str:
 
 
 def _tagged(x):
-    """A gadget or signal effect as a JSON object: its tag and its fields.
-    Records of no field or one field, nearly all, are built as displays,
-    which cost half what a dict of zipped fields does."""
-    key, name, fields = _TAG_OF[type(x)]
-    if not fields:
-        return {key: name}
-    if len(fields) == 1:
-        return {key: name, fields[0]: x[0]}
-    obj = dict(zip(fields, x))
-    obj[key] = name
-    return obj
+    """A gadget or signal effect as a JSON object: its tag and its fields."""
+    key, name = _TAG_OF[type(x)]
+    return {key: name, **x._asdict()}
 
 
 def level_from_json(text: str) -> Level:

@@ -289,14 +289,13 @@ def _ngram_pass(spec: MachineSpec, kind: str, n: int, left: frozenset, right: fr
             index.setdefault(gram[:-1], []).append(gram[-1])
     pushes = (set(), set())
     start = (spec.start_state, BLANK, (WALL,) * n, ends)
-    transitions = spec.transitions
     seen = {start}
     todo = [start]
     while todo:
         state, cell, lw, rw = todo.pop()
         if state in stop:
             return None
-        moves = transitions.get((state, cell), ())
+        moves = spec.transitions.get((state, cell), ())
         if halting and not moves:
             return None
         for action, nxt in moves:

@@ -187,7 +187,7 @@ def game_search(g: GameSpec, max_len: int, max_explored: int = DEFAULT_BUDGET) -
     entries."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    start, goal, moves = (g.init_immune, g.init_timed), g.goal, g.moves
+    start = (g.init_immune, g.init_timed)
     back = {}  # key -> {immune state or _GOAL: the least height written}
     readers = {}  # key -> {a key with an entry that moves to it: that entry's least height}
     heap, ticket, explored = [], count(), 0
@@ -207,9 +207,9 @@ def game_search(g: GameSpec, max_len: int, max_explored: int = DEFAULT_BUDGET) -
         h, _, k, m1 = heappop(heap)
         if back[k][m1] < h:
             continue  # a lower write of this entry came off the heap before
-        if (m1, k[1]) in goal:
+        if (m1, k[1]) in g.goal:
             write(h, k, _GOAL)
-        for k2 in moves.get((m1, k[1]), ()):
+        for k2 in g.moves.get((m1, k[1]), ()):
             if k2 not in back:  # a new key, with its own state at height 0
                 write(0, k2, k2[0])
             if h < readers.setdefault(k2, {}).get(k, max_len):

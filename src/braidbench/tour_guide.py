@@ -99,19 +99,18 @@ def compute_guide(left, cell_symbol: int, spec: MachineSpec) -> tuple:
     if not spec.deterministic:
         raise ValueError("compute_guide requires a deterministic machine")
     answers = []
-    accept, transitions = spec.accept_states, spec.transitions
     for q in range(spec.num_states):
         cur = q
         seen = set()
         while True:
-            if cur in accept:
+            if cur in spec.accept_states:
                 answers.append(ACCEPT)
                 break
             if cur in seen:
                 answers.append(LOOP_FOREVER)
                 break
             seen.add(cur)
-            succs = transitions.get((cur, cell_symbol), ())
+            succs = spec.transitions.get((cur, cell_symbol), ())
             if not succs:
                 answers.append(REJECT)
                 break
@@ -161,8 +160,7 @@ def decide_det_braidlike(spec: MachineSpec, input_symbols=None) -> str:
         if not spec.read_only:
             raise ValueError("decide_det_braidlike on an input requires a read-only machine")
         input_symbols = canonical_tape(check_input(spec, input_symbols))
-    accept = spec.accept_states
-    if spec.start_state in accept:
+    if spec.start_state in spec.accept_states:
         return "accept"
     store = TapeStore(spec.num_symbols)
     rows = store.lower(spec)
@@ -176,7 +174,7 @@ def decide_det_braidlike(spec: MachineSpec, input_symbols=None) -> str:
     visited = set()
     while True:
         state, left, right = z
-        if state in accept:
+        if state in spec.accept_states:
             return "accept"
         head = store.size[left]
         if head > len(chain):

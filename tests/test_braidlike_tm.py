@@ -13,7 +13,6 @@ from braidbench.braidlike_tm import (
     MOVE_LEFT,
     MOVE_RIGHT,
     MoveLeft,
-    MoveRight,
     ParseError,
     TapeStore,
     Write,
@@ -25,9 +24,11 @@ from braidbench.braidlike_tm import (
     successors,
     symbol_at,
 )
-from braidbench.counter_machine import CMParseError, Halt
+from braidbench.counter_machine import Add, CMParseError, CounterProgram, Halt
+from braidbench.gadget_compiler import (Add1, Branch, CounterStation, Goal, LeverPull, OpenDoor, Remove1,
+                                        TrapRouter, compile)
 from braidbench.oracle_sim import OracleVerdict, det_behavior_oracle
-from braidbench.rewind_timeline import GameParseError
+from braidbench.rewind_timeline import GameParseError, GameSpec
 
 
 def det_spec(transitions, accept=(), n=2, s=2, start=0):
@@ -375,24 +376,36 @@ def test_spec_validation():
                     {(0, 0): ((MOVE_RIGHT, 0), (MOVE_LEFT, 0))}, deterministic=True)
 
 
+# records of every module, in families whose kinds have equal fields,
+# each family with the plain tuple of those fields
+RECORD_FAMILIES = (
+    (MOVE_LEFT, MOVE_RIGHT, Halt(), Branch(), TrapRouter(), Goal(), ()),
+    (Write(1), Add(1), (1,)),
+    (Add1(0), Remove1(0), CounterStation(0), (0,)),
+)
+
+
 def test_records_equal_only_their_own_kind():
-    # tuples with equal fields, each a record of another class or none
-    assert MOVE_LEFT != MOVE_RIGHT and not MOVE_LEFT == MOVE_RIGHT
+    for family in RECORD_FAMILIES:
+        assert len(set(family)) == len(family)
+        for a in family:
+            for b in family:
+                assert (a == b) == (a is b) and (a != b) == (a is not b), (a, b)
     assert MOVE_LEFT == MoveLeft() and not MOVE_LEFT != MoveLeft()
-    assert len({MOVE_LEFT, MOVE_RIGHT, Halt(), ()}) == 4
-    for a, b in ((Write(1), (1,)), ((1,), Write(1))):
-        assert a != b and not a == b
-    assert len({Write(1), (1,)}) == 2
     assert Write(1) == Write(1) and hash(Write(1)) == hash((1,))
 
 
 def test_records_with_no_fields_are_true():
-    assert all((MOVE_LEFT, MOVE_RIGHT, MoveLeft(), Halt()))
+    assert all((MOVE_LEFT, MOVE_RIGHT, MoveLeft(), Halt(), Branch(), TrapRouter(), Goal()))
 
 
 def test_record_fields_cannot_be_set():
     spec = det_spec({(0, 0): (MOVE_RIGHT, 0)})
-    for record, field in ((Write(1), "symbol"), (spec, "num_states"), (OracleVerdict("accept"), "kind")):
+    program = CounterProgram(1, (Add(0), Halt()))
+    for record, field in ((Write(1), "symbol"), (spec, "num_states"), (program, "num_counters"),
+                          (OracleVerdict("accept"), "kind"), (LeverPull("add0"), "signal"),
+                          (OpenDoor("R0", "B1"), "router"), (compile(program), "entry"),
+                          (GameSpec(("t",), ("m",), "m", "t", {}, frozenset()), "max_speed")):
         with pytest.raises(AttributeError):
             setattr(record, field, 2)
         with pytest.raises(AttributeError):

@@ -250,22 +250,6 @@ def test_dot_quotes_ids_that_hold_quotes():
     assert nodes == sorted(gadgets)
 
 
-def test_records_of_a_family_equal_only_their_own_kind():
-    for family in ((Branch(), TrapRouter(), Goal()), (Add1(0), Remove1(0), CounterStation(0))):
-        assert len(set(family)) == 3
-        for i, a in enumerate(family):
-            for b in family[i + 1:]:
-                assert a != b and not a == b
-    assert all((Branch(), TrapRouter(), Goal()))
-
-
-def test_record_fields_cannot_be_set():
-    level = compile(CounterProgram(1, (Add(0), Halt())))
-    for record, field in ((LeverPull("add0"), "signal"), (OpenDoor("R0", "B1"), "router"), (level, "entry")):
-        with pytest.raises(AttributeError):
-            setattr(record, field, "x")
-
-
 def test_level_replace_checks_the_edges():
     level = compile(CounterProgram(1, (Add(0), Halt())))
     with pytest.raises(LevelFormatError, match="^tim edge 'L0' -> 'nowhere' references a missing gadget$"):
